@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 on success (and on verification pass), 2 on verification
-fail, 1 on any error.
+fail, 3 on a verification with no target to pass or fail against, 1 on any
+error.  A sweep exits 2 if any report fails, else 3 if any has no target.
 """
 
 from __future__ import annotations
@@ -161,6 +162,13 @@ def _json_default(o):
     if isinstance(o, np.ndarray):
         return o.tolist()
     raise TypeError(f"not serializable: {type(o)}")
+
+
+def _exit_code(reports) -> int:
+    verdicts = {r.verdict for r in reports}
+    if "fail" in verdicts:
+        return 2
+    return 3 if "no_target" in verdicts else 0
 
 
 def _config_from_args(args) -> ExperimentConfig:
@@ -324,7 +332,7 @@ def _run(args) -> int:
         config = _config_from_args(args)
         report = run_verify(config, args.tag)
         _emit(report.to_json() + "\n", args.out)
-        return 0 if report.passed else 2
+        return _exit_code([report])
 
     if cmd == "sweep":
         params = [float(p) for p in args.params.split(",") if p]
@@ -333,7 +341,7 @@ def _run(args) -> int:
         payload = json.dumps([r.to_dict() for r in reports], sort_keys=True,
                              indent=2)
         _emit(payload + "\n", args.out)
-        return 0 if all(r.passed for r in reports) else 2
+        return _exit_code(reports)
 
     raise _CliError(f"unknown command {cmd}")
 

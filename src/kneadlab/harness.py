@@ -140,8 +140,12 @@ def _finite(x):
 
 @dataclass
 class VerificationReport:
+    """One verification run.  The verdict is "pass" or "fail" against a
+    target, or "no_target" when the map has nothing to compare against;
+    `passed` is true for "pass" only."""
+
     theorem_tag: str
-    passed: bool
+    verdict: str
     discrepancy: Optional[float]
     tolerance: float
     inputs: dict
@@ -151,9 +155,14 @@ class VerificationReport:
     annotations: list
     provenance: dict
 
+    @property
+    def passed(self) -> bool:
+        return self.verdict == "pass"
+
     def to_dict(self) -> dict:
         return {
             "theorem_tag": self.theorem_tag,
+            "verdict": self.verdict,
             "passed": self.passed,
             "discrepancy": _finite(self.discrepancy),
             "tolerance": self.tolerance,
@@ -187,9 +196,10 @@ def _provenance(config: ExperimentConfig) -> dict:
 
 def _report(config, tag, passed, discrepancy, tolerance, measured, predicted,
             failures=None, annotations=None) -> VerificationReport:
+    """passed=None means the run had no target to pass or fail against."""
     return VerificationReport(
         theorem_tag=tag,
-        passed=bool(passed),
+        verdict="no_target" if passed is None else ("pass" if passed else "fail"),
         discrepancy=discrepancy,
         tolerance=tolerance,
         inputs={"map_family": config.map_family,
@@ -462,7 +472,7 @@ def _run_zeta(config: ExperimentConfig) -> VerificationReport:
     if not chebyshev:
         annotations.append("no closed form available for this map; "
                            "values reported without a pass target")
-    passed = worst <= config.tolerance_zeta if chebyshev else True
+    passed = worst <= config.tolerance_zeta if chebyshev else None
     return _report(config, "zeta", passed, worst if chebyshev else None,
                    config.tolerance_zeta, {"rows": rows,
                                            "orbit_count": len(enum.orbits)},

@@ -210,6 +210,19 @@ def logistic_sine_conjugacy(x):
 # operations
 # ---------------------------------------------------------------------------
 
+def check_start(m: UnimodalMap, x0: float) -> float:
+    """x0 as a float, validated once where a public orbit computation starts.
+
+    A start point that is not finite or lies outside the domain by more than
+    the slack raises OutOfDomain; the unchecked hot loops rely on this.
+    """
+    x = float(x0)
+    l, r = m.domain
+    if not (math.isfinite(x) and l - m.domain_slack <= x <= r + m.domain_slack):
+        raise OutOfDomain(f"start point x0 = {x} outside [{l}, {r}]")
+    return x
+
+
 def evaluate(m: UnimodalMap, x: float) -> float:
     """f(x), clamped to the domain only when the overshoot is below slack."""
     l, r = m.domain
@@ -269,7 +282,15 @@ def orbit_array(m: UnimodalMap, x0: float, n: int, burn_in: int = 0) -> np.ndarr
 def orbit_chunks(m: UnimodalMap, x0: float, n: int, chunk: int = 1 << 16,
                  burn_in: int = 0):
     """Yield successive numpy buffers of orbit points (no domain checks in
-    the hot loop; the self-map invariant is validated at construction)."""
+    the hot loop; the self-map invariant is validated at construction and
+    start points by check_start at the public entry points).
+
+    Every buffer but the last holds `chunk` points.  The chunk size matters
+    for streams only (SymbolStream, the measure passes): it bounds their
+    memory, and an open-ended stream computes a whole chunk before its first
+    symbol.  Finite requests get exactly n points; itinerary asks
+    orbit_array for exactly its length.
+    """
     x = float(x0)
     f = m._f
     tag = m.family_tag

@@ -18,8 +18,8 @@ import numpy as np
 from .errors import (CriticalNonReturn, CycleNotClosed, DegenerateOrbit,
                      PrecisionExhausted, TooManyGaps, UncoveredMass)
 from .maps import (LEFT, RIGHT, KahanAccumulator, UnimodalMap,
-                   branch_preimage_arrays, evaluate, log_abs_derivative_array,
-                   orbit_chunks)
+                   branch_preimage_arrays, check_start, evaluate,
+                   log_abs_derivative_array, orbit_chunks)
 from .nest import NestReport, _interval_image, build_nest, find_restrictive_interval
 from .symbolic import SymbolWord, cylinder
 
@@ -173,8 +173,12 @@ def lyapunov_birkhoff(m: UnimodalMap, x0: float, n: int,
     """(1/n) sum of ln|Df| along the orbit, with compensated summation.
 
     When the orbit comes within tie tolerance of the critical point the
-    estimate is still reported, flagged with hit_critical.
+    estimate is still reported, flagged with hit_critical.  A start point
+    outside the domain raises OutOfDomain.
     """
+    if n < 1:
+        raise ValueError("n >= 1 required")
+    x0 = check_start(m, x0)
     acc = KahanAccumulator()
     hit = False
     c = m.critical_point

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import (ContainsCriticalSymbol, DivergentInput, EmptyCylinder,
                      IrreducibleRequired, NoOrbitPredicted, NonContraction)
-from .maps import LEFT, RIGHT, UnimodalMap, branch_preimage, evaluate
+from .maps import LEFT, RIGHT, UnimodalMap, branch_preimage, evaluate, make_map
 from .symbolic import (SYM_0, SYM_C, GeometricFrequencyEstimate, SymbolStream,
                        SymbolWord, cylinder, geometric_frequency, itinerary)
 
@@ -252,10 +252,8 @@ def find_periodic(m: UnimodalMap, word: SymbolWord, *,
     return PeriodicOrbit(tuple(pts), word, sign, log_abs, residual)
 
 
-def _enumerate_worker(args):
-    family, parameter, texts = args
-    from .maps import make_map
-    m = make_map(family, parameter)
+def _find_each(m: UnimodalMap, texts):
+    """(text, orbit, None) or (text, None, error) for each word, in order."""
     out = []
     for text in texts:
         try:
@@ -263,6 +261,11 @@ def _enumerate_worker(args):
         except (EmptyCylinder, NonContraction) as e:
             out.append((text, None, f"{type(e).__name__}: {e}"))
     return out
+
+
+def _enumerate_worker(args):
+    family, parameter, texts = args
+    return _find_each(make_map(family, parameter), texts)
 
 
 def enumerate_periodic(m: UnimodalMap, max_period: int,
@@ -286,16 +289,7 @@ def enumerate_periodic(m: UnimodalMap, max_period: int,
                        for text, orbit, err in shard}
         results = [(t,) + by_word[t] for t in words]
     else:
-        results = _enumerate_worker((m.family_tag, m.parameter, words)) \
-            if m.family_tag != "custom" else None
-        if results is None:
-            results = []
-            for text in words:
-                try:
-                    results.append(
-                        (text, find_periodic(m, SymbolWord.from_string(text)), None))
-                except (EmptyCylinder, NonContraction) as e:
-                    results.append((text, None, f"{type(e).__name__}: {e}"))
+        results = _find_each(m, words)
     orbits = [orb for _, orb, _ in results if orb is not None]
     failures = {t: err for t, _, err in results if err is not None}
     return EnumerationResult(orbits, failures)

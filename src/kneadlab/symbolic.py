@@ -20,7 +20,8 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import ContainsCriticalSymbol, InsufficientOccurrences, PrefixTooShort
-from .maps import LEFT, RIGHT, UnimodalMap, branch_preimage, orbit_chunks
+from .maps import (LEFT, RIGHT, UnimodalMap, branch_preimage, check_start,
+                   orbit_array, orbit_chunks)
 
 SYM_0 = 0
 SYM_1 = 1
@@ -93,6 +94,15 @@ class SymbolWord:
         return np.array(self.symbols, dtype=np.int8)
 
 
+def _symbols(m: UnimodalMap, points: np.ndarray) -> np.ndarray:
+    """The symbol of each orbit point as int8: 0 left of c, 1 right of c,
+    SYM_C within the map's tie tolerance of c."""
+    c = m.critical_point
+    sym = (points > c).astype(np.int8)
+    sym[np.abs(points - c) <= m.tie_tolerance] = SYM_C
+    return sym
+
+
 class SymbolStream:
     """Single-consumer stateful symbol generator.
 
@@ -126,13 +136,11 @@ class SymbolStream:
 
     @classmethod
     def from_point(cls, m: UnimodalMap, x0: float, burn_in: int = 0) -> "SymbolStream":
+        x0 = check_start(m, x0)
+
         def gen():
-            c = m.critical_point
-            tol = m.tie_tolerance
             for buf in orbit_chunks(m, x0, 1 << 62, burn_in=burn_in):
-                sym = (buf > c).astype(np.int8)
-                sym[np.abs(buf - c) <= tol] = SYM_C
-                yield sym
+                yield _symbols(m, buf)
         return cls(gen())
 
     @classmethod
@@ -217,9 +225,15 @@ class GeometricFrequencyEstimate:
 # ---------------------------------------------------------------------------
 
 def itinerary(m: UnimodalMap, x0: float, n: int) -> SymbolWord:
-    """Symbols of f^k(x0) for k = 0..n-1 (0 left of c, 1 right, c at ties)."""
-    sym = SymbolStream.from_point(m, x0).take(n)
-    return SymbolWord(tuple(int(s) for s in sym))
+    """Symbols of f^k(x0) for k = 0..n-1 (0 left of c, 1 right, c at ties).
+
+    Computes exactly n orbit points; the stream chunk size does not apply.
+    The symbols equal SymbolStream.from_point(m, x0).take(n).
+    """
+    if n < 0:
+        raise ValueError("n >= 0 required")
+    x0 = check_start(m, x0)
+    return SymbolWord(tuple(_symbols(m, orbit_array(m, x0, n)).tolist()))
 
 
 def kneading_sequence(m: UnimodalMap, n: int) -> SymbolWord:

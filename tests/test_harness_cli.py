@@ -72,6 +72,7 @@ def test_run_verify_unknown_tag():
 def test_run_verify_embeds_module_errors():
     rep = run_verify(_fast_config(map_parameter=2.0), "theorem-c")
     assert not rep.passed
+    assert rep.verdict == "fail"
     assert rep.failures
     assert rep.failures[0]["error"] == "CriticalNonReturn"
 
@@ -109,6 +110,19 @@ def test_zeta_verify_q2():
     cfg = _fast_config(zeta_max_period=8, zeta_z_values=(0.25,))
     rep = run_verify(cfg, "zeta")
     assert rep.passed
+    assert rep.verdict == "pass"
+
+
+def test_zeta_without_closed_form_has_no_target():
+    cfg = ExperimentConfig(map_family="logistic", map_parameter=3.9,
+                           zeta_max_period=4)
+    rep = run_verify(cfg, "zeta")
+    assert rep.verdict == "no_target"
+    assert not rep.passed
+    assert rep.discrepancy is None
+    parsed = json.loads(rep.to_json())
+    assert parsed["verdict"] == "no_target"
+    assert parsed["passed"] is False
 
 
 # --- sweep -------------------------------------------------------------
@@ -226,6 +240,27 @@ def test_cli_verify_exit_codes(capsys):
                  "--stream", "critical", "--orbit-length", "1e5"])
     assert fail == 2
     capsys.readouterr()
+
+
+def test_cli_no_target_exit_code(capsys):
+    assert main(["verify", "zeta", "--map", "logistic", "--param", "3.9",
+                 "--max-period", "4"]) == 3
+    assert json.loads(capsys.readouterr().out)["verdict"] == "no_target"
+    assert main(["sweep", "--tag", "zeta", "--map", "logistic",
+                 "--params", "3.9"]) == 3
+    # a failing report outranks one without a target
+    assert main(["sweep", "--tag", "zeta", "--map", "quadratic",
+                 "--params", "1.9,9.9"]) == 2
+    capsys.readouterr()
+
+
+def test_cli_itinerary_rejects_start_outside_domain(capsys):
+    for x0 in ("5", "nan"):
+        assert main(["itinerary", "--map", "quadratic", "--param", "2.0",
+                     "--x0", x0, "--length", "4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "OutOfDomain"
 
 
 def test_cli_out_file(tmp_path):

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from kneadlab import (CriticalNonReturn, CycleNotClosed, DegenerateOrbit,
-                      SymbolStream, SymbolWord, TooManyGaps, UncoveredMass,
-                      attractor_cycle, estimate_density, find_periodic,
-                      gap_family, lyapunov_birkhoff, make_logistic,
-                      make_quadratic, measure_of_interval,
+                      OutOfDomain, SymbolStream, SymbolWord, TooManyGaps,
+                      UncoveredMass, attractor_cycle, estimate_density,
+                      find_periodic, gap_family, lyapunov_birkhoff,
+                      make_logistic, make_quadratic, measure_of_interval,
                       regularized_density_report, verify_critical_typicality,
                       verify_lyapunov_equality)
 from kneadlab.measure import (_detect_periodic_attractor, screened_parameters,
@@ -130,6 +130,15 @@ def test_lyapunov_negative_for_regular_map():
     m = make_quadratic(0.9)
     est = lyapunov_birkhoff(m, seeded_start(m, 4), 10 ** 5, burn_in=1000)
     assert est.value < -0.5
+
+
+def test_lyapunov_rejects_start_outside_domain(q19):
+    # the orbit of 3.0 escapes to -inf and used to read as an exponent of -inf
+    for x0 in (3.0, math.nan):
+        with pytest.raises(OutOfDomain):
+            lyapunov_birkhoff(q19, x0, 10 ** 5)
+    with pytest.raises(ValueError):
+        lyapunov_birkhoff(q19, 0.1, 0)
 
 
 def test_lyapunov_hit_critical_flag(q2):

@@ -1,11 +1,13 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from kneadlab import (ContainsCriticalSymbol, DivergentInput, EmptyCylinder,
-                      IrreducibleRequired, NoOrbitPredicted, SymbolStream,
+                      IrreducibleRequired, NoOrbitPredicted, NonContraction,
+                      SymbolStream,
                       SymbolWord, ZetaTruncation, enumerate_periodic,
                       exponent_from_formula, find_periodic, make_logistic,
                       make_quadratic, zeta_truncation)
@@ -253,3 +255,18 @@ def test_exponent_log_storage(q2):
     assert orb.exponent_sign == -1
     assert orb.exponent_log_abs == pytest.approx(math.log(4.0), rel=1e-11)
     assert orb.expansion_rate() == pytest.approx(2.0, rel=1e-11)
+
+
+def test_enumerate_serial_searches_the_callers_map(q2):
+    # a wide tie tolerance turns the symbols of orbit points near c into 'c',
+    # so find_periodic rejects those orbits; the enumeration must agree
+    m = replace(q2, tie_tolerance=0.05)
+    enum = enumerate_periodic(m, 5)
+    for w in lyndon_words(5):
+        try:
+            find_periodic(m, w)
+            found = True
+        except (EmptyCylinder, NonContraction):
+            found = False
+        assert (str(w) not in enum.failures) == found, str(w)
+    assert enum.failures

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kneadlab import (ContainsCriticalSymbol, InsufficientOccurrences,
-                      PrefixTooShort, SymbolStream, SymbolWord, cylinder,
-                      frequency, geometric_frequency, itinerary,
-                      kneading_sequence, make_logistic, make_quadratic)
+                      OutOfDomain, PrefixTooShort, SymbolStream, SymbolWord,
+                      cylinder, frequency, geometric_frequency, itinerary,
+                      kneading_sequence, make_custom, make_logistic,
+                      make_quadratic, make_sine)
 from kneadlab.symbolic import count_occurrences
 
 
@@ -55,6 +56,49 @@ def test_itinerary_examples(q2):
     assert str(itinerary(q2, 0.0, 4)) == "c100"
     assert str(itinerary(q2, 0.5, 3)) == "111"
     assert str(itinerary(q2, -1.0, 3)) == "000"
+
+
+@pytest.mark.parametrize("m", [make_quadratic(1.9), make_logistic(3.9),
+                               make_sine(3.8),
+                               make_custom(lambda x: 1.0 - 1.9 * x * x,
+                                           lambda x: -3.8 * x, (-1.0, 1.0), 0.0)],
+                         ids=["quadratic", "logistic", "sine", "custom"])
+def test_itinerary_equals_stream_prefix(m):
+    # lengths on both sides of the 65,536-point stream chunk
+    c = m.critical_point
+    for x0 in (c, 0.5 * (m.domain[0] + c) + 0.01):
+        for n in (0, 1, 24, 65536, 65537):
+            word = itinerary(m, x0, n)
+            stream = SymbolStream.from_point(m, x0).take(n)
+            assert word.symbols == tuple(stream.tolist())
+            assert len(word) == n
+            if n and x0 == c:
+                assert str(word)[0] == "c"
+
+
+def test_itinerary_computes_only_its_length():
+    calls = [0]
+
+    def f(x):
+        calls[0] += 1
+        return 1.0 - 1.9 * x * x
+
+    m = make_custom(f, lambda x: -3.8 * x, (-1.0, 1.0), 0.0)
+    calls[0] = 0
+    assert len(itinerary(m, 0.3, 24)) == 24
+    assert calls[0] <= 24
+
+
+def test_itinerary_rejects_bad_start_and_length(q19):
+    for x0 in (5.0, -1.5, math.nan, math.inf):
+        with pytest.raises(OutOfDomain):
+            itinerary(q19, x0, 4)
+        with pytest.raises(OutOfDomain):
+            SymbolStream.from_point(q19, x0)
+    with pytest.raises(ValueError):
+        itinerary(q19, 0.1, -1)
+    # rounding overshoot within the domain slack is accepted
+    assert str(itinerary(q19, 1.0 + 5e-13, 2)) == "10"
 
 
 def test_kneading_examples(q2, q19):

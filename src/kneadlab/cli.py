@@ -11,12 +11,11 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import __version__
 from .errors import InsufficientOccurrences, KneadlabError
-from .harness import (VERIFY_TAGS, ExperimentConfig, run_verify, sweep)
-from .maps import make_map
+from .harness import (VERIFY_TAGS, ExperimentConfig, _sanitize, run_verify,
+                      sweep)
+from .maps import FAMILIES, make_map
 from .measure import estimate_density, gap_family, regularized_density_report
 from .nest import build_nest
 from .orbits import ZetaTruncation, enumerate_periodic, find_periodic
@@ -39,7 +38,7 @@ def _count(text: str) -> int:
 
 
 def _add_map_args(p):
-    p.add_argument("--map", required=True, choices=("quadratic", "logistic", "sine"))
+    p.add_argument("--map", required=True, choices=tuple(FAMILIES))
     p.add_argument("--param", required=True, type=float)
 
 
@@ -129,7 +128,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="verify across a parameter list")
     p.add_argument("--tag", required=True, choices=VERIFY_TAGS)
-    p.add_argument("--map", required=True, choices=("quadratic", "logistic", "sine"))
+    p.add_argument("--map", required=True, choices=tuple(FAMILIES))
     p.add_argument("--params", required=True,
                    help="comma-separated parameter values")
     p.add_argument("--parallelism", type=int, default=1)
@@ -152,16 +151,9 @@ def _emit(payload: str, out_path):
 
 
 def _emit_json(obj, args) -> None:
-    _emit(json.dumps(obj, sort_keys=True, indent=2, default=_json_default),
+    """Strict JSON: non-finite numbers are written as null."""
+    _emit(json.dumps(_sanitize(obj), sort_keys=True, indent=2, allow_nan=False),
           args.out)
-
-
-def _json_default(o):
-    if isinstance(o, (np.floating, np.integer)):
-        return o.item()
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    raise TypeError(f"not serializable: {type(o)}")
 
 
 def _exit_code(reports) -> int:
@@ -280,7 +272,6 @@ def _run(args) -> int:
         _emit_json({
             "levels": [{"n": lv.index, "interval": list(lv.interval),
                         "v_n": lv.v_n, "s_n": lv.s_n, "c_n": lv.c_n,
-                        "landing_word_length": lv.landing_word_length,
                         "central_return": lv.central_return}
                        for lv in report.levels],
             "termination": report.termination,

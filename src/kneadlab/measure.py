@@ -17,9 +17,9 @@ import numpy as np
 
 from .errors import (CriticalNonReturn, CycleNotClosed, DegenerateOrbit,
                      PrecisionExhausted, TooManyGaps, UncoveredMass)
-from .maps import (LEFT, RIGHT, KahanAccumulator, UnimodalMap,
-                   branch_preimage_arrays, check_start, evaluate,
-                   log_abs_derivative_array, orbit_chunks)
+from .maps import (LEFT, RIGHT, UnimodalMap, branch_preimage_arrays,
+                   check_start, evaluate, log_abs_derivative_array,
+                   orbit_chunks)
 from .nest import NestReport, _interval_image, build_nest, find_restrictive_interval
 from .symbolic import SymbolWord, cylinder
 
@@ -105,6 +105,8 @@ def estimate_density(m: UnimodalMap, sample_count: int, bin_count: int,
     """
     if sample_count < 10 ** 5:
         raise ValueError("sample_count >= 1e5 required")
+    if bin_count < 1:
+        raise ValueError("bin_count >= 1 required")
     x0 = seeded_start(m, seed)
     x = x0
     f = m._f
@@ -170,7 +172,8 @@ def attractor_cycle(m: UnimodalMap, horizon: int = 32) -> AttractorCycle:
 
 def lyapunov_birkhoff(m: UnimodalMap, x0: float, n: int,
                       burn_in: int = 0) -> LyapunovEstimate:
-    """(1/n) sum of ln|Df| along the orbit, with compensated summation.
+    """(1/n) sum of ln|Df| along the orbit: math.fsum of the per-chunk sums,
+    -inf if a chunk has a non-finite log.
 
     When the orbit comes within tie tolerance of the critical point the
     estimate is still reported, flagged with hit_critical.  A start point
@@ -179,7 +182,7 @@ def lyapunov_birkhoff(m: UnimodalMap, x0: float, n: int,
     if n < 1:
         raise ValueError("n >= 1 required")
     x0 = check_start(m, x0)
-    acc = KahanAccumulator()
+    sums = []
     hit = False
     c = m.critical_point
     tol = m.tie_tolerance
@@ -187,8 +190,8 @@ def lyapunov_birkhoff(m: UnimodalMap, x0: float, n: int,
         if not hit and np.any(np.abs(buf - c) <= tol):
             hit = True
         logs = log_abs_derivative_array(m, buf)
-        acc.add(float(np.sum(logs)) if np.all(np.isfinite(logs)) else -math.inf)
-    return LyapunovEstimate(acc.value / n, hit, n)
+        sums.append(float(np.sum(logs)) if np.all(np.isfinite(logs)) else -math.inf)
+    return LyapunovEstimate(math.fsum(sums) / n, hit, n)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (CriticalNonReturn, NoReversingFixedPoint,
                      PrecisionExhausted, TooShallow)
-from .maps import LEFT, RIGHT, UnimodalMap
+from .maps import UnimodalMap, mpmath_namespace
 
 WIDTH_FLOOR_DOUBLE = 1e-13
 WIDTH_FLOOR_EXTENDED = 1e-18
@@ -39,7 +39,6 @@ class NestLevel:
     v_n: int
     s_n: Optional[int] = None
     c_n: Optional[float] = None
-    landing_word_length: Optional[int] = None
     central_return: Optional[bool] = None
 
     @property
@@ -63,75 +62,26 @@ class NestReport:
 # ---------------------------------------------------------------------------
 
 class _Arith:
+    """The map's own float functions, or the mpmath binding of its family
+    at 120 bits (constants such as sqrt(a)/2 included)."""
+
     def __init__(self, m: UnimodalMap, extended: bool):
-        self.m = m
         self.extended = extended
         if not extended:
-            self.f = m._f
-            if m._inv_left is not None:
-                self.inv_left = m._inv_left
-                self.inv_right = m._inv_right
-            else:
-                from .maps import branch_inverse
-                self.inv_left = lambda y: branch_inverse(m, LEFT, y)
-                self.inv_right = lambda y: branch_inverse(m, RIGHT, y)
+            self.f, self.inv_left, self.inv_right = m._f, m._inv_left, m._inv_right
             self.c = m.critical_point
             self.lo, self.hi = m.domain
-            self.to_float = float
             return
+        if m.family is None:
+            raise ValueError("extended precision supports built-in families only")
         import mpmath as mp
         self.mp = mp
         self.prec = 120  # > 80-bit significand
-        p = m.parameter
         with mp.workprec(self.prec):
-            c = mp.mpf(m.critical_point)
-            if m.family_tag == "quadratic":
-                tau = mp.mpf(p)
-
-                def f(x):
-                    return tau - 1 - tau * x * x
-
-                def inv_l(y):
-                    return -mp.sqrt(max((tau - 1 - y) / tau, mp.mpf(0)))
-
-                def inv_r(y):
-                    return mp.sqrt(max((tau - 1 - y) / tau, mp.mpf(0)))
-            elif m.family_tag == "logistic":
-                a = mp.mpf(p)
-
-                def f(x):
-                    return a * x * (1 - x)
-
-                def inv_l(y):
-                    return (1 - mp.sqrt(max(1 - 4 * y / a, mp.mpf(0)))) / 2
-
-                def inv_r(y):
-                    return (1 + mp.sqrt(max(1 - 4 * y / a, mp.mpf(0)))) / 2
-            elif m.family_tag == "sine":
-                a = mp.mpf(p)
-                s = mp.sqrt(a) / 2
-
-                def f(x):
-                    u = s * mp.sin(mp.pi * x)
-                    u = max(mp.mpf(-1), min(mp.mpf(1), u))
-                    return 2 / mp.pi * mp.asin(u)
-
-                def inv_l(y):
-                    u = mp.sin(mp.pi * y / 2) / s
-                    u = max(mp.mpf(-1), min(mp.mpf(1), u))
-                    return mp.asin(u) / mp.pi
-
-                def inv_r(y):
-                    return 1 - inv_l(y)
-            else:
-                raise ValueError(
-                    "extended precision supports built-in families only")
-        self.f = f
-        self.inv_left = inv_l
-        self.inv_right = inv_r
-        self.c = c
+            self.f, _, self.inv_left, self.inv_right = m.family.bind(
+                mpmath_namespace(), mp.mpf(m.parameter))
+        self.c = mp.mpf(m.critical_point)
         self.lo, self.hi = mp.mpf(m.domain[0]), mp.mpf(m.domain[1])
-        self.to_float = float
 
     def run(self, fn):
         if not self.extended:
@@ -404,7 +354,6 @@ def build_nest(m: UnimodalMap, max_depth: int, max_iterates: int, *,
             v_n=rec["v"],
             s_n=rec["s"],
             c_n=rec["c_ratio"],
-            landing_word_length=rec["s"],
             central_return=rec["central"],
         ))
     seq = tuple(2.0 * math.log(b.v_n) / a.v_n

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import (ContainsCriticalSymbol, DivergentInput, EmptyCylinder,
                      IrreducibleRequired, NoOrbitPredicted, NonContraction)
-from .maps import LEFT, RIGHT, UnimodalMap, branch_preimage, evaluate, make_map
+from .maps import LEFT, RIGHT, UnimodalMap, branch_preimage, evaluate
 from .symbolic import (SYM_0, SYM_C, GeometricFrequencyEstimate, SymbolStream,
                        SymbolWord, cylinder, geometric_frequency, itinerary)
 
@@ -263,29 +263,24 @@ def _find_each(m: UnimodalMap, texts):
     return out
 
 
-def _enumerate_worker(args):
-    family, parameter, texts = args
-    return _find_each(make_map(family, parameter), texts)
-
-
 def enumerate_periodic(m: UnimodalMap, max_period: int,
                        workers: int = 1) -> EnumerationResult:
     """Attempt find_periodic for every irreducible necklace representative
     of length <= max_period; failures are recorded per word, not raised.
 
     Word searches are independent and pure; with workers > 1 they run in a
-    process pool (built-in families only) and merge in word order.
+    process pool (built-in families only, each worker unpickling the
+    caller's map with its tolerances) and merge in word order.
     """
     if max_period > 20:
         raise ValueError("max_period <= 20 required")
     words = [str(w) for w in lyndon_words(max_period)]
-    if workers > 1 and m.family_tag != "custom":
+    if workers > 1 and m.family is not None:
         from concurrent.futures import ProcessPoolExecutor
-        shards = [(m.family_tag, m.parameter, words[i::workers])
-                  for i in range(workers)]
+        shards = [words[i::workers] for i in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             by_word = {text: (orbit, err)
-                       for shard in pool.map(_enumerate_worker, shards)
+                       for shard in pool.map(_find_each, [m] * workers, shards)
                        for text, orbit, err in shard}
         results = [(t,) + by_word[t] for t in words]
     else:

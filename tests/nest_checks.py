@@ -33,7 +33,6 @@ def check_nest_invariants(m, rep):
                 visits += 1
         assert lv.s_n == visits
         assert lv.s_n >= 1 or lv.central_return
-        assert lv.landing_word_length == lv.s_n
     for i, lv in enumerate(levels):
         assert abs((lv.interval[0] - c) + (lv.interval[1] - c)) < 1e-10
         horizon = levels[i + 1].v_n if i + 1 < len(levels) else lv.v_n

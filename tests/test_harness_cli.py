@@ -232,6 +232,27 @@ def test_cli_gaps(capsys):
     assert out["lp_norms"]["1.0"] <= 1.0 + 1e-9
 
 
+def test_cli_json_is_strict(capsys):
+    # one gap (generation 0 only) leaves the L^p slope undefined
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    assert main(["gaps", "--map", "quadratic", "--param", "1.9",
+                 "--nest-level", "1", "--max-generation", "0",
+                 "--samples", "1e5", "--seed", "6"]) == 0
+    out = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert out["gap_count"] == 1
+    assert out["slope"] is None
+
+
+def test_cli_measure_rejects_zero_bins(capsys):
+    assert main(["measure", "--map", "quadratic", "--param", "2.0",
+                 "--samples", "1e5", "--bins", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bin_count" in captured.err
+
+
 def test_cli_verify_exit_codes(capsys):
     ok = main(["verify", "zeta", "--map", "quadratic", "--param", "2.0",
                "--max-period", "6", "--z", "0.25"])

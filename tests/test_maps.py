@@ -1,13 +1,18 @@
 import math
+import pickle
+from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from kneadlab import (NotSelfMap, OutOfDomain, derivative, evaluate,
-                      iterate_orbit, logistic_sine_conjugacy, make_custom,
-                      make_logistic, make_map, make_quadratic, make_sine)
-from kneadlab.maps import (LEFT, RIGHT, KahanAccumulator, branch_preimage,
-                           branch_preimage_arrays, fold_preimage, orbit_array)
+                      iterate_orbit, logistic_sine_conjugacy, lyapunov_birkhoff,
+                      make_custom, make_logistic, make_map, make_quadratic,
+                      make_sine)
+from kneadlab.maps import (LEFT, MATH, NUMPY, RIGHT, branch_preimage,
+                           branch_preimage_arrays, fold_preimage,
+                           mpmath_namespace, orbit_array)
 
 
 def test_evaluate_examples(q2):
@@ -165,13 +170,44 @@ def test_orbit_array_matches_iterate(q19):
     assert np.array_equal(seg.points, arr)
 
 
-def test_kahan_accumulator():
-    acc = KahanAccumulator()
-    for _ in range(10 ** 6):
-        acc.add(0.1)
-    assert acc.value == pytest.approx(1e5, abs=1e-7)
-    acc.add(-math.inf)
-    assert acc.value == -math.inf
+def test_lyapunov_birkhoff_matches_fsum_oracle(q19):
+    # four chunks of orbit_chunks; the oracle sums every log exactly
+    n = 3 * (1 << 16) + 5
+    xs = orbit_array(q19, 0.3456, n)
+    oracle = math.fsum(math.log(abs(q19.raw_derivative(float(x)))) for x in xs) / n
+    assert lyapunov_birkhoff(q19, 0.3456, n).value == pytest.approx(oracle, rel=1e-13)
+    # a log of -inf in any chunk makes the whole sum -inf
+    assert lyapunov_birkhoff(make_quadratic(2.0), 0.0, n).value == -math.inf
+
+
+@pytest.mark.parametrize("family,p", [("quadratic", 1.9), ("logistic", 3.9),
+                                      ("sine", 3.9)])
+def test_family_bindings_agree(family, p):
+    m = make_map(family, p)
+    rng = np.random.default_rng(17)
+    xs = rng.uniform(*m.domain, 2000)
+    ys = rng.uniform(*sorted((m.raw(m.domain[0]), m.critical_value)), 2000)
+    scalar = m.family.bind(MATH, p)
+    vector = m.family.bind(NUMPY, p)
+    for i, (g, vg) in enumerate(zip(scalar, vector)):
+        args = xs if i < 2 else ys
+        expect = np.array([g(float(a)) for a in args])
+        got = vg(args)
+        if family == "sine" and i != 1:
+            # np.arcsin and math.asin differ in the last bit on some points
+            assert np.max(np.abs(got - expect)) <= 1e-15
+        else:
+            assert np.array_equal(got, expect)
+    with mp.workprec(120):
+        precise = m.family.bind(mpmath_namespace(), mp.mpf(p))
+        for i, (g, pg) in enumerate(zip(scalar, precise)):
+            for a in (xs if i < 2 else ys)[:200]:
+                assert abs(float(pg(mp.mpf(float(a)))) - g(float(a))) <= 1e-14
+    tuned = replace(m, tie_tolerance=0.05, domain_slack=1e-9)
+    back = pickle.loads(pickle.dumps(tuned))
+    assert (back.family_tag, back.parameter) == (family, p)
+    assert (back.tie_tolerance, back.domain_slack) == (0.05, 1e-9)
+    assert back.raw(0.3) == m.raw(0.3)
 
 
 def test_custom_map_validation_rejects_non_unimodal():

@@ -270,3 +270,14 @@ def test_enumerate_serial_searches_the_callers_map(q2):
             found = False
         assert (str(w) not in enum.failures) == found, str(w)
     assert enum.failures
+
+
+def test_enumerate_parallel_keeps_the_callers_map(q2):
+    # the pool workers unpickle the map with its tie tolerance, so the
+    # orbit near c is rejected there as in the serial search
+    m = replace(q2, tie_tolerance=0.05)
+    serial = enumerate_periodic(m, 5)
+    parallel = enumerate_periodic(m, 5, workers=2)
+    assert (len(serial.orbits), len(serial.failures)) == (13, 1)
+    assert [o.points for o in parallel.orbits] == [o.points for o in serial.orbits]
+    assert parallel.failures == serial.failures

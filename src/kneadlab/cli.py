@@ -276,6 +276,7 @@ def _run(args) -> int:
                        for lv in report.levels],
             "termination": report.termination,
             "termination_level": report.termination_level,
+            "termination_detail": report.termination_detail,
             "renormalization_period": report.renormalization_period,
             "renorm_search_horizon": report.renorm_search_horizon,
             "lyapunov_nest_sequence": list(report.lyapunov_nest_sequence),

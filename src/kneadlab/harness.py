@@ -397,6 +397,7 @@ def _run_nest_lyapunov(config: ExperimentConfig) -> VerificationReport:
                 "v_n": [lv.v_n for lv in report.levels],
                 "birkhoff_lyapunov": lam.value,
                 "termination": report.termination,
+                "termination_detail": report.termination_detail,
                 "renormalization_period": report.renormalization_period}
     return _report(config, "nest-lyapunov", disc <= config.tolerance_nest_lyap,
                    disc, config.tolerance_nest_lyap, measured,

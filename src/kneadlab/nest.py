@@ -51,6 +51,7 @@ class NestReport:
     levels: tuple[NestLevel, ...]
     termination: str  # DepthReached | CriticalNonReturn | RestrictiveIntervalFound | PrecisionExhausted
     termination_level: Optional[int]
+    termination_detail: str  # the check that ended the nest, and where
     renormalization_period: int
     renorm_search_horizon: int
     extended_precision: bool
@@ -231,23 +232,27 @@ def _level_scan(ar: _Arith, I, I_prev, v_prev, max_iter, tie_tol):
     """
 
     def job():
-        c = ar.c
+        f, c = ar.f, ar.c
         lo, hi = I
-        plo, phi = (I_prev if I_prev is not None else (None, None))
+        # an empty I_prev (c, c) counts no visits
+        plo, phi = I_prev if I_prev is not None else (c, c)
+        tol = ar.mp.mpf(tie_tol) if ar.extended else tie_tol
+        # a point outside int I has |x - c| >= min(c - lo, hi - c) after
+        # rounding too, so the tie test can only fire when I is this narrow
+        near = c - lo <= tol or hi - c <= tol
         x = c
         sides = []
         s_prev = 0
         for t in range(1, max_iter + 1):
-            x = ar.f(x)
+            x = f(x)
             if lo < x < hi:
                 return t, sides, s_prev
-            if I_prev is not None and t >= v_prev and plo < x < phi:
+            if t >= v_prev and plo < x < phi:
                 s_prev += 1
-            d = x - c
-            if abs(d) <= tie_tol:
+            if near and abs(x - c) <= tol:
                 sides.append(None)
             else:
-                sides.append(0 if d < 0 else 1)
+                sides.append(0 if x < c else 1)
         return None, sides, s_prev
 
     return ar.run(job)
@@ -255,28 +260,40 @@ def _level_scan(ar: _Arith, I, I_prev, v_prev, max_iter, tie_tol):
 
 def _pullback_level(ar: _Arith, I, sides):
     """Monotone pullback of I along the critical orbit, then the central
-    fold preimage: the next nest level."""
+    fold preimage: the next nest level.
+
+    Raises PrecisionExhausted, naming the step, when the pullback cannot
+    resolve the level: a side within tie tolerance of c, an interval that
+    left the branch range, or one that collapsed to a point (a point stays
+    a point under every further inverse).
+    """
 
     def job():
         lo, hi = I
         f_lo, f_hi = ar.f(ar.lo), ar.f(ar.c)  # left-branch range; shared max
         f_rlo = ar.f(ar.hi)
         J = (lo, hi)
-        for side in reversed(sides):
+        steps = len(sides)
+        for k, side in enumerate(reversed(sides), 1):
             if side is None:
                 raise PrecisionExhausted(
-                    "critical-orbit point within tie tolerance of c during pullback")
+                    f"critical-orbit point within tie tolerance of c at pullback step {k} of {steps}")
             a, b = J
             if side == 0:
                 a2, b2 = max(a, f_lo), min(b, f_hi)
                 if a2 > b2:
-                    raise PrecisionExhausted("pullback interval left the branch range")
+                    raise PrecisionExhausted(
+                        f"pullback interval left the branch range at step {k} of {steps}")
                 J = (ar.inv_left(a2), ar.inv_left(b2))
             else:
                 a2, b2 = max(a, f_rlo), min(b, f_hi)
                 if a2 > b2:
-                    raise PrecisionExhausted("pullback interval left the branch range")
+                    raise PrecisionExhausted(
+                        f"pullback interval left the branch range at step {k} of {steps}")
                 J = (ar.inv_right(b2), ar.inv_right(a2))
+            if J[0] == J[1]:
+                raise PrecisionExhausted(
+                    f"pullback interval collapsed to a point at step {k} of {steps}")
         a = J[0]
         return (ar.inv_left(a), ar.inv_right(a))
 
@@ -308,6 +325,7 @@ def build_nest(m: UnimodalMap, max_depth: int, max_iterates: int, *,
     levels: list[dict] = []
     termination = "DepthReached"
     term_level: Optional[int] = None
+    detail = f"max_depth {max_depth} reached"
     central_streak = 0
     n = 0
     while n <= max_depth:
@@ -317,6 +335,7 @@ def build_nest(m: UnimodalMap, max_depth: int, max_iterates: int, *,
         if v is None:
             termination = "CriticalNonReturn"
             term_level = n
+            detail = f"no return within {max_iterates} iterates"
             break
         if levels:
             prev = levels[-1]
@@ -328,20 +347,24 @@ def build_nest(m: UnimodalMap, max_depth: int, max_iterates: int, *,
         if central_streak >= CENTRAL_CASCADE_LIMIT:
             termination = "RestrictiveIntervalFound"
             term_level = n
+            detail = f"{CENTRAL_CASCADE_LIMIT} consecutive central returns"
             break
         if n == max_depth:
             break
         try:
             I_next = _pullback_level(ar, I, sides)
-        except PrecisionExhausted:
+        except PrecisionExhausted as exc:
             termination = "PrecisionExhausted"
             term_level = n + 1
+            detail = str(exc)
+            break
+        width = float(I_next[1] - I_next[0])
+        if width < width_floor:
+            termination = "PrecisionExhausted"
+            term_level = n + 1
+            detail = f"width {width!r} below floor {width_floor!r}"
             break
         levels[-1]["c_ratio"] = float((I_next[1] - I_next[0]) / (I[1] - I[0]))
-        if float(I_next[1] - I_next[0]) < width_floor:
-            termination = "PrecisionExhausted"
-            term_level = n + 1
-            break
         I = I_next
         n += 1
 
@@ -362,6 +385,7 @@ def build_nest(m: UnimodalMap, max_depth: int, max_iterates: int, *,
         levels=tuple(out_levels),
         termination=termination,
         termination_level=term_level,
+        termination_detail=detail,
         renormalization_period=period,
         renorm_search_horizon=renorm_search_period,
         extended_precision=extended_precision,
@@ -402,60 +426,3 @@ def nest_asymptotics(report: NestReport) -> list[dict]:
             "c_n_invariant_violated": flagged,
         })
     return rows
-
-
-def nice_on_horizon(m: UnimodalMap, interval, horizon: int,
-                    roundoff_factor: float = 128.0) -> bool:
-    """Check that the endpoint orbits of a nice interval stay out of its
-    interior for `horizon` iterates.
-
-    Boundary orbits are repelling-shadowed, so a computed orbit drifts off
-    the true one at the rate of the accumulated derivative product; a
-    penetration only counts as a violation when it exceeds the roundoff
-    amplified by that product.
-    """
-    lo, hi = interval
-    eps = roundoff_factor * 2.3e-16
-    for e in (lo, hi):
-        x = e
-        amp = 1.0
-        for _ in range(horizon):
-            amp *= max(1.0, abs(m.raw_derivative(x)))
-            x = m.raw(x)
-            tol = eps * amp
-            if lo + tol < x < hi - tol:
-                return False
-    return True
-
-
-# test oracle: outward spreading with a constant-return-time probe --------
-
-def spreading_central_domain(m: UnimodalMap, I, v: int, bisections: int = 80):
-    """Brute-force oracle for the central domain: spread outward from the
-    critical point while the first-return time stays v and the return image
-    stays in I.  Independent of the pullback implementation."""
-    lo, hi = I
-
-    def good(x):
-        y = x
-        for t in range(1, v + 1):
-            y = m._f(y)
-            if t < v and lo < y < hi:
-                return False
-        return lo <= y <= hi
-
-    c = m.critical_point
-    out = []
-    for direction, limit in ((-1.0, lo), (1.0, hi)):
-        a, b = c, limit
-        if not good(c + direction * 1e-15 * max(1.0, abs(c))):
-            out.append(c)
-            continue
-        for _ in range(bisections):
-            mid = 0.5 * (a + b)
-            if good(mid):
-                a = mid
-            else:
-                b = mid
-        out.append(a)
-    return (out[0], out[1])

@@ -232,6 +232,25 @@ def test_cli_gaps(capsys):
     assert out["lp_norms"]["1.0"] <= 1.0 + 1e-9
 
 
+def test_cli_nest_collapse_reports_null_c_n_and_the_cause(capsys):
+    assert main(["nest", "--map", "quadratic", "--param", "1.9"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    last = out["levels"][3]
+    assert (last["v_n"], last["c_n"]) == (323, None)
+    assert out["termination"] == "PrecisionExhausted"
+    assert out["termination_detail"] == (
+        "pullback interval collapsed to a point at step 74 of 322")
+
+
+def test_nest_lyapunov_report_carries_termination_detail():
+    cfg = ExperimentConfig(map_family="quadratic", map_parameter=1.9,
+                           orbit_length_iterates=10 ** 5)
+    rep = run_verify(cfg, "nest-lyapunov")
+    assert rep.measured["termination"] == "PrecisionExhausted"
+    assert rep.measured["termination_detail"] == (
+        "pullback interval collapsed to a point at step 74 of 322")
+
+
 def test_cli_json_is_strict(capsys):
     # one gap (generation 0 only) leaves the L^p slope undefined
     def reject(constant):

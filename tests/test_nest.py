@@ -1,13 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from kneadlab import (NoReversingFixedPoint, TooShallow, build_nest,
-                      make_logistic, make_quadratic, nest_asymptotics,
+                      make_logistic, make_map, make_quadratic, nest_asymptotics,
                       nest_lyapunov, orientation_reversing_fixed_point)
-from kneadlab.nest import (NestLevel, NestReport, find_restrictive_interval,
-                           nice_on_horizon, spreading_central_domain)
+from kneadlab import nest
+from kneadlab.nest import NestLevel, NestReport, find_restrictive_interval
+from nest_checks import (reference_level_scan, reference_pullback_level,
+                         spreading_central_domain)
 
 
 def _report_from_vs(vs, cs=None):
@@ -18,7 +21,8 @@ def _report_from_vs(vs, cs=None):
                                 s_n=1, c_n=cs[i]))
     seq = tuple(2.0 * math.log(b.v_n) / a.v_n
                 for a, b in zip(levels, levels[1:]))
-    return NestReport(tuple(levels), "DepthReached", None, 1, 32, False, seq)
+    return NestReport(tuple(levels), "DepthReached", None, "max_depth reached",
+                      1, 32, False, seq)
 
 
 # --- orientation reversing fixed point ---------------------------------
@@ -139,6 +143,70 @@ def test_extended_precision_agrees_at_shallow_levels(q19):
         assert a.v_n == b.v_n
         assert a.interval[0] == pytest.approx(b.interval[0], abs=1e-12)
         assert a.interval[1] == pytest.approx(b.interval[1], abs=1e-12)
+
+
+# --- the collapse stop and the slim scan against the reference loops -----
+
+def _level_key(rep):
+    return ([(lv.interval, lv.v_n, lv.s_n, lv.central_return) for lv in rep.levels],
+            rep.termination, rep.termination_level)
+
+
+@pytest.mark.parametrize("family, p, extended", [
+    ("quadratic", 1.848322, False), ("quadratic", 1.904616, False),
+    ("quadratic", 1.941619, False), ("quadratic", 1.988686, False),
+    ("logistic", 3.731428, False), ("logistic", 3.791349, False),
+    ("logistic", 3.913485, False), ("logistic", 3.966638, False),
+    ("sine", 3.701132, False), ("sine", 3.804052, False),
+    ("sine", 3.861791, False), ("sine", 3.94379, False),
+    ("quadratic", 1.965229, True), ("logistic", 3.782239, True),
+])
+def test_nest_agrees_with_reference_loops(monkeypatch, family, p, extended):
+    m = make_map(family, p)
+    depth = 4 if extended else 6
+    fast = build_nest(m, depth, 10 ** 6, extended_precision=extended)
+    monkeypatch.setattr(nest, "_level_scan", reference_level_scan)
+    monkeypatch.setattr(nest, "_pullback_level", reference_pullback_level)
+    slow = build_nest(m, depth, 10 ** 6, extended_precision=extended)
+    assert _level_key(fast) == _level_key(slow)
+
+
+@pytest.mark.parametrize("extended", [False, True])
+def test_level_scan_tie_branch_agrees_with_reference(extended):
+    # I narrower than twice the tie tolerance, so the tie test is live
+    m = dataclasses.replace(make_quadratic(1.9), tie_tolerance=0.05)
+    ar = nest._Arith(m, extended)
+    num = ar.mp.mpf if extended else float
+    I = (num(-0.01), num(0.01))
+    I_prev = (num(-0.04), num(0.04))
+    got = nest._level_scan(ar, I, I_prev, 8, 10 ** 6, m.tie_tolerance)
+    assert None in got[1]
+    assert got == reference_level_scan(ar, I, I_prev, 8, 10 ** 6, m.tie_tolerance)
+
+
+def test_nest_collapse_ends_in_precision_exhausted_with_null_c_n(q19):
+    rep = build_nest(q19, 6, 10 ** 6)
+    assert [lv.v_n for lv in rep.levels] == [3, 3, 8, 323]
+    assert (rep.termination, rep.termination_level) == ("PrecisionExhausted", 4)
+    assert rep.termination_detail == "pullback interval collapsed to a point at step 74 of 322"
+    assert rep.levels[-1].c_n is None
+    assert all(0.0 < lv.c_n < 1.0 for lv in rep.levels[:-1])
+
+
+def test_no_nest_reports_a_zero_c_n():
+    for m, depth in ((make_quadratic(1.9), 4), (make_quadratic(1.9), 6),
+                     (make_logistic(3.9), 6), (make_map("sine", 3.9), 6)):
+        rep = build_nest(m, depth, 10 ** 6)
+        assert all(lv.c_n != 0.0 for lv in rep.levels)
+
+
+def test_nest_termination_detail_names_the_check():
+    rep = build_nest(make_logistic(3.9), 6, 10 ** 6)
+    assert rep.termination == "CriticalNonReturn"
+    assert rep.termination_detail == "no return within 1000000 iterates"
+    rep = build_nest(make_quadratic(1.9), 2, 10 ** 6)
+    assert rep.termination == "DepthReached"
+    assert rep.termination_detail == "max_depth 2 reached"
 
 
 # --- derived sequences -----------------------------------------------------

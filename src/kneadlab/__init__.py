@@ -13,23 +13,23 @@ from .errors import (ContainsCriticalSymbol, CriticalNonReturn, CycleNotClosed,
                      PrecisionExhausted, PrefixTooShort, TooManyGaps,
                      TooShallow, UncoveredMass)
 from .maps import (OrbitSegment, UnimodalMap, derivative, evaluate,
-                   iterate_orbit, logistic_sine_conjugacy, make_custom,
-                   make_logistic, make_map, make_quadratic, make_sine)
+                   iterate_orbit, make_custom, make_logistic, make_map,
+                   make_quadratic, make_sine, seeded_start)
 from .symbolic import (CylinderInterval, FrequencyEstimate,
                        GeometricFrequencyEstimate, SymbolStream, SymbolWord,
                        cylinder, frequency, geometric_frequency, itinerary,
                        kneading_sequence)
 from .orbits import (EnumerationResult, PeriodicOrbit, ZetaTruncation,
-                     enumerate_periodic, exponent_from_formula, find_periodic,
-                     formula_exponent_estimate, lyndon_words, zeta_truncation)
+                     enumerate_periodic, find_periodic,
+                     formula_exponent_estimate, lyndon_words)
 from .nest import (NestLevel, NestReport, build_nest,
                    find_restrictive_interval, nest_asymptotics, nest_lyapunov,
                    orientation_reversing_fixed_point)
 from .measure import (AttractorCycle, DensityEstimate, GapFamily,
                       LyapunovEstimate, RegularizedDensityReport, ScreenResult,
                       TypicalityTable, attractor_cycle, estimate_density,
-                      gap_family, lyapunov_birkhoff, measure_of_interval,
+                      gap_family, lyapunov_birkhoff,
                       regularized_density_report, screened_parameters,
-                      seeded_start, stochasticity_screen,
-                      verify_critical_typicality, verify_lyapunov_equality)
+                      stochasticity_screen, verify_critical_typicality,
+                      verify_lyapunov_equality)
 from .harness import (ExperimentConfig, VerificationReport, run_verify, sweep)

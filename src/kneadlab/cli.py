@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from dataclasses import fields
 
 from . import __version__
 from .errors import InsufficientOccurrences, KneadlabError
@@ -34,7 +36,18 @@ class _Parser(argparse.ArgumentParser):
 
 def _count(text: str) -> int:
     """Integer argument that also accepts scientific notation like 1e7."""
-    return int(float(text))
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"count must be finite, got {text!r}")
+    return int(value)
+
+
+def _words(text: str) -> tuple[str, ...]:
+    return tuple(w for w in text.split(",") if w)
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(z) for z in text.split(",") if z)
 
 
 def _add_map_args(p):
@@ -42,10 +55,17 @@ def _add_map_args(p):
     p.add_argument("--param", required=True, type=float)
 
 
-def _add_common(p):
-    p.add_argument("--format", choices=("json", "csv"), default=None)
-    p.add_argument("--seed", type=_count, default=20260810)
-    p.add_argument("--out", default=None)
+def _add_seed(p):
+    p.add_argument("--seed", type=_count, default=ExperimentConfig.seed)
+
+
+def _add_config_options(p):
+    """The options verify and sweep share; each dest is an ExperimentConfig
+    field."""
+    p.add_argument("--orbit-length", dest="orbit_length_iterates", type=_count)
+    p.add_argument("--samples", dest="density_samples", type=_count)
+    p.add_argument("--words", type=_words)
+    p.add_argument("--seed", type=_count)
     p.add_argument("--extended-precision", action="store_true")
 
 
@@ -58,13 +78,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("kneading", help="kneading sequence of the map")
     _add_map_args(p)
     p.add_argument("--length", type=_count, required=True)
-    _add_common(p)
 
     p = sub.add_parser("itinerary", help="itinerary of a point")
     _add_map_args(p)
     p.add_argument("--x0", type=float, required=True)
     p.add_argument("--length", type=_count, required=True)
-    _add_common(p)
 
     p = sub.add_parser("freq", help="pattern frequencies in a symbol stream")
     _add_map_args(p)
@@ -75,30 +93,29 @@ def build_parser() -> _Parser:
     src = p.add_mutually_exclusive_group()
     src.add_argument("--from-critical", action="store_true")
     src.add_argument("--from-random", action="store_true")
-    _add_common(p)
+    _add_seed(p)
 
     p = sub.add_parser("periodic", help="periodic orbit with a given itinerary")
     _add_map_args(p)
     p.add_argument("--word", required=True)
-    _add_common(p)
 
     p = sub.add_parser("zeta", help="truncated dynamical zeta value")
     _add_map_args(p)
     p.add_argument("--max-period", type=int, default=12)
     p.add_argument("--z", type=float, required=True)
-    _add_common(p)
 
     p = sub.add_parser("nest", help="principal nest report")
     _add_map_args(p)
     p.add_argument("--max-depth", type=int, default=6)
     p.add_argument("--max-iterates", type=_count, default=10 ** 6)
-    _add_common(p)
+    p.add_argument("--extended-precision", action="store_true")
 
     p = sub.add_parser("measure", help="physical-measure histogram (CSV)")
     _add_map_args(p)
     p.add_argument("--samples", type=_count, required=True)
     p.add_argument("--bins", type=int, default=512)
-    _add_common(p)
+    p.add_argument("--format", choices=("json", "csv"), default="csv")
+    _add_seed(p)
 
     p = sub.add_parser("gaps", help="gap family and regularized density")
     _add_map_args(p)
@@ -108,35 +125,36 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=_count, default=10 ** 6)
     p.add_argument("--bins", type=int, default=512)
     p.add_argument("--max-iterates", type=_count, default=10 ** 6)
-    _add_common(p)
+    _add_seed(p)
 
-    p = sub.add_parser("verify", help="run a verification suite")
+    # verify and sweep options land in the ExperimentConfig field named by
+    # their dest; an option that is not given is left out of the namespace
+    # (argument_default SUPPRESS), so the config's own default applies
+    p = sub.add_parser("verify", help="run a verification suite",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("tag", choices=VERIFY_TAGS)
     _add_map_args(p)
-    p.add_argument("--orbit-length", type=_count, default=10 ** 6)
-    p.add_argument("--samples", type=_count, default=10 ** 6)
-    p.add_argument("--bins", type=int, default=512)
-    p.add_argument("--stream", choices=("typical", "critical"), default="typical")
-    p.add_argument("--words", default="1,0,10,100,110")
-    p.add_argument("--max-depth", type=int, default=4)
-    p.add_argument("--max-iterates", type=_count, default=10 ** 6)
-    p.add_argument("--nest-level", type=int, default=1)
-    p.add_argument("--max-generation", type=int, default=14)
-    p.add_argument("--max-period", type=int, default=12)
-    p.add_argument("--z", default="0.25,0.5")
-    _add_common(p)
+    _add_config_options(p)
+    p.add_argument("--bins", dest="density_bins", type=int)
+    p.add_argument("--stream", dest="stream_kind", choices=("typical", "critical"))
+    p.add_argument("--max-depth", dest="nest_max_depth", type=int)
+    p.add_argument("--max-iterates", dest="nest_max_iterates", type=_count)
+    p.add_argument("--nest-level", dest="gap_nest_level", type=int)
+    p.add_argument("--max-generation", dest="gap_max_generation", type=int)
+    p.add_argument("--max-period", dest="zeta_max_period", type=int)
+    p.add_argument("--z", dest="zeta_z_values", type=_floats)
 
-    p = sub.add_parser("sweep", help="verify across a parameter list")
+    p = sub.add_parser("sweep", help="verify across a parameter list",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--tag", required=True, choices=VERIFY_TAGS)
     p.add_argument("--map", required=True, choices=tuple(FAMILIES))
     p.add_argument("--params", required=True,
                    help="comma-separated parameter values")
     p.add_argument("--parallelism", type=int, default=1)
-    p.add_argument("--orbit-length", type=_count, default=10 ** 6)
-    p.add_argument("--samples", type=_count, default=10 ** 6)
-    p.add_argument("--words", default="1,0,10,100,110")
-    _add_common(p)
+    _add_config_options(p)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None, help="write the output to this file")
     return parser
 
 
@@ -163,25 +181,16 @@ def _exit_code(reports) -> int:
     return 3 if "no_target" in verdicts else 0
 
 
+_CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
+
+
 def _config_from_args(args) -> ExperimentConfig:
-    return ExperimentConfig(
-        map_family=args.map,
-        map_parameter=args.param if hasattr(args, "param") else 2.0,
-        seed=args.seed,
-        orbit_length_iterates=getattr(args, "orbit_length", 10 ** 6),
-        density_samples=getattr(args, "samples", 10 ** 6),
-        density_bins=getattr(args, "bins", 512),
-        nest_max_depth=getattr(args, "max_depth", 4),
-        nest_max_iterates=getattr(args, "max_iterates", 10 ** 6),
-        words=tuple(w for w in getattr(args, "words", "1,0,10").split(",") if w),
-        stream_kind=getattr(args, "stream", "typical"),
-        zeta_max_period=getattr(args, "max_period", 12),
-        zeta_z_values=tuple(float(z) for z in
-                            str(getattr(args, "z", "0.25,0.5")).split(",") if z),
-        gap_nest_level=getattr(args, "nest_level", 1),
-        gap_max_generation=getattr(args, "max_generation", 14),
-        extended_precision=args.extended_precision,
-    )
+    """The verify/sweep options that were given; the rest keep their
+    ExperimentConfig defaults."""
+    given = {k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS}
+    if hasattr(args, "param"):
+        given["map_parameter"] = args.param
+    return ExperimentConfig(map_family=args.map, **given)
 
 
 def main(argv=None) -> int:

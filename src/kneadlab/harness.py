@@ -1,4 +1,4 @@
-"""Experiment orchestration: flat-text configs, verification reports with
+"""Experiment orchestration: experiment configs, verification reports with
 deterministic JSON serialization, the top-level verify dispatch, and
 parameter sweeps.
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -19,13 +19,14 @@ import numpy as np
 from . import __version__
 from .errors import (EmptyCylinder, KneadlabError, NoOrbitPredicted,
                      UncoveredMass)
-from .maps import UnimodalMap, derivative, make_logistic, make_map, make_sine
+from .maps import (DEFAULT_BURN_IN, derivative, make_logistic, make_map,
+                   make_sine, seeded_start)
 from .measure import (estimate_density, gap_family, lyapunov_birkhoff,
-                      regularized_density_report, seeded_start,
-                      verify_critical_typicality, verify_lyapunov_equality)
+                      regularized_density_report, verify_critical_typicality,
+                      verify_lyapunov_equality)
 from .nest import build_nest, nest_lyapunov
-from .orbits import (EnumerationResult, ZetaTruncation, enumerate_periodic,
-                     find_periodic, formula_exponent_estimate)
+from .orbits import (ZetaTruncation, enumerate_periodic, find_periodic,
+                     formula_exponent_estimate)
 from .symbolic import SymbolStream, SymbolWord
 
 VERIFY_TAGS = ("theorem-a", "theorem-b", "theorem-c", "lyap-equality",
@@ -55,7 +56,6 @@ class ExperimentConfig:
     lp_exponents: tuple[float, ...] = (1.0, 2.0, 4.0)
     conjugacy_max_period: int = 4
     extended_precision: bool = False
-    out_path: str = ""
     tolerance_ratio: float = 0.10
     tolerance_typicality: float = 0.02
     tolerance_lyap: float = 1e-2
@@ -75,61 +75,6 @@ class ExperimentConfig:
         if self.stream_kind not in ("typical", "critical"):
             raise ValueError("stream_kind must be 'typical' or 'critical'")
         make_map(self.map_family, self.map_parameter)  # family + range check
-
-    # flat key-value text round-trip (bit-exact) -----------------------
-
-    def to_text(self) -> str:
-        lines = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, tuple):
-                v = ",".join(_scalar_repr(x) for x in v)
-            else:
-                v = _scalar_repr(v)
-            lines.append(f"{f.name} = {v}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "ExperimentConfig":
-        raw = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            raw[key.strip()] = value.strip()
-        kwargs = {}
-        for f in fields(cls):
-            if f.name not in raw:
-                continue
-            v = raw[f.name]
-            base = type(getattr(cls(), f.name))
-            if base is tuple:
-                elems = [s for s in v.split(",") if s != ""]
-                proto = getattr(cls(), f.name)
-                cast = type(proto[0]) if proto else str
-                kwargs[f.name] = tuple(cast(_parse_scalar(e, cast)) for e in elems)
-            else:
-                kwargs[f.name] = _parse_scalar(v, base)
-        return cls(**kwargs)
-
-
-def _scalar_repr(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def _parse_scalar(s: str, base):
-    if base is bool:
-        return s.lower() == "true"
-    if base is float:
-        return float(s)
-    if base is int:
-        return int(s)
-    return s
 
 
 def _finite(x):
@@ -390,7 +335,8 @@ def _run_nest_lyapunov(config: ExperimentConfig) -> VerificationReport:
                         extended_precision=config.extended_precision)
     seq = nest_lyapunov(report)
     lam = lyapunov_birkhoff(m, seeded_start(m, config.seed),
-                            config.orbit_length_iterates, burn_in=1000)
+                            config.orbit_length_iterates,
+                            burn_in=DEFAULT_BURN_IN)
     deepest = seq[-1]
     disc = abs(deepest / lam.value - 1.0) if lam.value != 0 else math.inf
     measured = {"nest_sequence": seq,

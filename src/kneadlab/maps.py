@@ -21,6 +21,10 @@ from .errors import NotSelfMap, OutOfDomain
 TIE_TOLERANCE = 1e-14
 # Float rounding may overshoot the invariant interval at the critical value.
 DOMAIN_SLACK = 1e-12
+# Iterates discarded before the seeded orbit of a typical point is used.
+DEFAULT_BURN_IN = 1000
+# Points per orbit_chunks buffer.
+CHUNK = 1 << 16
 
 LEFT = 0
 RIGHT = 1
@@ -72,13 +76,6 @@ class UnimodalMap:
     @property
     def critical_value(self) -> float:
         return self._f(self.critical_point)
-
-    def side_of(self, x: float) -> Optional[int]:
-        """LEFT/RIGHT of the critical point, None within tie tolerance."""
-        d = x - self.critical_point
-        if abs(d) <= self.tie_tolerance:
-            return None
-        return LEFT if d < 0 else RIGHT
 
     def _fill(self, buf: np.ndarray, x: float) -> float:
         """Write x, f(x), f^2(x), ... into buf; return the next iterate."""
@@ -318,11 +315,6 @@ def _rebuild(family, parameter, tie_tolerance, domain_slack) -> UnimodalMap:
                    domain_slack=domain_slack)
 
 
-def logistic_sine_conjugacy(x):
-    """h(x) = (1 - cos(pi x)) / 2, the coordinate change with h o g_a = f_a o h."""
-    return (1.0 - np.cos(np.pi * np.asarray(x, dtype=float))) / 2.0
-
-
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
@@ -338,6 +330,13 @@ def check_start(m: UnimodalMap, x0: float) -> float:
     if not (math.isfinite(x) and l - m.domain_slack <= x <= r + m.domain_slack):
         raise OutOfDomain(f"start point x0 = {x} outside [{l}, {r}]")
     return x
+
+
+def seeded_start(m: UnimodalMap, seed) -> float:
+    """The uniform start point shared by density estimates, Birkhoff sums
+    and typical streams built from the same seed."""
+    rng = np.random.default_rng(seed)
+    return float(rng.uniform(*m.domain))
 
 
 def evaluate(m: UnimodalMap, x: float) -> float:
@@ -396,13 +395,12 @@ def orbit_array(m: UnimodalMap, x0: float, n: int, burn_in: int = 0) -> np.ndarr
     return out
 
 
-def orbit_chunks(m: UnimodalMap, x0: float, n: int, chunk: int = 1 << 16,
-                 burn_in: int = 0):
+def orbit_chunks(m: UnimodalMap, x0: float, n: int, burn_in: int = 0):
     """Yield successive numpy buffers of orbit points (no domain checks in
     the hot loop; the self-map invariant is validated at construction and
     start points by check_start at the public entry points).
 
-    Every buffer but the last holds `chunk` points.  The chunk size matters
+    Every buffer but the last holds CHUNK points.  The chunk size matters
     for streams only (SymbolStream, the measure passes): it bounds their
     memory, and an open-ended stream computes a whole chunk before its first
     symbol.  Finite requests get exactly n points; itinerary asks
@@ -410,14 +408,14 @@ def orbit_chunks(m: UnimodalMap, x0: float, n: int, chunk: int = 1 << 16,
     into the buffer that the first chunk then overwrites.
     """
     x = float(x0)
-    buf = np.empty(min(chunk, max(n, burn_in)))
+    buf = np.empty(min(CHUNK, max(n, burn_in)))
     while burn_in > 0:
         k = min(len(buf), burn_in)
         x = m._fill(buf[:k], x)
         burn_in -= k
     done = 0
     while done < n:
-        k = min(chunk, n - done)
+        k = min(CHUNK, n - done)
         x = m._fill(buf[:k], x)
         done += k
         yield buf[:k]
@@ -491,13 +489,6 @@ def branch_preimage(m: UnimodalMap, side: int, interval) -> Optional[tuple[float
     if side == LEFT:
         return (branch_inverse(m, LEFT, lo), branch_inverse(m, LEFT, hi))
     return (branch_inverse(m, RIGHT, hi), branch_inverse(m, RIGHT, lo))
-
-
-def fold_preimage(m: UnimodalMap, a: float) -> Optional[tuple[float, float]]:
-    """The central interval {x : f(x) >= a} around the critical point."""
-    if a > m.critical_value:
-        return None
-    return (branch_inverse(m, LEFT, a), branch_inverse(m, RIGHT, a))
 
 
 def branch_preimage_arrays(m: UnimodalMap, side, los, his):

@@ -17,23 +17,18 @@ import numpy as np
 
 from .errors import (CriticalNonReturn, CycleNotClosed, DegenerateOrbit,
                      PrecisionExhausted, TooManyGaps, UncoveredMass)
-from .maps import (LEFT, RIGHT, UnimodalMap, branch_preimage_arrays,
-                   check_start, evaluate, log_abs_derivative_array,
-                   orbit_chunks)
+from .maps import (DEFAULT_BURN_IN, LEFT, RIGHT, UnimodalMap,
+                   branch_preimage_arrays, check_start, evaluate,
+                   log_abs_derivative_array, orbit_chunks, seeded_start)
 from .nest import NestReport, _interval_image, build_nest, find_restrictive_interval
 from .symbolic import SymbolWord, cylinder
 
-DEFAULT_BURN_IN = 1000
 RECURRENCE_WINDOW = 2048
 RECURRENCE_MAX_PERIOD = 64
 GAP_BUDGET = 10 ** 6
-
-
-def seeded_start(m: UnimodalMap, seed) -> float:
-    """The uniform start point shared by density estimates and typical
-    streams built from the same seed."""
-    rng = np.random.default_rng(seed)
-    return float(rng.uniform(*m.domain))
+SCREEN_LYAPUNOV_THRESHOLD = 0.05
+SCREEN_LYAPUNOV_ITERATES = 10 ** 5
+SCREEN_MAX_TRIES = 400
 
 
 @dataclass(frozen=True)
@@ -64,12 +59,6 @@ class DensityEstimate:
 class AttractorCycle:
     period: int
     intervals: tuple[tuple[float, float], ...]
-
-    def contains(self, x: float) -> bool:
-        return any(lo <= x <= hi for lo, hi in self.intervals)
-
-    def total_length(self) -> float:
-        return sum(hi - lo for lo, hi in self.intervals)
 
 
 @dataclass(frozen=True)
@@ -128,23 +117,9 @@ def estimate_density(m: UnimodalMap, sample_count: int, bin_count: int,
                            m.family_tag, m.parameter, burn_in)
 
 
-def measure_of_interval(density: DensityEstimate, interval) -> float:
-    """mu_hat of an interval, with linear interpolation inside partial bins."""
-    if interval is None:
-        return 0.0
-    lo, hi = interval
-    if hi <= lo:
-        return 0.0
-    e = density.bin_edges
-    lo = max(lo, e[0])
-    hi = min(hi, e[-1])
-    if hi <= lo:
-        return 0.0
-    c = density.cumulative
-    return float(np.interp(hi, e, c) - np.interp(lo, e, c))
-
-
 def measure_of_intervals(density: DensityEstimate, los, his) -> np.ndarray:
+    """mu_hat of each interval [lo, hi], with linear interpolation inside
+    partial bins; 0 for an empty interval."""
     e = density.bin_edges
     c = density.cumulative
     lo = np.clip(los, e[0], e[-1])
@@ -152,10 +127,10 @@ def measure_of_intervals(density: DensityEstimate, los, his) -> np.ndarray:
     return np.maximum(np.interp(hi, e, c) - np.interp(lo, e, c), 0.0)
 
 
-def attractor_cycle(m: UnimodalMap, horizon: int = 32) -> AttractorCycle:
+def attractor_cycle(m: UnimodalMap) -> AttractorCycle:
     """The cycle T_0, ..., T_{k-1} with T_0 = [f^{2k}(0), f^k(0)], k the
     period of the deepest prerenormalization found (1 if none)."""
-    k, cycle = find_restrictive_interval(m, horizon)
+    k, cycle = find_restrictive_interval(m)
     if k == 1:
         c = m.critical_point
         f1 = m._f(c)
@@ -210,10 +185,6 @@ class TypicalityRow:
     def discrepancy_critical(self) -> float:
         return abs(self.average_critical - self.mu_hat)
 
-    @property
-    def discrepancy_typical(self) -> float:
-        return abs(self.average_typical - self.mu_hat)
-
 
 @dataclass(frozen=True)
 class TypicalityTable:
@@ -253,9 +224,11 @@ def verify_critical_typicality(m: UnimodalMap, observables: Sequence[SymbolWord]
     crit = _visit_fraction(m, m.critical_point, n, cyls)
     typ = _visit_fraction(m, seeded_start(m, seed), n, cyls,
                           burn_in=density.burn_in)
+    # an empty cylinder (None) measures as the empty interval [0, 0]
+    spans = np.array([iv or (0.0, 0.0) for iv in cyls], dtype=float).reshape(-1, 2)
+    mu = measure_of_intervals(density, spans[:, 0], spans[:, 1])
     rows = tuple(
-        TypicalityRow(str(w), iv, crit[i], typ[i],
-                      measure_of_interval(density, iv))
+        TypicalityRow(str(w), iv, crit[i], typ[i], float(mu[i]))
         for i, (w, iv) in enumerate(zip(observables, cyls)))
     return TypicalityTable(rows, n, seed)
 
@@ -487,9 +460,7 @@ class ScreenResult:
     attractor_period: Optional[int]
 
 
-def stochasticity_screen(m: UnimodalMap, seed, *,
-                         lyapunov_threshold: float = 0.05,
-                         lyapunov_iterates: int = 10 ** 5) -> ScreenResult:
+def stochasticity_screen(m: UnimodalMap, seed) -> ScreenResult:
     """Reject maps with a detected periodic attractor or a small Birkhoff
     exponent.  A heuristic: it cannot certify typicality, only screen the
     obvious regular windows."""
@@ -506,22 +477,22 @@ def stochasticity_screen(m: UnimodalMap, seed, *,
                                 None, period)
         # Misiurewicz-type: the critical orbit landed on a repelling cycle;
         # fall through to the Birkhoff screen
-    lam = lyapunov_birkhoff(m, seeded_start(m, seed), lyapunov_iterates,
+    lam = lyapunov_birkhoff(m, seeded_start(m, seed), SCREEN_LYAPUNOV_ITERATES,
                             burn_in=DEFAULT_BURN_IN)
-    if lam.value < lyapunov_threshold:
+    if lam.value < SCREEN_LYAPUNOV_THRESHOLD:
         return ScreenResult(False, f"lyapunov {lam.value:.4f} below threshold",
                             lam.value, None)
     return ScreenResult(True, "accepted", lam.value, None)
 
 
-def screened_parameters(family_ctor, lo: float, hi: float, count: int, seed,
-                        max_tries: int = 400) -> list[float]:
+def screened_parameters(family_ctor, lo: float, hi: float, count: int,
+                        seed) -> list[float]:
     """Draw parameters uniformly from (lo, hi) until `count` pass the
     stochasticity screen; deterministic for a fixed seed."""
     rng = np.random.default_rng(seed)
     out: list[float] = []
     tries = 0
-    while len(out) < count and tries < max_tries:
+    while len(out) < count and tries < SCREEN_MAX_TRIES:
         tries += 1
         p = float(rng.uniform(lo, hi))
         try:

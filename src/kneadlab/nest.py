@@ -16,13 +16,10 @@ Construction is sequential across levels; reports are immutable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from .errors import (CriticalNonReturn, NoReversingFixedPoint,
-                     PrecisionExhausted, TooShallow)
+from .errors import NoReversingFixedPoint, PrecisionExhausted, TooShallow
 from .maps import UnimodalMap, mpmath_namespace
 
 WIDTH_FLOOR_DOUBLE = 1e-13
@@ -301,19 +298,18 @@ def _pullback_level(ar: _Arith, I, sides):
 
 
 def build_nest(m: UnimodalMap, max_depth: int, max_iterates: int, *,
-               extended_precision: bool = False,
-               renorm_search_period: int = DEFAULT_RENORM_SEARCH_PERIOD) -> NestReport:
+               extended_precision: bool = False) -> NestReport:
     """Build the principal nest to at most max_depth levels.
 
-    Restrictive intervals of period <= renorm_search_period are searched
-    first; when one is found the nest is built for the renormalized return
+    Restrictive intervals of period <= DEFAULT_RENORM_SEARCH_PERIOD are
+    searched first; when one is found the nest is built for the renormalized return
     map (v_n still counts base-map iterates) and the report says so.
     """
     if max_depth > 8:
         raise ValueError("max_depth <= 8 required")
     if max_iterates < 10 ** 6:
         raise ValueError("max_iterates >= 1e6 required")
-    period, cycle = find_restrictive_interval(m, renorm_search_period)
+    period, cycle = find_restrictive_interval(m)
     ar = _Arith(m, extended_precision)
     p = _reversing_fixed_point(ar, m, period, cycle[0])
     width_floor = WIDTH_FLOOR_EXTENDED if extended_precision else WIDTH_FLOOR_DOUBLE
@@ -387,7 +383,7 @@ def build_nest(m: UnimodalMap, max_depth: int, max_iterates: int, *,
         termination_level=term_level,
         termination_detail=detail,
         renormalization_period=period,
-        renorm_search_horizon=renorm_search_period,
+        renorm_search_horizon=DEFAULT_RENORM_SEARCH_PERIOD,
         extended_precision=extended_precision,
         lyapunov_nest_sequence=seq,
     )

@@ -7,17 +7,17 @@ products overflow a linear scale for expanding maps.
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (ContainsCriticalSymbol, DivergentInput, EmptyCylinder,
                      IrreducibleRequired, NoOrbitPredicted, NonContraction)
-from .maps import LEFT, RIGHT, UnimodalMap, branch_preimage, evaluate
-from .symbolic import (SYM_0, SYM_C, GeometricFrequencyEstimate, SymbolStream,
-                       SymbolWord, cylinder, geometric_frequency, itinerary)
+from .maps import UnimodalMap, evaluate
+from .symbolic import (GeometricFrequencyEstimate, SymbolStream, SymbolWord,
+                       cylinder, geometric_frequency, itinerary, word_pullback)
 
 CYLINDER_WIDTH_TOL = 1e-13
 EMPTY_WIDTH_TOL = 1e-15
@@ -81,16 +81,6 @@ def lyndon_words(max_len: int):
             w.append(w[len(w) - m])
         while w and w[-1] == 1:
             w.pop()
-
-
-def _word_pullback(m: UnimodalMap, word: SymbolWord, interval):
-    """Preimage of an interval through the monotone branch path of word."""
-    J = interval
-    for sym in reversed(word.symbols):
-        J = branch_preimage(m, LEFT if sym == SYM_0 else RIGHT, J)
-        if J is None:
-            return None
-    return J
 
 
 def _fm(m: UnimodalMap, x: float, period: int) -> float:
@@ -181,15 +171,13 @@ def _polish_root(m: UnimodalMap, period: int, lo: float, hi: float):
     return 0.5 * (a + b), widened
 
 
-def find_periodic(m: UnimodalMap, word: SymbolWord, *,
-                  width_tol: float = CYLINDER_WIDTH_TOL,
-                  max_powers: int = MAX_POWERS) -> PeriodicOrbit:
+def find_periodic(m: UnimodalMap, word: SymbolWord) -> PeriodicOrbit:
     """Locate the periodic orbit with itinerary word^inf.
 
     Nested cylinders I_{word^k} are pulled back until their width drops
-    below width_tol (or the widths stall, which happens around attracting
-    orbits), then the root of f^m(x) - x is polished inside the final
-    cylinder.  EmptyCylinder signals that no such orbit exists for this
+    below CYLINDER_WIDTH_TOL (or the widths stall, which happens around
+    attracting orbits), then the root of f^m(x) - x is polished inside the
+    final cylinder.  EmptyCylinder signals that no such orbit exists for this
     map, which is a legal outcome.
     """
     if len(word) == 0:
@@ -205,10 +193,10 @@ def find_periodic(m: UnimodalMap, word: SymbolWord, *,
     J = cyl.interval
     prev_width = J[1] - J[0]
     stall = 0
-    for _ in range(1, max_powers):
-        if prev_width < width_tol:
+    for _ in range(1, MAX_POWERS):
+        if prev_width < CYLINDER_WIDTH_TOL:
             break
-        J_next = _word_pullback(m, word, J)
+        J_next = word_pullback(m, word.symbols, J)
         if J_next is None:
             raise EmptyCylinder(f"I_{{{word}^k}} became empty during pullback")
         width = J_next[1] - J_next[0]
@@ -316,13 +304,6 @@ def formula_exponent_estimate(pattern: SymbolWord, stream: SymbolStream,
     return sign / est.rho_hat, est
 
 
-def exponent_from_formula(pattern: SymbolWord, stream: SymbolStream,
-                          prefix_length: int,
-                          k_range: tuple[int, int] = (2, 6)) -> float:
-    value, _ = formula_exponent_estimate(pattern, stream, prefix_length, k_range)
-    return value
-
-
 # ---------------------------------------------------------------------------
 # zeta truncation
 # ---------------------------------------------------------------------------
@@ -351,18 +332,14 @@ class ZetaTruncation:
     never silently added to `value`).
     """
 
-    def __init__(self, orbits, max_period: int, weight_tag: str = "|Df|^-1"):
-        if weight_tag != "|Df|^-1":
-            raise ValueError("only the |Df|^-1 weight is built in")
+    def __init__(self, orbits, max_period: int):
         self.max_period = max_period
-        self.weight_tag = weight_tag
         self.orbit_table: dict[int, list[tuple[str, float]]] = {}
         for orb in orbits:
             if orb.period > max_period:
                 continue
             self.orbit_table.setdefault(orb.period, []).append(
                 (str(orb.word), orb.exponent_log_abs))
-        self.value_at: dict[complex, ZetaEvaluation] = {}
 
     def min_expansion_rate(self) -> float:
         rates = [math.exp(la / n) for n, rows in self.orbit_table.items()
@@ -379,8 +356,6 @@ class ZetaTruncation:
         return total
 
     def evaluate(self, z) -> ZetaEvaluation:
-        if z in self.value_at:
-            return self.value_at[z]
         az = abs(z)
         if az >= 1.0:
             raise DivergentInput(f"|z| = {az} >= 1")
@@ -419,25 +394,15 @@ class ZetaTruncation:
             n += 1
             if t < 1e-17 or n > 100000:
                 break
-        value = _safe_exp(log_sum)
-        evaluation = ZetaEvaluation(
+        if isinstance(log_sum, complex):
+            value = completed = cmath.exp(log_sum)
+        else:
+            value = math.exp(log_sum)
+            completed = value * math.exp(outer)
+        return ZetaEvaluation(
             value=value,
             inner_tail_bound=inner_tail,
             outer_tail_log_estimate=outer,
-            value_tail_completed=value * math.exp(outer) if isinstance(value, float) else value,
+            value_tail_completed=completed,
             min_expansion_rate=lam_min,
         )
-        self.value_at[z] = evaluation
-        return evaluation
-
-
-def _safe_exp(v):
-    if isinstance(v, complex):
-        import cmath
-        return cmath.exp(v)
-    return math.exp(v)
-
-
-def zeta_truncation(orbits, max_period: int, z) -> float:
-    """Truncated double-sum value (complete orbit list up to max_period)."""
-    return ZetaTruncation(orbits, max_period).evaluate(z).value

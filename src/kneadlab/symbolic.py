@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
 
 from .errors import ContainsCriticalSymbol, InsufficientOccurrences, PrefixTooShort
-from .maps import (LEFT, RIGHT, UnimodalMap, branch_preimage, check_start,
-                   orbit_array, orbit_chunks)
+from .maps import (DEFAULT_BURN_IN, LEFT, RIGHT, UnimodalMap, branch_preimage,
+                   check_start, orbit_array, orbit_chunks, seeded_start)
 
 SYM_0 = 0
 SYM_1 = 1
@@ -148,15 +148,13 @@ class SymbolStream:
         return cls.from_point(m, m.critical_point)
 
     @classmethod
-    def typical(cls, m: UnimodalMap, seed, burn_in: int = 1000) -> "SymbolStream":
-        """Itinerary of a seeded uniform start point after burn-in.
+    def typical(cls, m: UnimodalMap, seed) -> "SymbolStream":
+        """Itinerary of the seeded start point after DEFAULT_BURN_IN iterates.
 
         Used to substitute a Birkhoff-typical point for the critical point
         when the kneading sequence itself is degenerate.
         """
-        rng = np.random.default_rng(seed)
-        x0 = float(rng.uniform(*m.domain))
-        return cls.from_point(m, x0, burn_in=burn_in)
+        return cls.from_point(m, seeded_start(m, seed), burn_in=DEFAULT_BURN_IN)
 
     @classmethod
     def from_array(cls, symbols: np.ndarray) -> "SymbolStream":
@@ -242,25 +240,28 @@ def kneading_sequence(m: UnimodalMap, n: int) -> SymbolWord:
     return itinerary(m, m.critical_point, n)
 
 
-def cylinder(m: UnimodalMap, word: SymbolWord) -> CylinderInterval:
-    """I_alpha by backward pullback through monotone branches.
+def word_pullback(m: UnimodalMap, symbols, interval):
+    """Preimage of an interval through the monotone branches of the 0/1
+    symbols, the last symbol's branch first; None once it is empty."""
+    J = interval
+    for sym in reversed(symbols):
+        J = branch_preimage(m, LEFT if sym == SYM_0 else RIGHT, J)
+        if J is None:
+            return None
+    return J
 
-    Starts from the full branch domain of the last symbol and repeatedly
-    takes the monotone preimage; the result may be empty.
-    """
+
+def cylinder(m: UnimodalMap, word: SymbolWord) -> CylinderInterval:
+    """I_alpha: the branch domain of the last symbol pulled back through
+    the rest of the word; the result may be empty."""
     if word.has_critical:
         raise ContainsCriticalSymbol("cylinder patterns must avoid 'c'")
     if len(word) == 0:
         return CylinderInterval(word, m.domain)
     l, r = m.domain
     c = m.critical_point
-    last = word[-1]
-    J = (l, c) if last == SYM_0 else (c, r)
-    for sym in reversed(word.symbols[:-1]):
-        J = branch_preimage(m, LEFT if sym == SYM_0 else RIGHT, J)
-        if J is None:
-            return CylinderInterval(word, None)
-    return CylinderInterval(word, J)
+    domain = (l, c) if word[-1] == SYM_0 else (c, r)
+    return CylinderInterval(word, word_pullback(m, word.symbols[:-1], domain))
 
 
 def count_occurrences(pattern: np.ndarray, prefix: np.ndarray) -> int:

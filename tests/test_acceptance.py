@@ -22,11 +22,10 @@ from kneadlab import (NoOrbitPredicted, SymbolStream, SymbolWord,
                       ZetaTruncation, UncoveredMass, build_nest, cylinder,
                       enumerate_periodic, estimate_density, find_periodic,
                       formula_exponent_estimate, gap_family, itinerary,
-                      make_quadratic, measure_of_interval,
-                      orientation_reversing_fixed_point,
+                      make_quadratic, orientation_reversing_fixed_point,
                       regularized_density_report, verify_lyapunov_equality)
 from kneadlab.harness import ExperimentConfig, run_verify
-from kneadlab.measure import screened_parameters
+from kneadlab.measure import measure_of_intervals, screened_parameters
 from kneadlab.symbolic import count_occurrences, frequency
 from nest_checks import check_nest_invariants
 
@@ -123,7 +122,7 @@ def test_criterion_3_arcsine_density(q2, q2_density_1e7):
     e = d.bin_edges
     exact = (np.arcsin(e[1:]) - np.arcsin(e[:-1])) / math.pi
     l1 = float(np.abs(d.mass_per_bin - exact).sum())
-    half = measure_of_interval(d, (0.0, 1.0))
+    half = measure_of_intervals(d, 0.0, 1.0)
     elapsed = time.time() - t0
     ok = l1 < 0.02 and abs(half - 0.5) <= 0.005 and elapsed < 60.0
     _verdict(3, "arcsine density", ok,

@@ -5,25 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kneadlab.cli import main
+from kneadlab.cli import _config_from_args, build_parser, main
 from kneadlab.harness import (ExperimentConfig, VerificationReport, run_verify,
                               sweep)
 
 
 # --- config ------------------------------------------------------------
-
-def test_config_round_trip_bit_exact():
-    cfg = ExperimentConfig(map_parameter=1.9000176313622505,
-                           seed=987654321,
-                           words=("1", "10", "110"),
-                           zeta_z_values=(0.25, 0.5, 0.9),
-                           tolerance_ratio=0.1 + 1e-17,
-                           extended_precision=True)
-    text = cfg.to_text()
-    back = ExperimentConfig.from_text(text)
-    assert back == cfg
-    assert back.to_text() == text
-
 
 def test_config_validation():
     with pytest.raises(ValueError):
@@ -32,12 +19,6 @@ def test_config_validation():
         ExperimentConfig(map_parameter=3.0).validate()  # quadratic range
     with pytest.raises(ValueError):
         ExperimentConfig(stream_kind="sideways").validate()
-
-
-def test_config_text_is_flat_key_value():
-    text = ExperimentConfig().to_text()
-    for line in text.strip().splitlines():
-        assert " = " in line
 
 
 # --- reports -----------------------------------------------------------
@@ -309,6 +290,48 @@ def test_cli_out_file(tmp_path):
                  "--max-period", "6", "--z", "0.25", "--out", str(path)]) == 0
     data = json.loads(path.read_text())
     assert data["theorem_tag"] == "zeta"
+
+
+@pytest.mark.parametrize("text", ["inf", "-inf", "nan"])
+def test_cli_rejects_non_finite_count(capsys, text):
+    # "--length=-inf": argparse reads a separate "-inf" as an option
+    assert main(["kneading", "--map", "quadratic", "--param", "1.9",
+                 f"--length={text}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: argument --length: ")
+    assert "finite" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["kneading", "--map", "quadratic", "--param", "1.9", "--length", "6",
+     "--format", "csv"],
+    ["nest", "--map", "quadratic", "--param", "1.9", "--seed", "5"],
+    ["gaps", "--map", "quadratic", "--param", "1.9", "--extended-precision"],
+])
+def test_cli_rejects_options_the_command_does_not_read(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+
+
+def test_cli_verify_config_holds_the_defaults():
+    parser = build_parser()
+    args = parser.parse_args(["verify", "zeta", "--map", "logistic",
+                              "--param", "3.9"])
+    assert _config_from_args(args) == ExperimentConfig(map_family="logistic",
+                                                       map_parameter=3.9)
+    args = parser.parse_args(["sweep", "--tag", "zeta", "--map", "sine",
+                              "--params", "3.9"])
+    assert _config_from_args(args) == ExperimentConfig(map_family="sine")
+    args = parser.parse_args(["verify", "zeta", "--map", "quadratic",
+                              "--param", "2.0", "--words", "1,10,",
+                              "--z", "0.1,0.2", "--seed", "1e3",
+                              "--extended-precision"])
+    assert _config_from_args(args) == ExperimentConfig(
+        words=("1", "10"), zeta_z_values=(0.1, 0.2), seed=1000,
+        extended_precision=True)
 
 
 def test_cli_error_exit_code(capsys):

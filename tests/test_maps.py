@@ -7,12 +7,16 @@ import numpy as np
 import pytest
 
 from kneadlab import (NotSelfMap, OutOfDomain, derivative, evaluate,
-                      iterate_orbit, logistic_sine_conjugacy, lyapunov_birkhoff,
-                      make_custom, make_logistic, make_map, make_quadratic,
-                      make_sine)
-from kneadlab.maps import (LEFT, MATH, NUMPY, RIGHT, branch_preimage,
-                           branch_preimage_arrays, fold_preimage,
+                      iterate_orbit, lyapunov_birkhoff, make_custom,
+                      make_logistic, make_map, make_quadratic, make_sine)
+from kneadlab.maps import (LEFT, MATH, NUMPY, RIGHT, branch_inverse,
+                           branch_preimage, branch_preimage_arrays,
                            mpmath_namespace, orbit_array)
+
+
+def logistic_sine_conjugacy(x):
+    """h(x) = (1 - cos(pi x)) / 2, the coordinate change with h o g_a = f_a o h."""
+    return (1.0 - np.cos(np.pi * np.asarray(x, dtype=float))) / 2.0
 
 
 def test_evaluate_examples(q2):
@@ -157,11 +161,13 @@ def test_branch_preimage_arrays_match_scalar(q19):
 
 
 def test_fold_preimage(q2):
-    # {x : f(x) >= 0} for q_2 is [-1/sqrt(2), 1/sqrt(2)]
-    lo, hi = fold_preimage(q2, 0.0)
+    # {x : f(x) >= 0} for q_2 is [-1/sqrt(2), 1/sqrt(2)], the two branch
+    # inverses of 0; a level above the critical value has no preimage
+    lo, hi = branch_inverse(q2, LEFT, 0.0), branch_inverse(q2, RIGHT, 0.0)
     assert lo == pytest.approx(-math.sqrt(0.5), abs=1e-15)
     assert hi == pytest.approx(math.sqrt(0.5), abs=1e-15)
-    assert fold_preimage(q2, 1.5) is None
+    for side in (LEFT, RIGHT):
+        assert branch_preimage(q2, side, (1.5, 1.5)) is None
 
 
 def test_orbit_array_matches_iterate(q19):

@@ -8,11 +8,11 @@ from kneadlab import (CriticalNonReturn, CycleNotClosed, DegenerateOrbit,
                       OutOfDomain, SymbolStream, SymbolWord, TooManyGaps,
                       UncoveredMass, attractor_cycle, estimate_density,
                       find_periodic, gap_family, lyapunov_birkhoff,
-                      make_logistic, make_quadratic, measure_of_interval,
-                      regularized_density_report, verify_critical_typicality,
-                      verify_lyapunov_equality)
-from kneadlab.measure import (_detect_periodic_attractor, screened_parameters,
-                              seeded_start, stochasticity_screen)
+                      make_logistic, make_quadratic, regularized_density_report,
+                      verify_critical_typicality, verify_lyapunov_equality)
+from kneadlab.measure import (_detect_periodic_attractor, measure_of_intervals,
+                              screened_parameters, seeded_start,
+                              stochasticity_screen)
 from kneadlab.symbolic import cylinder, frequency
 
 
@@ -57,25 +57,28 @@ def test_density_reproducible(q19):
     assert np.array_equal(a.mass_per_bin, b.mass_per_bin)
 
 
-# --- measure_of_interval -------------------------------------------------
+# --- measure_of_intervals ------------------------------------------------
 
-def test_measure_of_interval_edges(q2):
+def test_measure_of_interval_edges(q2, q19):
     d = estimate_density(q2, 10 ** 5, 128, seed=2)
-    assert measure_of_interval(d, q2.domain) == pytest.approx(1.0, abs=1e-12)
-    assert measure_of_interval(d, (0.3, 0.3)) == 0.0
-    assert measure_of_interval(d, None) == 0.0
+    assert measure_of_intervals(d, *q2.domain) == pytest.approx(1.0, abs=1e-12)
+    assert measure_of_intervals(d, 0.3, 0.3) == 0.0
+    # an empty cylinder measures 0 in the typicality table
+    assert cylinder(q19, W("0100")).is_empty
+    table = verify_critical_typicality(q19, [W("0100")], 10 ** 6, seed=2)
+    assert table.rows[0].mu_hat == 0.0
 
 
 def test_measure_of_interval_half(q2):
     d = estimate_density(q2, 10 ** 6, 512, seed=2)
-    assert measure_of_interval(d, (0.0, 1.0)) == pytest.approx(0.5, abs=0.01)
+    assert measure_of_intervals(d, 0.0, 1.0) == pytest.approx(0.5, abs=0.01)
 
 
 def test_measure_of_interval_partial_bin(q2):
     d = estimate_density(q2, 10 ** 5, 128, seed=2)
     e = d.bin_edges
-    full = measure_of_interval(d, (e[10], e[11]))
-    half = measure_of_interval(d, (e[10], 0.5 * (e[10] + e[11])))
+    full = measure_of_intervals(d, e[10], e[11])
+    half = measure_of_intervals(d, e[10], 0.5 * (e[10] + e[11]))
     assert half == pytest.approx(0.5 * full, rel=1e-12)
 
 
@@ -297,14 +300,14 @@ def test_regularized_report_map_mismatch(q19, q2):
 # --- module invariants -------------------------------------------------------
 
 def test_birkhoff_frequency_bridge(q19):
-    # measure_of_interval on the cylinder of "1" equals the symbol frequency
+    # the measure of the cylinder of "1" equals the symbol frequency
     # from the same orbit: same counts, same normalization
     n = 200_000
     seed = 31
     d = estimate_density(q19, n, 512, seed=seed)
     est = frequency(W("1"), SymbolStream.typical(q19, seed=seed), n)
     cyl = cylinder(q19, W("1"))
-    mu = measure_of_interval(d, cyl.interval)
+    mu = measure_of_intervals(d, *cyl.interval)
     assert mu == pytest.approx(est.r_hat, abs=1e-12)
 
 
@@ -334,8 +337,8 @@ def test_attractor_invariance_pushforward(q2):
     pushed = dataclasses.replace(d, mass_per_bin=h / h.sum())
     for _ in range(100):
         lo, hi = np.sort(rng.uniform(*q2.domain, 2))
-        m1 = measure_of_interval(d, (lo, hi))
-        m2 = measure_of_interval(pushed, (lo, hi))
+        m1 = measure_of_intervals(d, lo, hi)
+        m2 = measure_of_intervals(pushed, lo, hi)
         p = max(m1 * (1 - m1), 1e-9)
         se = math.sqrt(p / 10 ** 5 + 3 * p / 10 ** 6)
         assert abs(m1 - m2) < 3 * se

@@ -9,8 +9,8 @@ from kneadlab import (ContainsCriticalSymbol, DivergentInput, EmptyCylinder,
                       IrreducibleRequired, NoOrbitPredicted, NonContraction,
                       SymbolStream,
                       SymbolWord, ZetaTruncation, enumerate_periodic,
-                      exponent_from_formula, find_periodic, make_logistic,
-                      make_quadratic, zeta_truncation)
+                      find_periodic, formula_exponent_estimate, make_logistic,
+                      make_quadratic)
 from kneadlab.orbits import lyndon_words
 
 
@@ -162,30 +162,32 @@ def test_formula_on_iid_stream():
     # iid fair bits: rho(alpha) = 2^{-|alpha|} exactly in the limit
     rng = np.random.default_rng(303)
     arr = rng.integers(0, 2, 10 ** 6).astype(np.int8)
-    val = exponent_from_formula(W("1"), SymbolStream.from_array(arr), 10 ** 6)
+    val, _ = formula_exponent_estimate(W("1"), SymbolStream.from_array(arr),
+                                       10 ** 6)
     assert val == pytest.approx(-2.0, rel=0.02)
-    val2 = exponent_from_formula(W("10"), SymbolStream.from_array(arr.copy()),
-                                 10 ** 6)
+    val2, _ = formula_exponent_estimate(W("10"),
+                                        SymbolStream.from_array(arr.copy()),
+                                        10 ** 6)
     assert val2 == pytest.approx(-4.0, rel=0.05)
 
 
 def test_formula_requires_irreducible(q2):
     with pytest.raises(IrreducibleRequired):
-        exponent_from_formula(W("11"), SymbolStream.kneading(q2), 1000)
+        formula_exponent_estimate(W("11"), SymbolStream.kneading(q2), 1000)
 
 
 def test_formula_no_orbit_predicted_on_kneading(q2):
     # kneading tail of q_2 is 0^inf: zero occurrences of 11
     with pytest.raises(NoOrbitPredicted):
-        exponent_from_formula(W("1"), SymbolStream.kneading(q2), 10 ** 5,
-                              k_range=(2, 4))
+        formula_exponent_estimate(W("1"), SymbolStream.kneading(q2), 10 ** 5,
+                                  k_range=(2, 4))
 
 
 # --- zeta ----------------------------------------------------------------
 
 def test_zeta_at_zero_is_one(q2):
     enum = enumerate_periodic(q2, 4)
-    assert zeta_truncation(enum.orbits, 4, 0.0) == 1.0
+    assert ZetaTruncation(enum.orbits, 4).evaluate(0.0).value == 1.0
 
 
 def test_zeta_chebyshev_closed_form(q2):
@@ -216,11 +218,11 @@ def test_zeta_trace_identity(q2):
 def test_zeta_divergent_input(q2):
     enum = enumerate_periodic(q2, 4)
     with pytest.raises(DivergentInput):
-        zeta_truncation(enum.orbits, 4, 1.0)
+        ZetaTruncation(enum.orbits, 4).evaluate(1.0).value
     # attracting orbits shrink the convergence disk below |z| = 1
     attracting = enumerate_periodic(make_logistic(2.5), 2)
     with pytest.raises(DivergentInput):
-        zeta_truncation(attracting.orbits, 2, 0.6)
+        ZetaTruncation(attracting.orbits, 2).evaluate(0.6).value
 
 
 def test_zeta_complex_argument(q2):

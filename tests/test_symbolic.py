@@ -10,6 +10,7 @@ from kneadlab import (ContainsCriticalSymbol, InsufficientOccurrences,
                       cylinder, frequency, geometric_frequency, itinerary,
                       kneading_sequence, make_custom, make_logistic,
                       make_quadratic, make_sine)
+from kneadlab.maps import DEFAULT_BURN_IN, orbit_array, seeded_start
 from kneadlab.symbolic import count_occurrences
 
 
@@ -308,6 +309,18 @@ def test_stream_take_advances(q19):
     second = s.take(100)
     whole = SymbolStream.typical(q19, seed=8).take(200)
     assert np.array_equal(np.concatenate([first, second]), whole)
+
+
+@pytest.mark.parametrize("m", [make_quadratic(1.9), make_logistic(3.9),
+                               make_sine(3.9)])
+def test_typical_stream_is_the_seeded_orbit_after_burn_in(m):
+    n = 70_000  # more than one orbit chunk
+    for seed in (8, 346):
+        pts = orbit_array(m, seeded_start(m, seed), n, burn_in=DEFAULT_BURN_IN)
+        c = m.critical_point
+        expected = np.where(np.abs(pts - c) <= m.tie_tolerance, 2, pts > c)
+        got = SymbolStream.typical(m, seed).take(n)
+        assert np.array_equal(got, expected)
 
 
 def test_stream_exhaustion_raises():

@@ -84,22 +84,24 @@ def _detect_periodic_attractor(m: UnimodalMap, x: float):
     return None
 
 
-def estimate_density(m: UnimodalMap, sample_count: int, bin_count: int,
-                     seed, burn_in: int = DEFAULT_BURN_IN) -> DensityEstimate:
-    """Histogram of one long seeded orbit after burn-in, mass normalized.
+def _seeded_pass(m: UnimodalMap, n: int, bin_count: int, seed, *,
+                 birkhoff: bool = False, intervals=()):
+    """One walk of the seeded orbit: burn-in, the periodic-attractor probe,
+    then n points through orbit_chunks.  Each chunk feeds the histogram and,
+    on request, the Birkhoff chunk sums and the visit counts of intervals
+    (None entries count nothing).
 
-    Raises DegenerateOrbit (with the detected cycle) when the orbit
-    converges to a periodic attractor; the map is then regular-like and a
-    spike report, not a histogram, is the meaningful output.
+    Returns (density, LyapunovEstimate or None, visit fractions).  Raises
+    DegenerateOrbit (with the detected cycle) when the orbit converges to a
+    periodic attractor.
     """
-    if sample_count < 10 ** 5:
+    if n < 10 ** 5:
         raise ValueError("sample_count >= 1e5 required")
     if bin_count < 1:
         raise ValueError("bin_count >= 1 required")
-    x0 = seeded_start(m, seed)
-    x = x0
+    x = seeded_start(m, seed)
     f = m._f
-    for _ in range(burn_in):
+    for _ in range(DEFAULT_BURN_IN):
         x = f(x)
     hit = _detect_periodic_attractor(m, x)
     if hit is not None:
@@ -109,12 +111,30 @@ def estimate_density(m: UnimodalMap, sample_count: int, bin_count: int,
             period=period, cycle=cycle)
     edges = np.linspace(m.domain[0], m.domain[1], bin_count + 1)
     hist = np.zeros(bin_count)
-    for buf in orbit_chunks(m, x, sample_count):
+    sums = _BirkhoffSums(m) if birkhoff else None
+    counts = [0] * len(intervals)
+    for buf in orbit_chunks(m, x, n):
         h, _ = np.histogram(buf, bins=edges)
         hist += h
-    mass = hist / hist.sum()
-    return DensityEstimate(edges, mass, sample_count, seed,
-                           m.family_tag, m.parameter, burn_in)
+        if sums is not None:
+            sums.add(buf)
+        _count_visits(buf, intervals, counts)
+    density = DensityEstimate(edges, hist / hist.sum(), n, seed,
+                              m.family_tag, m.parameter, DEFAULT_BURN_IN)
+    lyap = sums.estimate(n) if sums is not None else None
+    return density, lyap, [k / n for k in counts]
+
+
+def estimate_density(m: UnimodalMap, sample_count: int, bin_count: int,
+                     seed) -> DensityEstimate:
+    """Histogram of one long seeded orbit after DEFAULT_BURN_IN iterates,
+    mass normalized.
+
+    Raises DegenerateOrbit (with the detected cycle) when the orbit
+    converges to a periodic attractor; the map is then regular-like and a
+    spike report, not a histogram, is the meaningful output.
+    """
+    return _seeded_pass(m, sample_count, bin_count, seed)[0]
 
 
 def measure_of_intervals(density: DensityEstimate, los, his) -> np.ndarray:
@@ -145,6 +165,25 @@ def attractor_cycle(m: UnimodalMap) -> AttractorCycle:
     return AttractorCycle(k, tuple(cycle))
 
 
+class _BirkhoffSums:
+    """Per-chunk sums of ln|Df| and the critical-hit flag along an orbit."""
+
+    def __init__(self, m: UnimodalMap):
+        self.m = m
+        self.sums: list[float] = []
+        self.hit = False
+
+    def add(self, buf: np.ndarray) -> None:
+        m = self.m
+        if not self.hit and np.any(np.abs(buf - m.critical_point) <= m.tie_tolerance):
+            self.hit = True
+        logs = log_abs_derivative_array(m, buf)
+        self.sums.append(float(np.sum(logs)) if np.all(np.isfinite(logs)) else -math.inf)
+
+    def estimate(self, n: int) -> LyapunovEstimate:
+        return LyapunovEstimate(math.fsum(self.sums) / n, self.hit, n)
+
+
 def lyapunov_birkhoff(m: UnimodalMap, x0: float, n: int,
                       burn_in: int = 0) -> LyapunovEstimate:
     """(1/n) sum of ln|Df| along the orbit: math.fsum of the per-chunk sums,
@@ -157,16 +196,10 @@ def lyapunov_birkhoff(m: UnimodalMap, x0: float, n: int,
     if n < 1:
         raise ValueError("n >= 1 required")
     x0 = check_start(m, x0)
-    sums = []
-    hit = False
-    c = m.critical_point
-    tol = m.tie_tolerance
+    sums = _BirkhoffSums(m)
     for buf in orbit_chunks(m, x0, n, burn_in=burn_in):
-        if not hit and np.any(np.abs(buf - c) <= tol):
-            hit = True
-        logs = log_abs_derivative_array(m, buf)
-        sums.append(float(np.sum(logs)) if np.all(np.isfinite(logs)) else -math.inf)
-    return LyapunovEstimate(math.fsum(sums) / n, hit, n)
+        sums.add(buf)
+    return sums.estimate(n)
 
 
 # ---------------------------------------------------------------------------
@@ -197,15 +230,18 @@ class TypicalityTable:
         return max((r.discrepancy_critical for r in self.rows), default=0.0)
 
 
-def _visit_fraction(m: UnimodalMap, x0: float, n: int, intervals,
-                    burn_in: int = 0) -> list[float]:
+def _count_visits(buf: np.ndarray, intervals, counts: list[int]) -> None:
+    for i, iv in enumerate(intervals):
+        if iv is None:
+            continue
+        lo, hi = iv
+        counts[i] += int(np.count_nonzero((buf >= lo) & (buf <= hi)))
+
+
+def _visit_fraction(m: UnimodalMap, x0: float, n: int, intervals) -> list[float]:
     counts = [0] * len(intervals)
-    for buf in orbit_chunks(m, x0, n, burn_in=burn_in):
-        for i, iv in enumerate(intervals):
-            if iv is None:
-                continue
-            lo, hi = iv
-            counts[i] += int(np.count_nonzero((buf >= lo) & (buf <= hi)))
+    for buf in orbit_chunks(m, x0, n):
+        _count_visits(buf, intervals, counts)
     return [k / n for k in counts]
 
 
@@ -219,11 +255,9 @@ def verify_critical_typicality(m: UnimodalMap, observables: Sequence[SymbolWord]
     """
     if n < 10 ** 6:
         raise ValueError("n >= 1e6 required")
-    density = estimate_density(m, n, 512, seed)
     cyls = [cylinder(m, w).interval for w in observables]
+    density, _, typ = _seeded_pass(m, n, 512, seed, intervals=cyls)
     crit = _visit_fraction(m, m.critical_point, n, cyls)
-    typ = _visit_fraction(m, seeded_start(m, seed), n, cyls,
-                          burn_in=density.burn_in)
     # an empty cylinder (None) measures as the empty interval [0, 0]
     spans = np.array([iv or (0.0, 0.0) for iv in cyls], dtype=float).reshape(-1, 2)
     mu = measure_of_intervals(density, spans[:, 0], spans[:, 1])
@@ -288,15 +322,15 @@ def verify_lyapunov_equality(m: UnimodalMap, n: int, seed,
     if n < 10 ** 6:
         raise ValueError("n >= 1e6 required")
     crit = lyapunov_birkhoff(m, evaluate(m, m.critical_point), n)
-    typ = lyapunov_birkhoff(m, seeded_start(m, seed), n,
-                            burn_in=DEFAULT_BURN_IN)
     degenerate = False
     singular: tuple[int, ...] = ()
     try:
-        density = estimate_density(m, n, bin_count, seed)
+        density, typ, _ = _seeded_pass(m, n, bin_count, seed, birkhoff=True)
         integral, singular, _ = _integral_log_deriv(m, density)
     except DegenerateOrbit as exc:
         degenerate = True
+        typ = lyapunov_birkhoff(m, seeded_start(m, seed), n,
+                                burn_in=DEFAULT_BURN_IN)
         logs = log_abs_derivative_array(m, np.asarray(exc.cycle))
         integral = float(np.mean(logs))
     return LyapunovEqualityRecord(

@@ -356,6 +356,8 @@ class ZetaTruncation:
         return total
 
     def evaluate(self, z) -> ZetaEvaluation:
+        if not cmath.isfinite(z):
+            raise DivergentInput(f"z = {z} is not finite")
         az = abs(z)
         if az >= 1.0:
             raise DivergentInput(f"|z| = {az} >= 1")

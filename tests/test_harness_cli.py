@@ -184,6 +184,22 @@ def test_cli_zeta(capsys):
     assert out["value"] == pytest.approx(1.2444, abs=0.01)
 
 
+def test_cli_zeta_rejects_non_finite_z(capsys):
+    assert main(["zeta", "--map", "quadratic", "--param", "2.0",
+                 "--max-period", "4", "--z", "nan"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "DivergentInput"
+
+
+def test_cli_verify_zeta_non_finite_z_is_not_a_pass(capsys):
+    assert main(["verify", "zeta", "--map", "quadratic", "--param", "2.0",
+                 "--max-period", "4", "--z", "nan"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "fail"
+    assert report["failures"][0]["error"] == "DivergentInput"
+
+
 def test_cli_nest_fields(capsys):
     assert main(["nest", "--map", "quadratic", "--param", "1.9",
                  "--max-depth", "2", "--max-iterates", "1e6"]) == 0

@@ -9,9 +9,9 @@ import pytest
 from kneadlab import (NotSelfMap, OutOfDomain, derivative, evaluate,
                       iterate_orbit, lyapunov_birkhoff, make_custom,
                       make_logistic, make_map, make_quadratic, make_sine)
-from kneadlab.maps import (LEFT, MATH, NUMPY, RIGHT, branch_inverse,
+from kneadlab.maps import (CHUNK, LEFT, MATH, NUMPY, RIGHT, branch_inverse,
                            branch_preimage, branch_preimage_arrays,
-                           mpmath_namespace, orbit_array)
+                           mpmath_namespace, orbit_array, seeded_start)
 
 
 def logistic_sine_conjugacy(x):
@@ -214,6 +214,28 @@ def test_family_bindings_agree(family, p):
     assert (back.family_tag, back.parameter) == (family, p)
     assert (back.tie_tolerance, back.domain_slack) == (0.05, 1e-9)
     assert back.raw(0.3) == m.raw(0.3)
+
+
+@pytest.mark.parametrize("m", [
+    make_quadratic(1.9), make_logistic(3.9), make_sine(3.9),
+    make_custom(lambda x: 3.8 * x * (1.0 - x), lambda x: 3.8 - 7.6 * x,
+                (0.0, 1.0), 0.5)],
+    ids=["quadratic", "logistic", "sine", "custom"])
+def test_fill_matches_the_bound_step(m):
+    # the inline loops of the family records (the generic loop for the
+    # custom map) against x = f(x), over one full chunk and a partial one
+    starts = (m.critical_point, *m.domain, seeded_start(m, 3), seeded_start(m, 4))
+    for x0 in starts:
+        got = np.empty(CHUNK + 1234)
+        x_end = m._fill(got[:CHUNK], x0)
+        x_end = m._fill(got[CHUNK:], x_end)
+        expect = np.empty(len(got))
+        x = x0
+        for i in range(len(expect)):
+            expect[i] = x
+            x = m._f(x)
+        assert np.array_equal(got, expect)
+        assert x_end == x
 
 
 def test_custom_map_validation_rejects_non_unimodal():

@@ -4,15 +4,19 @@ import math
 import numpy as np
 import pytest
 
+import kneadlab
 from kneadlab import (CriticalNonReturn, CycleNotClosed, DegenerateOrbit,
                       OutOfDomain, SymbolStream, SymbolWord, TooManyGaps,
                       UncoveredMass, attractor_cycle, estimate_density,
                       find_periodic, gap_family, lyapunov_birkhoff,
-                      make_logistic, make_quadratic, regularized_density_report,
-                      verify_critical_typicality, verify_lyapunov_equality)
-from kneadlab.measure import (_detect_periodic_attractor, measure_of_intervals,
-                              screened_parameters, seeded_start,
-                              stochasticity_screen)
+                      make_logistic, make_map, make_quadratic,
+                      regularized_density_report, verify_critical_typicality,
+                      verify_lyapunov_equality)
+from kneadlab import harness, maps, measure, nest, orbits, symbolic
+from kneadlab.maps import DEFAULT_BURN_IN, orbit_chunks
+from kneadlab.measure import (_detect_periodic_attractor, _integral_log_deriv,
+                              measure_of_intervals, screened_parameters,
+                              seeded_start, stochasticity_screen)
 from kneadlab.symbolic import cylinder, frequency
 
 
@@ -196,6 +200,77 @@ def test_lyap_equality_regular_map():
     assert rec.side_typical == pytest.approx(target, abs=0.05)
     assert rec.side_integral == pytest.approx(target, abs=1e-6)
     assert rec.side_critical_value == pytest.approx(target, abs=0.05)
+    # the probe found the attractor, so the typical side is its own walk
+    m = make_quadratic(0.9)
+    typ = lyapunov_birkhoff(m, seeded_start(m, 9), 10 ** 6, burn_in=DEFAULT_BURN_IN)
+    assert rec.side_typical == typ.value
+
+
+# --- one pass per seeded orbit ------------------------------------------------
+
+FAMILY_PARAMS = [("quadratic", 1.9), ("logistic", 3.9), ("sine", 3.9)]
+
+
+def _count_kernel_points(monkeypatch):
+    """Put a counting wrapper over orbit_chunks into every module holding
+    it; returns a one-element list with the number of points yielded."""
+    points = [0]
+
+    def counted(*args, **kwargs):
+        for buf in orbit_chunks(*args, **kwargs):
+            points[0] += len(buf)
+            yield buf
+
+    for mod in (kneadlab, maps, symbolic, orbits, nest, measure, harness):
+        if vars(mod).get("orbit_chunks") is orbit_chunks:
+            monkeypatch.setattr(mod, "orbit_chunks", counted)
+    return points
+
+
+def _reference_visit_fraction(m, x0, n, intervals, burn_in):
+    """Visit fractions from a walk of their own, as measured before the
+    density pass counted the typical visits."""
+    counts = [0] * len(intervals)
+    for buf in orbit_chunks(m, x0, n, burn_in=burn_in):
+        for i, iv in enumerate(intervals):
+            if iv is not None:
+                counts[i] += int(np.count_nonzero((buf >= iv[0]) & (buf <= iv[1])))
+    return [k / n for k in counts]
+
+
+@pytest.mark.parametrize("family,p", FAMILY_PARAMS)
+def test_lyap_equality_walks_the_seeded_orbit_once(family, p, monkeypatch):
+    m = make_map(family, p)
+    n, seed = 10 ** 6, 31
+    points = _count_kernel_points(monkeypatch)
+    rec = verify_lyapunov_equality(m, n, seed)
+    assert points[0] == 2 * n
+    typ = lyapunov_birkhoff(m, seeded_start(m, seed), n, burn_in=DEFAULT_BURN_IN)
+    crit = lyapunov_birkhoff(m, m.critical_value, n)
+    assert rec.side_typical == typ.value
+    assert rec.side_critical_value == crit.value
+    assert rec.hit_critical == (typ.hit_critical or crit.hit_critical)
+    integral, singular, _ = _integral_log_deriv(m, estimate_density(m, n, 512, seed))
+    assert rec.side_integral == integral
+    assert rec.singular_bins == singular
+
+
+@pytest.mark.parametrize("family,p", FAMILY_PARAMS)
+def test_typicality_walks_the_seeded_orbit_once(family, p, monkeypatch):
+    m = make_map(family, p)
+    n, seed = 10 ** 6, 32
+    words = [W("1"), W("10"), W("001"), W("0110")]
+    points = _count_kernel_points(monkeypatch)
+    table = verify_critical_typicality(m, words, n, seed)
+    assert points[0] == 2 * n
+    cyls = [cylinder(m, w).interval for w in words]
+    typ = _reference_visit_fraction(m, seeded_start(m, seed), n, cyls, DEFAULT_BURN_IN)
+    crit = _reference_visit_fraction(m, m.critical_point, n, cyls, 0)
+    assert [r.average_typical for r in table.rows] == typ
+    assert [r.average_critical for r in table.rows] == crit
+    spans = np.array([iv or (0.0, 0.0) for iv in cyls])
+    mu = measure_of_intervals(estimate_density(m, n, 512, seed), spans[:, 0], spans[:, 1])
+    assert [r.mu_hat for r in table.rows] == mu.tolist()
 
 
 # --- gaps -------------------------------------------------------------------

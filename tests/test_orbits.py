@@ -225,6 +225,14 @@ def test_zeta_divergent_input(q2):
         ZetaTruncation(attracting.orbits, 2).evaluate(0.6).value
 
 
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf,
+                               complex(0.1, math.nan)])
+def test_zeta_rejects_non_finite_z(q2, z):
+    zt = ZetaTruncation(enumerate_periodic(q2, 4).orbits, 4)
+    with pytest.raises(DivergentInput, match="not finite"):
+        zt.evaluate(z)
+
+
 def test_zeta_complex_argument(q2):
     enum = enumerate_periodic(q2, 6)
     zt = ZetaTruncation(enum.orbits, 6)

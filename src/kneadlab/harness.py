@@ -17,8 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .errors import (EmptyCylinder, KneadlabError, NoOrbitPredicted,
-                     UncoveredMass)
+from .errors import EmptyCylinder, KneadlabError, UncoveredMass
 from .maps import (DEFAULT_BURN_IN, derivative, make_logistic, make_map,
                    make_sine, seeded_start)
 from .measure import (estimate_density, gap_family, lyapunov_birkhoff,
@@ -31,6 +30,17 @@ from .symbolic import SymbolStream, SymbolWord
 
 VERIFY_TAGS = ("theorem-a", "theorem-b", "theorem-c", "lyap-equality",
                "nest-lyapunov", "conjugacy", "zeta")
+
+# acceptance bounds of the verify reports
+TOLERANCE_RATIO = 0.10
+TOLERANCE_TYPICALITY = 0.02
+TOLERANCE_LYAP = 1e-2
+TOLERANCE_NEST_LYAP = 0.15
+TOLERANCE_ZETA = 0.01
+TOLERANCE_CONJUGACY = 1e-9
+TOLERANCE_NORM_DRIFT = 2.0
+SLOPE_WINDOW = (0.8, 1.2)
+LP_EXPONENTS = (1.0, 2.0, 4.0)
 
 
 @dataclass(frozen=True)
@@ -47,29 +57,17 @@ class ExperimentConfig:
     nest_max_iterates: int = 10 ** 6
     words: tuple[str, ...] = ("1", "0", "10", "100", "110")
     stream_kind: str = "typical"  # typical | critical
-    freq_k_min: int = 2
-    freq_k_max: int = 6
     zeta_max_period: int = 12
     zeta_z_values: tuple[float, ...] = (0.25, 0.5)
     gap_nest_level: int = 1
     gap_max_generation: int = 14
-    lp_exponents: tuple[float, ...] = (1.0, 2.0, 4.0)
     conjugacy_max_period: int = 4
     extended_precision: bool = False
-    tolerance_ratio: float = 0.10
-    tolerance_typicality: float = 0.02
-    tolerance_lyap: float = 1e-2
-    tolerance_nest_lyap: float = 0.15
-    tolerance_zeta: float = 0.01
-    tolerance_conjugacy: float = 1e-9
-    tolerance_norm_drift: float = 2.0
-    slope_window_low: float = 0.8
-    slope_window_high: float = 1.2
 
     def validate(self) -> None:
         for name in ("orbit_length_iterates", "density_samples", "density_bins",
-                     "nest_max_iterates", "freq_k_min", "freq_k_max",
-                     "zeta_max_period", "conjugacy_max_period"):
+                     "nest_max_iterates", "zeta_max_period",
+                     "conjugacy_max_period"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.stream_kind not in ("typical", "critical"):
@@ -172,7 +170,6 @@ def _run_theorem_a(config: ExperimentConfig) -> VerificationReport:
         prefix = SymbolStream.kneading(m).take(n)
     else:
         prefix = SymbolStream.typical(m, config.seed).take(n)
-    k_range = (config.freq_k_min, config.freq_k_max)
     rows = {}
     annotations = []
     failures = []
@@ -185,16 +182,11 @@ def _run_theorem_a(config: ExperimentConfig) -> VerificationReport:
         orbit = None
         try:
             formula_val, est = formula_exponent_estimate(
-                word, SymbolStream.from_array(prefix), n, k_range)
+                word, SymbolStream.from_array(prefix), n)
             row["formula_exponent"] = formula_val
             row["rho_hat"] = est.rho_hat
             row["rho_stderr"] = est.stderr
             row["fit_status"] = est.status
-        except NoOrbitPredicted as e:
-            row["formula_exponent"] = None
-            row["formula_status"] = "NoOrbitPredicted"
-            failures.append({"word": text, "stage": "formula",
-                             "error": "NoOrbitPredicted", "message": str(e)})
         except KneadlabError as e:
             row["formula_exponent"] = None
             row["formula_status"] = type(e).__name__
@@ -204,7 +196,7 @@ def _run_theorem_a(config: ExperimentConfig) -> VerificationReport:
             orbit = find_periodic(m, word)
             row["orbit_exponent"] = orbit.exponent
             row["orbit_interior"] = orbit.is_interior(m)
-        except EmptyCylinder as e:
+        except EmptyCylinder:
             row["orbit_exponent"] = None
             row["orbit_status"] = "EmptyCylinder"
         except KneadlabError as e:
@@ -217,7 +209,7 @@ def _run_theorem_a(config: ExperimentConfig) -> VerificationReport:
             row["ratio"] = ratio
             if orbit.is_interior(m):
                 worst = max(worst, abs(ratio - 1.0))
-                if abs(ratio - 1.0) > config.tolerance_ratio:
+                if abs(ratio - 1.0) > TOLERANCE_RATIO:
                     all_pass = False
             else:
                 annotations.append(
@@ -236,7 +228,7 @@ def _run_theorem_a(config: ExperimentConfig) -> VerificationReport:
                                f"that no orbit exists in the attractor")
         rows[text] = row
     predicted = {t: rows[t].get("orbit_exponent") for t in config.words}
-    return _report(config, "theorem-a", all_pass, worst, config.tolerance_ratio,
+    return _report(config, "theorem-a", all_pass, worst, TOLERANCE_RATIO,
                    {"rows": rows}, {"orbit_exponents": predicted},
                    failures, annotations)
 
@@ -252,8 +244,8 @@ def _run_theorem_b(config: ExperimentConfig) -> VerificationReport:
                      "discrepancy": r.discrepancy_critical}
             for r in table.rows}
     disc = table.max_discrepancy
-    return _report(config, "theorem-b", disc <= config.tolerance_typicality,
-                   disc, config.tolerance_typicality, {"rows": rows},
+    return _report(config, "theorem-b", disc <= TOLERANCE_TYPICALITY,
+                   disc, TOLERANCE_TYPICALITY, {"rows": rows},
                    {"mu_hat": {r.word: r.mu_hat for r in table.rows}})
 
 
@@ -273,22 +265,22 @@ def _run_theorem_c(config: ExperimentConfig) -> VerificationReport:
         gaps = gap_family(m, config.gap_nest_level, g, nest_report=nest_report)
         with _w.catch_warnings():
             _w.simplefilter("ignore", UncoveredMass)
-            rep = regularized_density_report(gaps, density, config.lp_exponents)
+            rep = regularized_density_report(gaps, density, LP_EXPONENTS)
         if rep.uncovered_mass_warning:
             annotations.append(
                 f"generation {g}: gaps cover only {rep.coverage:.3f} of the mass")
         reports[g] = rep
     drift = max(max(reports[g2].lp_norms[p] / reports[g1].lp_norms[p],
                     reports[g1].lp_norms[p] / reports[g2].lp_norms[p])
-                for p in config.lp_exponents)
+                for p in LP_EXPONENTS)
     slope = reports[g2].slope
     finite = all(math.isfinite(reports[g].lp_norms[p])
-                 for g in (g1, g2) for p in config.lp_exponents)
-    slope_ok = config.slope_window_low <= slope <= config.slope_window_high
-    passed = finite and drift <= config.tolerance_norm_drift and slope_ok
+                 for g in (g1, g2) for p in LP_EXPONENTS)
+    slope_ok = SLOPE_WINDOW[0] <= slope <= SLOPE_WINDOW[1]
+    passed = finite and drift <= TOLERANCE_NORM_DRIFT and slope_ok
     measured = {
         "lp_norms": {str(g): {str(p): reports[g].lp_norms[p]
-                              for p in config.lp_exponents} for g in (g1, g2)},
+                              for p in LP_EXPONENTS} for g in (g1, g2)},
         "norm_drift": drift,
         "slope": slope,
         "coverage": {str(g): reports[g].coverage for g in (g1, g2)},
@@ -296,9 +288,8 @@ def _run_theorem_c(config: ExperimentConfig) -> VerificationReport:
                                       for g in (g1, g2)},
     }
     return _report(config, "theorem-c", passed, drift,
-                   config.tolerance_norm_drift, measured,
-                   {"slope_window": [config.slope_window_low,
-                                     config.slope_window_high]},
+                   TOLERANCE_NORM_DRIFT, measured,
+                   {"slope_window": list(SLOPE_WINDOW)},
                    annotations=annotations)
 
 
@@ -316,16 +307,16 @@ def _run_lyap_equality(config: ExperimentConfig) -> VerificationReport:
         "singular_bins": list(rec.singular_bins),
     }
     annotations = []
-    if abs(rec.difference_critical) > config.tolerance_lyap:
+    if abs(rec.difference_critical) > TOLERANCE_LYAP:
         annotations.append(
             "critical-value exponent deviates from the density integral; "
             "Misiurewicz-type degeneration of the critical orbit")
     disc = abs(rec.difference)
     passed = (math.isfinite(rec.side_typical)
               and math.isfinite(rec.side_integral)
-              and disc <= config.tolerance_lyap)
+              and disc <= TOLERANCE_LYAP)
     return _report(config, "lyap-equality", passed, disc,
-                   config.tolerance_lyap, measured, {},
+                   TOLERANCE_LYAP, measured, {},
                    annotations=annotations)
 
 
@@ -345,8 +336,8 @@ def _run_nest_lyapunov(config: ExperimentConfig) -> VerificationReport:
                 "termination": report.termination,
                 "termination_detail": report.termination_detail,
                 "renormalization_period": report.renormalization_period}
-    return _report(config, "nest-lyapunov", disc <= config.tolerance_nest_lyap,
-                   disc, config.tolerance_nest_lyap, measured,
+    return _report(config, "nest-lyapunov", disc <= TOLERANCE_NEST_LYAP,
+                   disc, TOLERANCE_NEST_LYAP, measured,
                    {"limit": lam.value})
 
 
@@ -382,10 +373,10 @@ def _run_conjugacy(config: ExperimentConfig) -> VerificationReport:
     measured = {"rows": rows, "endpoint_logistic": d_fa0,
                 "endpoint_sine": d_ga0, "endpoint_error": endpoint_err}
     predicted = {"endpoint_logistic": a, "endpoint_sine": math.sqrt(a)}
-    passed = (not failures and worst <= config.tolerance_conjugacy
+    passed = (not failures and worst <= TOLERANCE_CONJUGACY
               and endpoint_err <= 1e-12)
     return _report(config, "conjugacy", passed, worst,
-                   config.tolerance_conjugacy, measured, predicted, failures)
+                   TOLERANCE_CONJUGACY, measured, predicted, failures)
 
 
 def _chebyshev_zeta_closed_form(z: float) -> float:
@@ -419,9 +410,9 @@ def _run_zeta(config: ExperimentConfig) -> VerificationReport:
     if not chebyshev:
         annotations.append("no closed form available for this map; "
                            "values reported without a pass target")
-    passed = worst <= config.tolerance_zeta if chebyshev else None
+    passed = worst <= TOLERANCE_ZETA if chebyshev else None
     return _report(config, "zeta", passed, worst if chebyshev else None,
-                   config.tolerance_zeta, {"rows": rows,
+                   TOLERANCE_ZETA, {"rows": rows,
                                            "orbit_count": len(enum.orbits)},
                    predicted, annotations=annotations)
 

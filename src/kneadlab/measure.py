@@ -8,6 +8,7 @@ differently per start point); the seed is recorded in every estimate.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -19,12 +20,14 @@ from .errors import (CriticalNonReturn, CycleNotClosed, DegenerateOrbit,
                      PrecisionExhausted, TooManyGaps, UncoveredMass)
 from .maps import (DEFAULT_BURN_IN, LEFT, RIGHT, UnimodalMap,
                    branch_preimage_arrays, check_start, evaluate,
-                   log_abs_derivative_array, orbit_chunks, seeded_start)
+                   log_abs_derivative_array, orbit_array, orbit_chunks,
+                   seeded_start)
 from .nest import NestReport, _interval_image, build_nest, find_restrictive_interval
 from .symbolic import SymbolWord, cylinder
 
 RECURRENCE_WINDOW = 2048
 RECURRENCE_MAX_PERIOD = 64
+RECURRENCE_PROBE = RECURRENCE_WINDOW + RECURRENCE_MAX_PERIOD  # points probed
 GAP_BUDGET = 10 ** 6
 SCREEN_LYAPUNOV_THRESHOLD = 0.05
 SCREEN_LYAPUNOV_ITERATES = 10 ** 5
@@ -68,14 +71,9 @@ class LyapunovEstimate:
     iterates: int
 
 
-def _detect_periodic_attractor(m: UnimodalMap, x: float):
-    """Near-period recurrence probe; returns (period, cycle) or None."""
-    need = RECURRENCE_WINDOW + RECURRENCE_MAX_PERIOD
-    w = np.empty(need)
-    f = m._f
-    for i in range(need):
-        w[i] = x
-        x = f(x)
+def _detect_periodic_attractor(m: UnimodalMap, w: np.ndarray):
+    """Near-period recurrence probe on the first RECURRENCE_PROBE orbit
+    points w; returns (period, cycle) or None."""
     tol = 1e-8 * (m.domain[1] - m.domain[0])
     for p in range(1, RECURRENCE_MAX_PERIOD + 1):
         err = np.max(np.abs(w[p:p + RECURRENCE_WINDOW] - w[:RECURRENCE_WINDOW]))
@@ -86,10 +84,11 @@ def _detect_periodic_attractor(m: UnimodalMap, x: float):
 
 def _seeded_pass(m: UnimodalMap, n: int, bin_count: int, seed, *,
                  birkhoff: bool = False, intervals=()):
-    """One walk of the seeded orbit: burn-in, the periodic-attractor probe,
-    then n points through orbit_chunks.  Each chunk feeds the histogram and,
-    on request, the Birkhoff chunk sums and the visit counts of intervals
-    (None entries count nothing).
+    """One walk of the seeded orbit through orbit_chunks: burn-in, then n
+    points, the first RECURRENCE_PROBE of which go to the periodic-attractor
+    probe.  Each chunk feeds the histogram and, on request, the Birkhoff
+    chunk sums and the visit counts of intervals (None entries count
+    nothing).
 
     Returns (density, LyapunovEstimate or None, visit fractions).  Raises
     DegenerateOrbit (with the detected cycle) when the orbit converges to a
@@ -99,11 +98,9 @@ def _seeded_pass(m: UnimodalMap, n: int, bin_count: int, seed, *,
         raise ValueError("sample_count >= 1e5 required")
     if bin_count < 1:
         raise ValueError("bin_count >= 1 required")
-    x = seeded_start(m, seed)
-    f = m._f
-    for _ in range(DEFAULT_BURN_IN):
-        x = f(x)
-    hit = _detect_periodic_attractor(m, x)
+    chunks = orbit_chunks(m, seeded_start(m, seed), n, burn_in=DEFAULT_BURN_IN)
+    first = next(chunks)  # n >= 1e5, so it holds the whole probe
+    hit = _detect_periodic_attractor(m, first)
     if hit is not None:
         period, cycle = hit
         raise DegenerateOrbit(
@@ -113,7 +110,7 @@ def _seeded_pass(m: UnimodalMap, n: int, bin_count: int, seed, *,
     hist = np.zeros(bin_count)
     sums = _BirkhoffSums(m) if birkhoff else None
     counts = [0] * len(intervals)
-    for buf in orbit_chunks(m, x, n):
+    for buf in itertools.chain([first], chunks):
         h, _ = np.histogram(buf, bins=edges)
         hist += h
         if sums is not None:
@@ -498,11 +495,8 @@ def stochasticity_screen(m: UnimodalMap, seed) -> ScreenResult:
     """Reject maps with a detected periodic attractor or a small Birkhoff
     exponent.  A heuristic: it cannot certify typicality, only screen the
     obvious regular windows."""
-    x = m.critical_point
-    f = m._f
-    for _ in range(5 * DEFAULT_BURN_IN):
-        x = f(x)
-    hit = _detect_periodic_attractor(m, x)
+    hit = _detect_periodic_attractor(m, orbit_array(
+        m, m.critical_point, RECURRENCE_PROBE, burn_in=5 * DEFAULT_BURN_IN))
     if hit is not None:
         period, cyc = hit
         multiplier = float(np.prod([abs(m._df(float(p))) for p in cyc]))

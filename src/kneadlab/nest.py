@@ -16,8 +16,9 @@ Construction is sequential across levels; reports are immutable.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from .errors import NoReversingFixedPoint, PrecisionExhausted, TooShallow
 from .maps import UnimodalMap, mpmath_namespace
@@ -56,36 +57,42 @@ class NestReport:
 
 
 # ---------------------------------------------------------------------------
-# arithmetic adapter (double or mpmath) for the nest inner loops
+# working precision: one binding per nest
 # ---------------------------------------------------------------------------
 
-class _Arith:
-    """The map's own float functions, or the mpmath binding of its family
-    at 120 bits (constants such as sqrt(a)/2 included)."""
+@dataclass(frozen=True)
+class _Binding:
+    """The arithmetic of one nest: the map's own float functions, or the
+    mpmath binding of its family at 120 bits (constants such as sqrt(a)/2
+    included).  Every step of a nest runs inside `context`, so the extended
+    nest does not follow mpmath's global precision."""
 
-    def __init__(self, m: UnimodalMap, extended: bool):
-        self.extended = extended
-        if not extended:
-            self.f, self.inv_left, self.inv_right = m._f, m._inv_left, m._inv_right
-            self.c = m.critical_point
-            self.lo, self.hi = m.domain
-            return
-        if m.family is None:
-            raise ValueError("extended precision supports built-in families only")
-        import mpmath as mp
-        self.mp = mp
-        self.prec = 120  # > 80-bit significand
-        with mp.workprec(self.prec):
-            self.f, _, self.inv_left, self.inv_right = m.family.bind(
-                mpmath_namespace(), mp.mpf(m.parameter))
-        self.c = mp.mpf(m.critical_point)
-        self.lo, self.hi = mp.mpf(m.domain[0]), mp.mpf(m.domain[1])
+    f: Callable
+    inv_left: Callable
+    inv_right: Callable
+    num: Callable  # the number type: float or mpmath.mpf
+    c: Any
+    lo: Any
+    hi: Any
+    width_floor: float
+    bisect_stop: float  # the p bisection stops below this width; 0: at the last bit
+    context: Any  # nullcontext() or mpmath.workprec(120)
 
-    def run(self, fn):
-        if not self.extended:
-            return fn()
-        with self.mp.workprec(self.prec):
-            return fn()
+
+def _bind(m: UnimodalMap, extended: bool) -> _Binding:
+    if not extended:
+        return _Binding(m._f, m._inv_left, m._inv_right, float, m.critical_point,
+                        *m.domain, WIDTH_FLOOR_DOUBLE, 1e-14, nullcontext())
+    if m.family is None:
+        raise ValueError("extended precision supports built-in families only")
+    import mpmath as mp
+    context = mp.workprec(120)  # > 80-bit significand
+    with context:
+        num = mp.mpf
+        f, _, inv_left, inv_right = m.family.bind(mpmath_namespace(), num(m.parameter))
+        return _Binding(f, inv_left, inv_right, num, num(m.critical_point),
+                        num(m.domain[0]), num(m.domain[1]),
+                        WIDTH_FLOOR_EXTENDED, 0.0, context)
 
 
 # ---------------------------------------------------------------------------
@@ -151,111 +158,100 @@ def find_restrictive_interval(m: UnimodalMap, max_period: int = DEFAULT_RENORM_S
 # orientation reversing fixed point
 # ---------------------------------------------------------------------------
 
-def _reversing_fixed_point(ar: _Arith, m: UnimodalMap, period: int, T):
+def _reversing_fixed_point(ar: _Binding, m: UnimodalMap, period: int, T):
     """Fixed point p of g = f^period on its orientation reversing branch,
     with Dg(p) <= -1, located by bisection."""
+    f, c = ar.f, ar.c
+    t_lo, t_hi = ar.num(T[0]), ar.num(T[1])
 
-    def job():
-        c = ar.c
-        t_lo, t_hi = T
-        if ar.extended:
-            t_lo, t_hi = ar.mp.mpf(t_lo), ar.mp.mpf(t_hi)
-
-        def g(x):
-            y = x
-            for _ in range(period):
-                y = ar.f(y)
-            return y
-
-        eps = (t_hi - t_lo) * 1e-9
-        g_c = g(c)
-        # decreasing branch of g sits right of c for a max, left for a min;
-        # probe a width/8 step (g is quadratically flat at c, tiny steps
-        # underflow the comparison)
-        h = (t_hi - t_lo) / 8
-        if g(c + h) <= g_c:
-            lo, hi = c + eps, t_hi
-        else:
-            lo, hi = t_lo, c - eps
-        glo, ghi = g(lo) - lo, g(hi) - hi
-        if glo == 0:
-            p = lo
-        elif ghi == 0:
-            p = hi
-        elif glo * ghi > 0:
-            raise NoReversingFixedPoint(
-                f"no fixed point of f^{period} on the reversing branch")
-        else:
-            for _ in range(200):
-                mid = (lo + hi) / 2
-                if mid == lo or mid == hi:
-                    break
-                if (g(mid) - mid > 0) == (glo > 0):
-                    lo = mid
-                else:
-                    hi = mid
-                if abs(hi - lo) < 1e-14 and not ar.extended:
-                    break
-            p = (lo + hi) / 2
-        dg = 1.0
-        y = p
+    def g(x):
+        y = x
         for _ in range(period):
-            dg *= m._df(float(y)) if not ar.extended else float(m._df(float(y)))
-            y = ar.f(y)
-        if dg > -1.0 + 1e-9:
-            raise NoReversingFixedPoint(
-                f"fixed point of f^{period} has Df^{period} = {dg} > -1")
-        return p
+            y = f(y)
+        return y
 
-    return ar.run(job)
+    eps = (t_hi - t_lo) * 1e-9
+    g_c = g(c)
+    # decreasing branch of g sits right of c for a max, left for a min;
+    # probe a width/8 step (g is quadratically flat at c, tiny steps
+    # underflow the comparison)
+    h = (t_hi - t_lo) / 8
+    if g(c + h) <= g_c:
+        lo, hi = c + eps, t_hi
+    else:
+        lo, hi = t_lo, c - eps
+    glo, ghi = g(lo) - lo, g(hi) - hi
+    if glo == 0:
+        p = lo
+    elif ghi == 0:
+        p = hi
+    elif glo * ghi > 0:
+        raise NoReversingFixedPoint(
+            f"no fixed point of f^{period} on the reversing branch")
+    else:
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if mid == lo or mid == hi:
+                break
+            if (g(mid) - mid > 0) == (glo > 0):
+                lo = mid
+            else:
+                hi = mid
+            if abs(hi - lo) < ar.bisect_stop:
+                break
+        p = (lo + hi) / 2
+    dg = 1.0
+    y = p
+    for _ in range(period):
+        dg *= m._df(float(y))
+        y = f(y)
+    if dg > -1.0 + 1e-9:
+        raise NoReversingFixedPoint(
+            f"fixed point of f^{period} has Df^{period} = {dg} > -1")
+    return p
 
 
 def orientation_reversing_fixed_point(m: UnimodalMap) -> float:
     """The fixed point p > c on the decreasing branch with Df(p) <= -1."""
-    ar = _Arith(m, False)
-    return float(_reversing_fixed_point(ar, m, 1, m.domain))
+    return float(_reversing_fixed_point(_bind(m, False), m, 1, m.domain))
 
 
 # ---------------------------------------------------------------------------
 # nest construction
 # ---------------------------------------------------------------------------
 
-def _level_scan(ar: _Arith, I, I_prev, v_prev, max_iter, tie_tol):
+def _level_scan(ar: _Binding, I, I_prev, v_prev, max_iter, tie_tol):
     """Iterate the critical orbit until it enters int I.
 
     Returns (v, sides, s_prev) where sides[j] is the branch side of f^j(c)
     for 1 <= j < v and s_prev counts visits to int I_prev at times in
     [v_prev, v).  v is None when there is no return within max_iter.
     """
-
-    def job():
-        f, c = ar.f, ar.c
-        lo, hi = I
-        # an empty I_prev (c, c) counts no visits
-        plo, phi = I_prev if I_prev is not None else (c, c)
-        tol = ar.mp.mpf(tie_tol) if ar.extended else tie_tol
-        # a point outside int I has |x - c| >= min(c - lo, hi - c) after
-        # rounding too, so the tie test can only fire when I is this narrow
-        near = c - lo <= tol or hi - c <= tol
-        x = c
-        sides = []
-        s_prev = 0
-        for t in range(1, max_iter + 1):
-            x = f(x)
-            if lo < x < hi:
-                return t, sides, s_prev
-            if t >= v_prev and plo < x < phi:
-                s_prev += 1
-            if near and abs(x - c) <= tol:
-                sides.append(None)
-            else:
-                sides.append(0 if x < c else 1)
-        return None, sides, s_prev
-
-    return ar.run(job)
+    f, c = ar.f, ar.c
+    lo, hi = I
+    # an empty I_prev (c, c) counts no visits
+    plo, phi = I_prev if I_prev is not None else (c, c)
+    tol = ar.num(tie_tol)
+    # a point outside int I has |x - c| >= min(c - lo, hi - c) after
+    # rounding too, so the tie test can only fire when I is this narrow
+    near = c - lo <= tol or hi - c <= tol
+    x = c
+    sides = []
+    s_prev = 0
+    for t in range(1, max_iter + 1):
+        x = f(x)
+        if lo < x < hi:
+            return t, sides, s_prev
+        if t >= v_prev and plo < x < phi:
+            s_prev += 1
+        if near and abs(x - c) <= tol:
+            sides.append(None)
+        else:
+            sides.append(0 if x < c else 1)
+    return None, sides, s_prev
 
 
-def _pullback_level(ar: _Arith, I, sides):
+def _pullback_level(ar: _Binding, I, sides):
     """Monotone pullback of I along the critical orbit, then the central
     fold preimage: the next nest level.
 
@@ -264,37 +260,32 @@ def _pullback_level(ar: _Arith, I, sides):
     left the branch range, or one that collapsed to a point (a point stays
     a point under every further inverse).
     """
-
-    def job():
-        lo, hi = I
-        f_lo, f_hi = ar.f(ar.lo), ar.f(ar.c)  # left-branch range; shared max
-        f_rlo = ar.f(ar.hi)
-        J = (lo, hi)
-        steps = len(sides)
-        for k, side in enumerate(reversed(sides), 1):
-            if side is None:
+    f_lo, f_hi = ar.f(ar.lo), ar.f(ar.c)  # left-branch range; shared max
+    f_rlo = ar.f(ar.hi)
+    J = I
+    steps = len(sides)
+    for k, side in enumerate(reversed(sides), 1):
+        if side is None:
+            raise PrecisionExhausted(
+                f"critical-orbit point within tie tolerance of c at pullback step {k} of {steps}")
+        a, b = J
+        if side == 0:
+            a2, b2 = max(a, f_lo), min(b, f_hi)
+            if a2 > b2:
                 raise PrecisionExhausted(
-                    f"critical-orbit point within tie tolerance of c at pullback step {k} of {steps}")
-            a, b = J
-            if side == 0:
-                a2, b2 = max(a, f_lo), min(b, f_hi)
-                if a2 > b2:
-                    raise PrecisionExhausted(
-                        f"pullback interval left the branch range at step {k} of {steps}")
-                J = (ar.inv_left(a2), ar.inv_left(b2))
-            else:
-                a2, b2 = max(a, f_rlo), min(b, f_hi)
-                if a2 > b2:
-                    raise PrecisionExhausted(
-                        f"pullback interval left the branch range at step {k} of {steps}")
-                J = (ar.inv_right(b2), ar.inv_right(a2))
-            if J[0] == J[1]:
+                    f"pullback interval left the branch range at step {k} of {steps}")
+            J = (ar.inv_left(a2), ar.inv_left(b2))
+        else:
+            a2, b2 = max(a, f_rlo), min(b, f_hi)
+            if a2 > b2:
                 raise PrecisionExhausted(
-                    f"pullback interval collapsed to a point at step {k} of {steps}")
-        a = J[0]
-        return (ar.inv_left(a), ar.inv_right(a))
-
-    return ar.run(job)
+                    f"pullback interval left the branch range at step {k} of {steps}")
+            J = (ar.inv_right(b2), ar.inv_right(a2))
+        if J[0] == J[1]:
+            raise PrecisionExhausted(
+                f"pullback interval collapsed to a point at step {k} of {steps}")
+    a = J[0]
+    return (ar.inv_left(a), ar.inv_right(a))
 
 
 def build_nest(m: UnimodalMap, max_depth: int, max_iterates: int, *,
@@ -310,59 +301,57 @@ def build_nest(m: UnimodalMap, max_depth: int, max_iterates: int, *,
     if max_iterates < 10 ** 6:
         raise ValueError("max_iterates >= 1e6 required")
     period, cycle = find_restrictive_interval(m)
-    ar = _Arith(m, extended_precision)
-    p = _reversing_fixed_point(ar, m, period, cycle[0])
-    width_floor = WIDTH_FLOOR_EXTENDED if extended_precision else WIDTH_FLOOR_DOUBLE
-    tie_tol = m.tie_tolerance
-
-    c = ar.c
-    d = abs(p - c)
-    I = (c - d, c + d)
+    ar = _bind(m, extended_precision)
     levels: list[dict] = []
     termination = "DepthReached"
     term_level: Optional[int] = None
     detail = f"max_depth {max_depth} reached"
     central_streak = 0
     n = 0
-    while n <= max_depth:
-        I_prev = levels[-1]["interval"] if levels else None
-        v_prev = levels[-1]["v"] if levels else 0
-        v, sides, s_prev = _level_scan(ar, I, I_prev, v_prev, max_iterates, tie_tol)
-        if v is None:
-            termination = "CriticalNonReturn"
-            term_level = n
-            detail = f"no return within {max_iterates} iterates"
-            break
-        if levels:
-            prev = levels[-1]
-            prev["s"] = s_prev
-            prev["central"] = (s_prev == 0)
-            central_streak = central_streak + 1 if s_prev == 0 else 0
-        levels.append({"interval": I, "v": v, "s": None, "c_ratio": None,
-                       "central": None})
-        if central_streak >= CENTRAL_CASCADE_LIMIT:
-            termination = "RestrictiveIntervalFound"
-            term_level = n
-            detail = f"{CENTRAL_CASCADE_LIMIT} consecutive central returns"
-            break
-        if n == max_depth:
-            break
-        try:
-            I_next = _pullback_level(ar, I, sides)
-        except PrecisionExhausted as exc:
-            termination = "PrecisionExhausted"
-            term_level = n + 1
-            detail = str(exc)
-            break
-        width = float(I_next[1] - I_next[0])
-        if width < width_floor:
-            termination = "PrecisionExhausted"
-            term_level = n + 1
-            detail = f"width {width!r} below floor {width_floor!r}"
-            break
-        levels[-1]["c_ratio"] = float((I_next[1] - I_next[0]) / (I[1] - I[0]))
-        I = I_next
-        n += 1
+    with ar.context:
+        p = _reversing_fixed_point(ar, m, period, cycle[0])
+        d = abs(p - ar.c)
+        I = (ar.c - d, ar.c + d)
+        while n <= max_depth:
+            I_prev = levels[-1]["interval"] if levels else None
+            v_prev = levels[-1]["v"] if levels else 0
+            v, sides, s_prev = _level_scan(ar, I, I_prev, v_prev, max_iterates,
+                                           m.tie_tolerance)
+            if v is None:
+                termination = "CriticalNonReturn"
+                term_level = n
+                detail = f"no return within {max_iterates} iterates"
+                break
+            if levels:
+                prev = levels[-1]
+                prev["s"] = s_prev
+                prev["central"] = (s_prev == 0)
+                central_streak = central_streak + 1 if s_prev == 0 else 0
+            levels.append({"interval": I, "v": v, "s": None, "c_ratio": None,
+                           "central": None})
+            if central_streak >= CENTRAL_CASCADE_LIMIT:
+                termination = "RestrictiveIntervalFound"
+                term_level = n
+                detail = f"{CENTRAL_CASCADE_LIMIT} consecutive central returns"
+                break
+            if n == max_depth:
+                break
+            try:
+                I_next = _pullback_level(ar, I, sides)
+            except PrecisionExhausted as exc:
+                termination = "PrecisionExhausted"
+                term_level = n + 1
+                detail = str(exc)
+                break
+            width = float(I_next[1] - I_next[0])
+            if width < ar.width_floor:
+                termination = "PrecisionExhausted"
+                term_level = n + 1
+                detail = f"width {width!r} below floor {ar.width_floor!r}"
+                break
+            levels[-1]["c_ratio"] = float((I_next[1] - I_next[0]) / (I[1] - I[0]))
+            I = I_next
+            n += 1
 
     out_levels = []
     for i, rec in enumerate(levels):

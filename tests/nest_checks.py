@@ -108,55 +108,47 @@ def reference_level_scan(ar, I, I_prev, v_prev, max_iter, tie_tol):
     for 1 <= j < v and s_prev counts visits to int I_prev at times in
     [v_prev, v).  v is None when there is no return within max_iter.
     """
-
-    def job():
-        c = ar.c
-        lo, hi = I
-        plo, phi = (I_prev if I_prev is not None else (None, None))
-        x = c
-        sides = []
-        s_prev = 0
-        for t in range(1, max_iter + 1):
-            x = ar.f(x)
-            if lo < x < hi:
-                return t, sides, s_prev
-            if I_prev is not None and t >= v_prev and plo < x < phi:
-                s_prev += 1
-            d = x - c
-            if abs(d) <= tie_tol:
-                sides.append(None)
-            else:
-                sides.append(0 if d < 0 else 1)
-        return None, sides, s_prev
-
-    return ar.run(job)
+    c = ar.c
+    lo, hi = I
+    plo, phi = (I_prev if I_prev is not None else (None, None))
+    x = c
+    sides = []
+    s_prev = 0
+    for t in range(1, max_iter + 1):
+        x = ar.f(x)
+        if lo < x < hi:
+            return t, sides, s_prev
+        if I_prev is not None and t >= v_prev and plo < x < phi:
+            s_prev += 1
+        d = x - c
+        if abs(d) <= tie_tol:
+            sides.append(None)
+        else:
+            sides.append(0 if d < 0 else 1)
+    return None, sides, s_prev
 
 
 def reference_pullback_level(ar, I, sides):
     """Monotone pullback of I along the critical orbit, then the central
     fold preimage: the next nest level."""
-
-    def job():
-        lo, hi = I
-        f_lo, f_hi = ar.f(ar.lo), ar.f(ar.c)  # left-branch range; shared max
-        f_rlo = ar.f(ar.hi)
-        J = (lo, hi)
-        for side in reversed(sides):
-            if side is None:
-                raise PrecisionExhausted(
-                    "critical-orbit point within tie tolerance of c during pullback")
-            a, b = J
-            if side == 0:
-                a2, b2 = max(a, f_lo), min(b, f_hi)
-                if a2 > b2:
-                    raise PrecisionExhausted("pullback interval left the branch range")
-                J = (ar.inv_left(a2), ar.inv_left(b2))
-            else:
-                a2, b2 = max(a, f_rlo), min(b, f_hi)
-                if a2 > b2:
-                    raise PrecisionExhausted("pullback interval left the branch range")
-                J = (ar.inv_right(b2), ar.inv_right(a2))
-        a = J[0]
-        return (ar.inv_left(a), ar.inv_right(a))
-
-    return ar.run(job)
+    lo, hi = I
+    f_lo, f_hi = ar.f(ar.lo), ar.f(ar.c)  # left-branch range; shared max
+    f_rlo = ar.f(ar.hi)
+    J = (lo, hi)
+    for side in reversed(sides):
+        if side is None:
+            raise PrecisionExhausted(
+                "critical-orbit point within tie tolerance of c during pullback")
+        a, b = J
+        if side == 0:
+            a2, b2 = max(a, f_lo), min(b, f_hi)
+            if a2 > b2:
+                raise PrecisionExhausted("pullback interval left the branch range")
+            J = (ar.inv_left(a2), ar.inv_left(b2))
+        else:
+            a2, b2 = max(a, f_rlo), min(b, f_hi)
+            if a2 > b2:
+                raise PrecisionExhausted("pullback interval left the branch range")
+            J = (ar.inv_right(b2), ar.inv_right(a2))
+    a = J[0]
+    return (ar.inv_left(a), ar.inv_right(a))

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import kneadlab
 from kneadlab.cli import _config_from_args, build_parser, main
 from kneadlab.harness import (ExperimentConfig, VerificationReport, run_verify,
                               sweep)
@@ -38,6 +42,28 @@ def test_report_determinism_byte_identical():
     assert a == b
     parsed = json.loads(a)
     assert parsed["provenance"]["version"].startswith("kneadlab-")
+
+
+@pytest.mark.parametrize("argv", [
+    ["theorem-a", "--map", "quadratic", "--param", "1.9"],
+    # an extended nest from the benchmark's nest_ext pool
+    ["nest-lyapunov", "--map", "sine", "--param", "3.713978",
+     "--extended-precision"],
+])
+def test_cli_verify_report_does_not_depend_on_process_state(tmp_path, argv):
+    # two fresh interpreters with different string hashing
+    src = os.path.dirname(os.path.dirname(kneadlab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"report{hash_seed}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "kneadlab.cli", "verify", *argv, "--out", str(out)],
+            env=dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path),
+            capture_output=True, text=True)
+        assert proc.returncode in (0, 2, 3), proc.stderr
+        runs.append((proc.returncode, out.read_bytes()))
+    assert runs[0] == runs[1]
 
 
 def test_report_pass_iff_discrepancy_within_tolerance():

@@ -13,7 +13,7 @@ from kneadlab import (CriticalNonReturn, CycleNotClosed, DegenerateOrbit,
                       regularized_density_report, verify_critical_typicality,
                       verify_lyapunov_equality)
 from kneadlab import harness, maps, measure, nest, orbits, symbolic
-from kneadlab.maps import DEFAULT_BURN_IN, orbit_chunks
+from kneadlab.maps import DEFAULT_BURN_IN, orbit_array, orbit_chunks
 from kneadlab.measure import (_detect_periodic_attractor, _integral_log_deriv,
                               measure_of_intervals, screened_parameters,
                               seeded_start, stochasticity_screen)
@@ -460,6 +460,6 @@ def test_detect_periodic_attractor_on_cycle():
     x = 0.3
     for _ in range(4000):
         x = m.raw(x)
-    hit = _detect_periodic_attractor(m, x)
+    hit = _detect_periodic_attractor(m, orbit_array(m, x, measure.RECURRENCE_PROBE))
     assert hit is not None
     assert hit[0] == 2

@@ -145,6 +145,19 @@ def test_extended_precision_agrees_at_shallow_levels(q19):
         assert a.interval[1] == pytest.approx(b.interval[1], abs=1e-12)
 
 
+def test_extended_nest_ignores_mpmaths_global_precision():
+    import mpmath as mp
+    m = make_map("sine", 3.713978)
+    default = build_nest(m, 4, 10 ** 6, extended_precision=True)
+    saved = mp.mp.prec
+    mp.mp.prec = 20
+    try:
+        low = build_nest(m, 4, 10 ** 6, extended_precision=True)
+    finally:
+        mp.mp.prec = saved
+    assert low == default
+
+
 # --- the collapse stop and the slim scan against the reference loops -----
 
 def _level_key(rep):
@@ -175,13 +188,13 @@ def test_nest_agrees_with_reference_loops(monkeypatch, family, p, extended):
 def test_level_scan_tie_branch_agrees_with_reference(extended):
     # I narrower than twice the tie tolerance, so the tie test is live
     m = dataclasses.replace(make_quadratic(1.9), tie_tolerance=0.05)
-    ar = nest._Arith(m, extended)
-    num = ar.mp.mpf if extended else float
-    I = (num(-0.01), num(0.01))
-    I_prev = (num(-0.04), num(0.04))
-    got = nest._level_scan(ar, I, I_prev, 8, 10 ** 6, m.tie_tolerance)
-    assert None in got[1]
-    assert got == reference_level_scan(ar, I, I_prev, 8, 10 ** 6, m.tie_tolerance)
+    ar = nest._bind(m, extended)
+    with ar.context:
+        I = (ar.num(-0.01), ar.num(0.01))
+        I_prev = (ar.num(-0.04), ar.num(0.04))
+        got = nest._level_scan(ar, I, I_prev, 8, 10 ** 6, m.tie_tolerance)
+        assert None in got[1]
+        assert got == reference_level_scan(ar, I, I_prev, 8, 10 ** 6, m.tie_tolerance)
 
 
 def test_nest_collapse_ends_in_precision_exhausted_with_null_c_n(q19):

@@ -201,12 +201,9 @@ def main(argv=None) -> int:
     except _CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except KneadlabError as e:
+    except (KneadlabError, ValueError) as e:
         print(json.dumps({"error": type(e).__name__, "message": str(e)},
                          sort_keys=True), file=sys.stderr)
-        return 1
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
         return 1
 
 
@@ -288,6 +285,8 @@ def _run(args) -> int:
             "termination_detail": report.termination_detail,
             "renormalization_period": report.renormalization_period,
             "renorm_search_horizon": report.renorm_search_horizon,
+            "precision_bits": report.precision_bits,
+            "shadowing_horizon": report.shadowing_horizon,
             "lyapunov_nest_sequence": list(report.lyapunov_nest_sequence),
         }, args)
         return 0

@@ -335,7 +335,9 @@ def _run_nest_lyapunov(config: ExperimentConfig) -> VerificationReport:
                 "birkhoff_lyapunov": lam.value,
                 "termination": report.termination,
                 "termination_detail": report.termination_detail,
-                "renormalization_period": report.renormalization_period}
+                "renormalization_period": report.renormalization_period,
+                "precision_bits": report.precision_bits,
+                "shadowing_horizon": report.shadowing_horizon}
     return _report(config, "nest-lyapunov", disc <= TOLERANCE_NEST_LYAP,
                    disc, TOLERANCE_NEST_LYAP, measured,
                    {"limit": lam.value})

@@ -164,7 +164,7 @@ class MapFamily:
     def make(self, p: float) -> UnimodalMap:
         lo, hi = self.parameter_range
         if not (lo < p <= hi):
-            raise ValueError(f"{self.name} family requires {lo:g} < parameter <= {hi:g}")
+            raise ValueError(f"{self.name} family requires {lo!r} < parameter <= {hi!r}")
         return UnimodalMap(self.domain, self.critical_point, self.name, p,
                            *self.bind(MATH, p),
                            self.second_derivative_at_critical(p), family=self)
@@ -284,17 +284,16 @@ def _sine_fill(buf, x, a):
 
 
 def _sine_curvature(a):
-    if a >= 4.0:
-        return math.inf
-    return math.sqrt(a) * math.pi / math.sqrt(max(1.0 - a / 4.0, 1e-300))
+    return math.sqrt(a) * math.pi / math.sqrt(1.0 - a / 4.0)
 
 
 QUADRATIC = MapFamily("quadratic", (-1.0, 1.0), 0.0, (0.0, 2.0),
                       lambda tau: 2.0 * tau, _quadratic, _quadratic_fill)
 LOGISTIC = MapFamily("logistic", (0.0, 1.0), 0.5, (0.0, 4.0),
                      lambda a: 2.0 * a, _logistic, _logistic_fill)
-SINE = MapFamily("sine", (0.0, 1.0), 0.5, (0.0, 4.0), _sine_curvature, _sine,
-                 _sine_fill)
+# g_4 is the tent map, which has no smooth critical point: a < 4
+SINE = MapFamily("sine", (0.0, 1.0), 0.5, (0.0, math.nextafter(4.0, 0.0)),
+                 _sine_curvature, _sine, _sine_fill)
 FAMILIES = {fam.name: fam for fam in (QUADRATIC, LOGISTIC, SINE)}
 
 
@@ -309,7 +308,7 @@ def make_logistic(a: float) -> UnimodalMap:
 
 
 def make_sine(a: float) -> UnimodalMap:
-    """g_a(x) = (2/pi) asin((sqrt(a)/2) sin(pi x)) on [0, 1], 0 < a <= 4."""
+    """g_a(x) = (2/pi) asin((sqrt(a)/2) sin(pi x)) on [0, 1], 0 < a < 4."""
     return SINE.make(a)
 
 

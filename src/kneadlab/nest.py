@@ -54,6 +54,8 @@ class NestReport:
     renorm_search_horizon: int
     extended_precision: bool
     lyapunov_nest_sequence: tuple[float, ...]
+    precision_bits: int  # 53 (double) or 120 (extended)
+    shadowing_horizon: Optional[int]  # None: an exact repeat or max_iterates came first
 
 
 # ---------------------------------------------------------------------------
@@ -76,23 +78,25 @@ class _Binding:
     hi: Any
     width_floor: float
     bisect_stop: float  # the p bisection stops below this width; 0: at the last bit
-    context: Any  # nullcontext() or mpmath.workprec(120)
+    bits: int  # significand bits: 53 or 120
+    context: Any  # nullcontext() or mpmath.workprec(bits)
 
 
 def _bind(m: UnimodalMap, extended: bool) -> _Binding:
     if not extended:
         return _Binding(m._f, m._inv_left, m._inv_right, float, m.critical_point,
-                        *m.domain, WIDTH_FLOOR_DOUBLE, 1e-14, nullcontext())
+                        *m.domain, WIDTH_FLOOR_DOUBLE, 1e-14, 53, nullcontext())
     if m.family is None:
         raise ValueError("extended precision supports built-in families only")
     import mpmath as mp
-    context = mp.workprec(120)  # > 80-bit significand
+    bits = 120  # > 80-bit significand
+    context = mp.workprec(bits)
     with context:
         num = mp.mpf
         f, _, inv_left, inv_right = m.family.bind(mpmath_namespace(), num(m.parameter))
         return _Binding(f, inv_left, inv_right, num, num(m.critical_point),
                         num(m.domain[0]), num(m.domain[1]),
-                        WIDTH_FLOOR_EXTENDED, 0.0, context)
+                        WIDTH_FLOOR_EXTENDED, 0.0, bits, context)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +224,48 @@ def orientation_reversing_fixed_point(m: UnimodalMap) -> float:
 # nest construction
 # ---------------------------------------------------------------------------
 
+def _scan_limit(ar: _Binding, m: UnimodalMap, max_iterates: int):
+    """How far the critical-orbit scans may run: walk x_t = f^t(c) once with
+    E_1 = 1, E_{t+1} = |Df(x_t)| E_t + 1, the factor by which the roundings
+    made along the orbit can have grown at x_t (Hammel, Yorke & Grebogi
+    1987).  The horizon H is the first t with E_t > 2^bits; past it the
+    computed orbit need not shadow any true one.
+
+    Returns (horizon, bound, termination, detail): the scans stop after
+    `bound` iterates, and a scan that reaches it ends the nest with that
+    termination and detail.  A computed orbit that repeats a point before H
+    (checked against the point at the last power of two, as in Brent's
+    cycle detection) visits nothing new afterwards, so the scans stop once
+    they have seen its cycle.
+    """
+    f, df = ar.f, m._df
+    limit = 2.0 ** ar.bits
+    x, e = f(ar.c), 1.0  # x_1, E_1
+    mark, mark_t = x, 1
+    for t in range(1, max_iterates + 1):
+        if e > limit:
+            return (t, t - 1, "PrecisionExhausted",
+                    f"return time beyond the shadowing horizon at iterate {t}")
+        if x == mark and t > mark_t:
+            # the cycle starts at the first mu with x_mu == x_{mu+period}
+            period = t - mark_t
+            a = b = f(ar.c)
+            for _ in range(period):
+                b = f(b)
+            mu = 1
+            while a != b:
+                a, b, mu = f(a), f(b), mu + 1
+            what = f"fixed at {float(a)!r}" if period == 1 else f"periodic with period {period}"
+            return (None, mu + period - 1, "CriticalNonReturn",
+                    f"critical orbit {what} from iterate {mu}")
+        if t == 2 * mark_t:
+            mark, mark_t = x, t
+        e = abs(df(float(x))) * e + 1.0
+        x = f(x)
+    return (None, max_iterates, "CriticalNonReturn",
+            f"no return within {max_iterates} iterates")
+
+
 def _level_scan(ar: _Binding, I, I_prev, v_prev, max_iter, tie_tol):
     """Iterate the critical orbit until it enters int I.
 
@@ -294,7 +340,9 @@ def build_nest(m: UnimodalMap, max_depth: int, max_iterates: int, *,
 
     Restrictive intervals of period <= DEFAULT_RENORM_SEARCH_PERIOD are
     searched first; when one is found the nest is built for the renormalized return
-    map (v_n still counts base-map iterates) and the report says so.
+    map (v_n still counts base-map iterates) and the report says so.  The
+    critical-orbit scans stop before the shadowing horizon of the working
+    precision, which the report gives with the precision bits.
     """
     if max_depth > 8:
         raise ValueError("max_depth <= 8 required")
@@ -312,15 +360,16 @@ def build_nest(m: UnimodalMap, max_depth: int, max_iterates: int, *,
         p = _reversing_fixed_point(ar, m, period, cycle[0])
         d = abs(p - ar.c)
         I = (ar.c - d, ar.c + d)
+        horizon, bound, scan_end, scan_detail = _scan_limit(ar, m, max_iterates)
         while n <= max_depth:
             I_prev = levels[-1]["interval"] if levels else None
             v_prev = levels[-1]["v"] if levels else 0
-            v, sides, s_prev = _level_scan(ar, I, I_prev, v_prev, max_iterates,
+            v, sides, s_prev = _level_scan(ar, I, I_prev, v_prev, bound,
                                            m.tie_tolerance)
             if v is None:
-                termination = "CriticalNonReturn"
+                termination = scan_end
                 term_level = n
-                detail = f"no return within {max_iterates} iterates"
+                detail = scan_detail
                 break
             if levels:
                 prev = levels[-1]
@@ -375,6 +424,8 @@ def build_nest(m: UnimodalMap, max_depth: int, max_iterates: int, *,
         renorm_search_horizon=DEFAULT_RENORM_SEARCH_PERIOD,
         extended_precision=extended_precision,
         lyapunov_nest_sequence=seq,
+        precision_bits=ar.bits,
+        shadowing_horizon=horizon,
     )
 
 

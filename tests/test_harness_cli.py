@@ -94,14 +94,17 @@ def test_lyap_equality_report_fields():
 
 
 def test_nest_lyapunov_verify_fixture():
-    # tau chosen (grid-scanned) so the deepest computed nest ratio sits
-    # inside the 15% band of the Birkhoff exponent
+    # tau was grid-scanned so that the ratio 2 ln(v_3) / v_2 fell inside the
+    # 15% band; v_3 lies past the double-precision shadowing horizon, so the
+    # honest nest stops at v_2 and the verdict is fail
     cfg = ExperimentConfig(map_family="quadratic", map_parameter=1.974882,
                            seed=123, orbit_length_iterates=2 * 10 ** 6,
                            nest_max_depth=6, nest_max_iterates=4 * 10 ** 6)
     rep = run_verify(cfg, "nest-lyapunov")
-    assert rep.passed
-    assert rep.measured["v_n"][0] >= 2
+    assert rep.verdict == "fail"
+    assert rep.measured["v_n"] == [4, 34]
+    assert rep.measured["shadowing_horizon"] == 70
+    assert rep.discrepancy == pytest.approx(2.0591780478392527, rel=1e-12)
 
 
 def test_conjugacy_verify():
@@ -218,6 +221,16 @@ def test_cli_zeta_rejects_non_finite_z(capsys):
     assert json.loads(captured.err)["error"] == "DivergentInput"
 
 
+def test_cli_rejects_the_sine_tent_parameter(capsys):
+    # g_4 is the tent map: no smooth critical point
+    assert main(["kneading", "--map", "sine", "--param", "4.0", "--length", "8"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "ValueError",
+        "message": "sine family requires 0.0 < parameter <= 3.9999999999999996"}
+
+
 def test_cli_verify_zeta_non_finite_z_is_not_a_pass(capsys):
     assert main(["verify", "zeta", "--map", "quadratic", "--param", "2.0",
                  "--max-period", "4", "--z", "nan"]) == 2
@@ -258,11 +271,20 @@ def test_cli_gaps(capsys):
 def test_cli_nest_collapse_reports_null_c_n_and_the_cause(capsys):
     assert main(["nest", "--map", "quadratic", "--param", "1.9"]) == 0
     out = json.loads(capsys.readouterr().out)
-    last = out["levels"][3]
-    assert (last["v_n"], last["c_n"]) == (323, None)
+    assert [lv["v_n"] for lv in out["levels"]] == [3, 3, 8]
     assert out["termination"] == "PrecisionExhausted"
     assert out["termination_detail"] == (
-        "pullback interval collapsed to a point at step 74 of 322")
+        "return time beyond the shadowing horizon at iterate 90")
+    assert (out["precision_bits"], out["shadowing_horizon"]) == (53, 90)
+    assert main(["nest", "--map", "logistic", "--param", "3.893568",
+                 "--extended-precision"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    last = out["levels"][2]
+    assert (last["v_n"], last["c_n"]) == (153, None)
+    assert out["termination"] == "PrecisionExhausted"
+    assert out["termination_detail"] == (
+        "pullback interval collapsed to a point at step 152 of 152")
+    assert (out["precision_bits"], out["shadowing_horizon"]) == (120, 162)
 
 
 def test_nest_lyapunov_report_carries_termination_detail():
@@ -271,7 +293,9 @@ def test_nest_lyapunov_report_carries_termination_detail():
     rep = run_verify(cfg, "nest-lyapunov")
     assert rep.measured["termination"] == "PrecisionExhausted"
     assert rep.measured["termination_detail"] == (
-        "pullback interval collapsed to a point at step 74 of 322")
+        "return time beyond the shadowing horizon at iterate 90")
+    assert rep.measured["v_n"] == [3, 3, 8]
+    assert (rep.measured["precision_bits"], rep.measured["shadowing_horizon"]) == (53, 90)
 
 
 def test_cli_json_is_strict(capsys):

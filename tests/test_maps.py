@@ -56,6 +56,11 @@ def test_family_parameter_ranges():
         make_logistic(4.5)
     with pytest.raises(ValueError):
         make_map("unknown", 1.0)
+    # g_4 is the tent map, which has no smooth critical point
+    for a in (4.0, 0.0):
+        with pytest.raises(ValueError) as exc:
+            make_sine(a)
+        assert str(exc.value) == "sine family requires 0.0 < parameter <= 3.9999999999999996"
 
 
 def test_iterate_orbit_hits_critical(q2):

@@ -22,7 +22,7 @@ def _report_from_vs(vs, cs=None):
     seq = tuple(2.0 * math.log(b.v_n) / a.v_n
                 for a, b in zip(levels, levels[1:]))
     return NestReport(tuple(levels), "DepthReached", None, "max_depth reached",
-                      1, 32, False, seq)
+                      1, 32, False, seq, 53, None)
 
 
 # --- orientation reversing fixed point ---------------------------------
@@ -165,7 +165,7 @@ def _level_key(rep):
             rep.termination, rep.termination_level)
 
 
-@pytest.mark.parametrize("family, p, extended", [
+REFERENCE_NESTS = [
     ("quadratic", 1.848322, False), ("quadratic", 1.904616, False),
     ("quadratic", 1.941619, False), ("quadratic", 1.988686, False),
     ("logistic", 3.731428, False), ("logistic", 3.791349, False),
@@ -173,7 +173,10 @@ def _level_key(rep):
     ("sine", 3.701132, False), ("sine", 3.804052, False),
     ("sine", 3.861791, False), ("sine", 3.94379, False),
     ("quadratic", 1.965229, True), ("logistic", 3.782239, True),
-])
+]
+
+
+@pytest.mark.parametrize("family, p, extended", REFERENCE_NESTS)
 def test_nest_agrees_with_reference_loops(monkeypatch, family, p, extended):
     m = make_map(family, p)
     depth = 4 if extended else 6
@@ -198,10 +201,17 @@ def test_level_scan_tie_branch_agrees_with_reference(extended):
 
 
 def test_nest_collapse_ends_in_precision_exhausted_with_null_c_n(q19):
+    # the double q_1.9 nest stops at its horizon, before v_3 = 107
     rep = build_nest(q19, 6, 10 ** 6)
-    assert [lv.v_n for lv in rep.levels] == [3, 3, 8, 323]
-    assert (rep.termination, rep.termination_level) == ("PrecisionExhausted", 4)
-    assert rep.termination_detail == "pullback interval collapsed to a point at step 74 of 322"
+    assert [lv.v_n for lv in rep.levels] == [3, 3, 8]
+    assert (rep.termination, rep.termination_level) == ("PrecisionExhausted", 3)
+    assert rep.termination_detail == "return time beyond the shadowing horizon at iterate 90"
+    assert all(0.0 < lv.c_n < 1.0 for lv in rep.levels)
+    # the collapse check still ends the 120-bit logistic 3.893568 nest
+    rep = build_nest(make_logistic(3.893568), 6, 10 ** 6, extended_precision=True)
+    assert [lv.v_n for lv in rep.levels] == [3, 13, 153]
+    assert (rep.termination, rep.termination_level) == ("PrecisionExhausted", 3)
+    assert rep.termination_detail == "pullback interval collapsed to a point at step 152 of 152"
     assert rep.levels[-1].c_n is None
     assert all(0.0 < lv.c_n < 1.0 for lv in rep.levels[:-1])
 
@@ -215,11 +225,89 @@ def test_no_nest_reports_a_zero_c_n():
 
 def test_nest_termination_detail_names_the_check():
     rep = build_nest(make_logistic(3.9), 6, 10 ** 6)
-    assert rep.termination == "CriticalNonReturn"
-    assert rep.termination_detail == "no return within 1000000 iterates"
+    assert rep.termination == "PrecisionExhausted"
+    assert rep.termination_detail == "return time beyond the shadowing horizon at iterate 70"
     rep = build_nest(make_quadratic(1.9), 2, 10 ** 6)
     assert rep.termination == "DepthReached"
     assert rep.termination_detail == "max_depth 2 reached"
+
+
+# --- the shadowing horizon -------------------------------------------------
+
+def test_extended_q19_nest_certifies_v3_within_its_horizon(q19):
+    rep = build_nest(q19, 6, 10 ** 6, extended_precision=True)
+    assert [lv.v_n for lv in rep.levels] == [3, 3, 8, 107]
+    assert (rep.precision_bits, rep.shadowing_horizon) == (120, 217)
+    assert (rep.termination, rep.termination_level) == ("PrecisionExhausted", 4)
+    assert rep.termination_detail == "return time beyond the shadowing horizon at iterate 217"
+    double = build_nest(q19, 6, 10 ** 6)
+    assert (double.precision_bits, double.shadowing_horizon) == (53, 90)
+
+
+@pytest.mark.parametrize("family, p", [(f, p) for f, p, _ in REFERENCE_NESTS])
+def test_double_and_extended_nests_agree_on_shared_levels(family, p):
+    m = make_map(family, p)
+    double = build_nest(m, 6, 10 ** 6)
+    extended = build_nest(m, 6, 10 ** 6, extended_precision=True)
+    assert len(double.levels) >= 2
+    for a, b in zip(double.levels, extended.levels):
+        assert a.v_n == b.v_n
+        assert a.interval == pytest.approx(b.interval, abs=1e-12)
+        if a.s_n is not None and b.s_n is not None:
+            assert a.s_n == b.s_n
+
+
+def test_level_scans_stop_before_the_horizon(monkeypatch):
+    bounds = []
+
+    def scan(ar, I, I_prev, v_prev, max_iter, tie_tol):
+        bounds.append(max_iter)
+        return reference_level_scan(ar, I, I_prev, v_prev, max_iter, tie_tol)
+
+    monkeypatch.setattr(nest, "_level_scan", scan)
+    for m in (make_quadratic(1.9), make_logistic(3.9), make_map("sine", 3.9)):
+        for extended in (False, True):
+            bounds.clear()
+            rep = build_nest(m, 6, 10 ** 6, extended_precision=extended)
+            assert rep.termination_detail == (
+                f"return time beyond the shadowing horizon at iterate {rep.shadowing_horizon}")
+            assert bounds and max(bounds) == rep.shadowing_horizon - 1
+            assert all(lv.v_n < rep.shadowing_horizon for lv in rep.levels)
+
+
+def test_horizon_counts_the_amplified_rounding(q19):
+    # E_1 = 1, E_{t+1} = |Df(x_t)| E_t + 1; H is the first t with E_t > 2^53
+    x, e, t = q19.raw(0.0), 1.0, 1
+    while e <= 2.0 ** 53:
+        e = abs(q19.raw_derivative(x)) * e + 1.0
+        x = q19.raw(x)
+        t += 1
+    assert nest._scan_limit(nest._bind(q19, False), q19, 10 ** 6)[:3] == (
+        t, t - 1, "PrecisionExhausted")
+
+
+def test_exact_fixed_point_ends_the_scan(q2):
+    for extended in (False, True):
+        rep = build_nest(q2, 2, 10 ** 6, extended_precision=extended)
+        assert (rep.termination, rep.termination_level) == ("CriticalNonReturn", 0)
+        assert rep.termination_detail == "critical orbit fixed at -1.0 from iterate 2"
+        assert rep.shadowing_horizon is None
+
+
+def test_exact_cycle_bounds_the_scan():
+    # the 120-bit q_1.75 critical orbit settles on its attracting 4-cycle
+    m = make_quadratic(1.75)
+    ar = nest._bind(m, True)
+    with ar.context:
+        horizon, bound, end, detail = nest._scan_limit(ar, m, 10 ** 6)
+        first, x, t = {}, ar.f(ar.c), 1
+        while x not in first:
+            first[x] = t
+            x, t = ar.f(x), t + 1
+    mu, period = first[x], t - first[x]
+    assert (mu, period) == (85, 4)
+    assert (horizon, bound, end) == (None, mu + period - 1, "CriticalNonReturn")
+    assert detail == "critical orbit periodic with period 4 from iterate 85"
 
 
 # --- derived sequences -----------------------------------------------------

@@ -113,7 +113,13 @@ def _validate_unimodal(m: UnimodalMap, samples: int = 33) -> None:
         y = m._f(x)
         if y < l - slack or y > r + slack:
             raise ValueError(f"not a self-map: f({x}) = {y} leaves [{l}, {r}]")
-    if abs(m._df(m.critical_point)) > 1e-9:
+    # Df(c) is zero up to rounding, and |f''(c)| scales that rounding
+    # (known for the families): sine's cos(pi c) is 6e-17, not 0, and as
+    # a -> 4 its |f''(c)| grows without bound, to 6e8 with Df(c) = 8e-9 at
+    # the top of its range.  So the test asks that the zero of Df lie within
+    # about 1e-9 of c.
+    scale = max(1.0, m._second_derivative_at_critical or 0.0)
+    if abs(m._df(m.critical_point)) > 1e-9 * scale:
         raise ValueError("derivative at the critical point must vanish")
     c = m.critical_point
     for a, b, sign in ((l, c, 1.0), (c, r, -1.0)):
@@ -497,21 +503,54 @@ def branch_inverse(m: UnimodalMap, side: int, y: float) -> float:
     return min(max(m._inv_right(y), m.critical_point), m.domain[1])
 
 
-def branch_preimage(m: UnimodalMap, side: int, interval) -> Optional[tuple[float, float]]:
-    """Preimage of a closed interval under one monotone branch, or None.
+def word_pullback(m: UnimodalMap, sides, interval) -> Optional[tuple[float, float]]:
+    """Preimage of a closed interval through the monotone branches of a word
+    of sides (LEFT or RIGHT, which are the symbols 0 and 1), the last
+    side's branch first; None once it is empty.
 
-    The interval is intersected with the branch range before inversion, so
-    the result is always a subinterval of the branch domain.
+    Each step intersects the interval with the branch range, inverts both
+    ends and clamps them to the branch domain, so the result is always a
+    subinterval of the first side's branch domain.  The map's constants are
+    read once per call, so a step costs the two inverse evaluations; the
+    comparisons return the floats that max(lo, f(end)), min(hi, f(c)) and
+    the min/max clamp of branch_inverse return.  The ends already lie in
+    the branch range when they are inverted, so branch_inverse's own clip
+    is not repeated.
     """
+    l, r = m.domain
+    c = m.critical_point
+    f = m._f
+    top = f(c)
+    # (bottom of the branch range, inverse, branch domain) for LEFT, RIGHT
+    branches = ((f(l), m._inv_left, l, c), (f(r), m._inv_right, c, r))
     lo, hi = interval
-    rlo, rhi = branch_range(m, side)
-    lo = max(lo, rlo)
-    hi = min(hi, rhi)
-    if lo > hi:
-        return None
-    if side == LEFT:
-        return (branch_inverse(m, LEFT, lo), branch_inverse(m, LEFT, hi))
-    return (branch_inverse(m, RIGHT, hi), branch_inverse(m, RIGHT, lo))
+    for side in reversed(sides):
+        bottom, inv, dlo, dhi = branches[side != LEFT]
+        if bottom > lo:
+            lo = bottom
+        if top < hi:
+            hi = top
+        if lo > hi:
+            return None
+        a = inv(lo)
+        if dlo > a:
+            a = dlo
+        if dhi < a:
+            a = dhi
+        b = inv(hi)
+        if dlo > b:
+            b = dlo
+        if dhi < b:
+            b = dhi
+        # the left branch increases, the right one decreases
+        lo, hi = (a, b) if side == LEFT else (b, a)
+    return lo, hi
+
+
+def branch_preimage(m: UnimodalMap, side: int, interval) -> Optional[tuple[float, float]]:
+    """Preimage of a closed interval under one monotone branch, or None:
+    word_pullback of the one-side word."""
+    return word_pullback(m, (side,), interval)
 
 
 def branch_preimage_arrays(m: UnimodalMap, side, los, his):

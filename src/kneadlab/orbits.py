@@ -15,9 +15,9 @@ import numpy as np
 
 from .errors import (ContainsCriticalSymbol, DivergentInput, EmptyCylinder,
                      IrreducibleRequired, NoOrbitPredicted, NonContraction)
-from .maps import UnimodalMap, evaluate
+from .maps import UnimodalMap, evaluate, word_pullback
 from .symbolic import (GeometricFrequencyEstimate, SymbolStream, SymbolWord,
-                       cylinder, geometric_frequency, itinerary, word_pullback)
+                       cylinder, geometric_frequency, itinerary)
 
 CYLINDER_WIDTH_TOL = 1e-13
 EMPTY_WIDTH_TOL = 1e-15

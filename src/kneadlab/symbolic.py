@@ -20,11 +20,12 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import ContainsCriticalSymbol, InsufficientOccurrences, PrefixTooShort
-from .maps import (DEFAULT_BURN_IN, LEFT, RIGHT, UnimodalMap, branch_preimage,
-                   check_start, orbit_array, orbit_chunks, seeded_start)
+from .maps import (DEFAULT_BURN_IN, LEFT, RIGHT, UnimodalMap, check_start,
+                   orbit_array, orbit_chunks, seeded_start, word_pullback)
 
-SYM_0 = 0
-SYM_1 = 1
+# a 0/1 symbol is the side of its branch, so a word is word_pullback's sides
+SYM_0 = LEFT
+SYM_1 = RIGHT
 SYM_C = 2
 _CHARS = {SYM_0: "0", SYM_1: "1", SYM_C: "c"}
 _CODES = {"0": SYM_0, "1": SYM_1, "c": SYM_C}
@@ -238,17 +239,6 @@ def kneading_sequence(m: UnimodalMap, n: int) -> SymbolWord:
     if n < 1:
         raise ValueError("n >= 1 required")
     return itinerary(m, m.critical_point, n)
-
-
-def word_pullback(m: UnimodalMap, symbols, interval):
-    """Preimage of an interval through the monotone branches of the 0/1
-    symbols, the last symbol's branch first; None once it is empty."""
-    J = interval
-    for sym in reversed(symbols):
-        J = branch_preimage(m, LEFT if sym == SYM_0 else RIGHT, J)
-        if J is None:
-            return None
-    return J
 
 
 def cylinder(m: UnimodalMap, word: SymbolWord) -> CylinderInterval:

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import kneadlab
-from kneadlab.cli import _config_from_args, build_parser, main
+from kneadlab import cli
+from kneadlab.cli import MAX_LENGTH, _config_from_args, build_parser, main
 from kneadlab.harness import (ExperimentConfig, VerificationReport, run_verify,
                               sweep)
 
@@ -367,6 +368,34 @@ def test_cli_rejects_non_finite_count(capsys, text):
     assert captured.out == ""
     assert captured.err.startswith("error: argument --length: ")
     assert "finite" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["kneading", "--map", "quadratic", "--param", "1.9"],
+    ["itinerary", "--map", "quadratic", "--param", "1.9", "--x0", "0.3"],
+])
+def test_cli_length_cap(capsys, monkeypatch, argv):
+    # the cap is checked before the map is built or an orbit point computed
+    def refuse(*args):
+        raise AssertionError("ran past the length cap")
+
+    for name in ("make_map", "kneading_sequence", "itinerary"):
+        monkeypatch.setattr(cli, name, refuse)
+    for length in (str(MAX_LENGTH + 1), "1e12"):
+        assert main(argv + ["--length", length]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "ValueError",
+            "message": f"--length {int(float(length))} exceeds the cap {MAX_LENGTH}"}
+    # the cap itself is allowed through
+    monkeypatch.undo()
+    calls = []
+    monkeypatch.setattr(cli, "kneading_sequence", lambda m, n: calls.append(n) or "c")
+    monkeypatch.setattr(cli, "itinerary", lambda m, x0, n: calls.append(n) or "1")
+    assert main(argv + ["--length", str(MAX_LENGTH)]) == 0
+    capsys.readouterr()
+    assert calls == [MAX_LENGTH]
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,9 +9,11 @@ import pytest
 from kneadlab import (NotSelfMap, OutOfDomain, derivative, evaluate,
                       iterate_orbit, lyapunov_birkhoff, make_custom,
                       make_logistic, make_map, make_quadratic, make_sine)
-from kneadlab.maps import (CHUNK, LEFT, MATH, NUMPY, RIGHT, branch_inverse,
-                           branch_preimage, branch_preimage_arrays,
-                           mpmath_namespace, orbit_array, seeded_start)
+from kneadlab.maps import (CHUNK, FAMILIES, LEFT, MATH, NUMPY, RIGHT,
+                           branch_inverse, branch_preimage,
+                           branch_preimage_arrays, branch_range,
+                           mpmath_namespace, orbit_array, seeded_start,
+                           word_pullback)
 
 
 def logistic_sine_conjugacy(x):
@@ -61,6 +63,16 @@ def test_family_parameter_ranges():
         with pytest.raises(ValueError) as exc:
             make_sine(a)
         assert str(exc.value) == "sine family requires 0.0 < parameter <= 3.9999999999999996"
+    # the top end of every range constructs, the next float above it does not
+    for fam in FAMILIES.values():
+        hi = fam.parameter_range[1]
+        assert make_map(fam.name, hi).parameter == hi
+        with pytest.raises(ValueError, match="family requires"):
+            make_map(fam.name, math.nextafter(hi, math.inf))
+    # sine's |f''(c)|, and the Df(c) that the rounding of c leaves, grow
+    # like (4 - a)^(-1/2) near the top of its range
+    for a in (math.nextafter(3.9999999999999996, 0.0), 3.99999999999999):
+        assert make_sine(a).parameter == a
 
 
 def test_iterate_orbit_hits_critical(q2):
@@ -173,6 +185,63 @@ def test_fold_preimage(q2):
     assert hi == pytest.approx(math.sqrt(0.5), abs=1e-15)
     for side in (LEFT, RIGHT):
         assert branch_preimage(q2, side, (1.5, 1.5)) is None
+
+
+def _chain_pullback(m, sides, interval):
+    """Reference pullback: branch_range per step, then branch_inverse on
+    both ends, the last side first."""
+    lo, hi = interval
+    for side in reversed(sides):
+        rlo, rhi = branch_range(m, side)
+        lo, hi = max(lo, rlo), min(hi, rhi)
+        if lo > hi:
+            return None
+        if side == LEFT:
+            lo, hi = branch_inverse(m, LEFT, lo), branch_inverse(m, LEFT, hi)
+        else:
+            lo, hi = branch_inverse(m, RIGHT, hi), branch_inverse(m, RIGHT, lo)
+    return lo, hi
+
+
+def _exact(J):
+    # float.hex tells -0.0 from 0.0, which == does not
+    return None if J is None else tuple(float(x).hex() for x in J)
+
+
+# a custom map inverts its branches by bisection
+_CUSTOM = make_custom(lambda x: 0.97 * math.sin(math.pi * x),
+                      lambda x: 0.97 * math.pi * math.cos(math.pi * x),
+                      (0.0, 1.0), 0.5)
+
+
+@pytest.mark.parametrize("m", [make_quadratic(1.9), make_quadratic(2.0),
+                               make_logistic(3.83), make_logistic(4.0),
+                               make_sine(3.5), make_sine(3.9), _CUSTOM],
+                         ids=["q1.9", "q2", "f3.83", "f4", "g3.5", "g3.9", "custom"])
+def test_word_pullback_matches_the_branch_inverse_chain(m):
+    rng = np.random.default_rng(23)
+    l, r = m.domain
+    c = m.critical_point
+    pad = 0.5 * (r - l)
+    nones = 0
+    for _ in range(150):
+        sides = tuple(int(s) for s in rng.integers(0, 2, rng.integers(1, 21)))
+        # ends up to half a domain outside it, so some lie outside the
+        # branch ranges; the branch domains are the intervals cylinder pulls
+        # back, and (1.5, 1.5) is an empty q_2 level above the critical value
+        lo, hi = sorted(rng.uniform(l - pad, r + pad, 2))
+        for J in ((lo, hi), (l, c), (c, r), (hi, hi), (1.5, 1.5)):
+            ref = _chain_pullback(m, sides, J)
+            assert _exact(word_pullback(m, sides, J)) == _exact(ref)
+            nones += ref is None
+            for side in (LEFT, RIGHT):
+                assert (_exact(branch_preimage(m, side, J))
+                        == _exact(_chain_pullback(m, (side,), J)))
+        # a cylinder pulled back again, as find_periodic does
+        J = _chain_pullback(m, sides, (l, c) if sides[-1] == LEFT else (c, r))
+        if J is not None:
+            assert _exact(word_pullback(m, sides, J)) == _exact(_chain_pullback(m, sides, J))
+    assert 0 < nones < 750
 
 
 def test_orbit_array_matches_iterate(q19):

@@ -5,7 +5,7 @@ principal-nest Lyapunov formula."""
 
 __version__ = "0.1.0"
 
-from .errors import (ContainsCriticalSymbol, CriticalNonReturn, CycleNotClosed,
+from .errors import (ContainsCriticalSymbol, CriticalNonReturn,
                      DegenerateOrbit, DivergentInput, EmptyCylinder,
                      InsufficientOccurrences, IrreducibleRequired,
                      KneadlabError, NoOrbitPredicted, NonContraction,
@@ -25,11 +25,9 @@ from .orbits import (EnumerationResult, PeriodicOrbit, ZetaTruncation,
 from .nest import (NestLevel, NestReport, build_nest,
                    find_restrictive_interval, nest_asymptotics, nest_lyapunov,
                    orientation_reversing_fixed_point)
-from .measure import (AttractorCycle, DensityEstimate, GapFamily,
-                      LyapunovEstimate, RegularizedDensityReport, ScreenResult,
-                      TypicalityTable, attractor_cycle, estimate_density,
-                      gap_family, lyapunov_birkhoff,
-                      regularized_density_report, screened_parameters,
-                      stochasticity_screen, verify_critical_typicality,
+from .measure import (DensityEstimate, GapFamily, LyapunovEstimate,
+                      RegularizedDensityReport, TypicalityTable,
+                      estimate_density, gap_family, lyapunov_birkhoff,
+                      regularized_density_report, verify_critical_typicality,
                       verify_lyapunov_equality)
 from .harness import (ExperimentConfig, VerificationReport, run_verify, sweep)

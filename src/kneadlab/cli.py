@@ -15,7 +15,7 @@ from dataclasses import fields
 
 from . import __version__
 from .errors import InsufficientOccurrences, KneadlabError
-from .harness import (VERIFY_TAGS, ExperimentConfig, _sanitize, run_verify,
+from .harness import (VERIFY_TAGS, ExperimentConfig, run_verify, strict_json,
                       sweep)
 from .maps import FAMILIES, make_map
 from .measure import estimate_density, gap_family, regularized_density_report
@@ -25,11 +25,16 @@ from .symbolic import (SymbolStream, SymbolWord, geometric_frequency,
                        itinerary, kneading_sequence)
 
 
-# Most symbols kneading and itinerary compute.  Peak memory grows by about
-# 23 bytes a symbol (orbit point, symbol, list and tuple entries, JSON
-# character): 10^7 symbols at quadratic 1.9 peaked at 270 MB and took 2.5 s
-# on a 2-vCPU Xeon.
+# Most symbols a command holds at once: --length of kneading and itinerary,
+# --orbit-length (the symbol prefix) of freq, verify and sweep.  On a 2-vCPU
+# Xeon, 10^7 kneading symbols at quadratic 1.9 peaked at 270 MB (about 23
+# bytes a symbol: orbit point, symbol, list and tuple entries, JSON
+# character) and took 2.5 s; a 10^7 prefix peaked at 67 MB in freq and at
+# 75 MB in verify theorem-a.
 MAX_LENGTH = 10 ** 7
+# (dest, option) of every count MAX_LENGTH caps
+_CAPPED = (("length", "--length"), ("orbit_length", "--orbit-length"),
+           ("orbit_length_iterates", "--orbit-length"))
 
 
 class _CliError(Exception):
@@ -176,9 +181,7 @@ def _emit(payload: str, out_path):
 
 
 def _emit_json(obj, args) -> None:
-    """Strict JSON: non-finite numbers are written as null."""
-    _emit(json.dumps(_sanitize(obj), sort_keys=True, indent=2, allow_nan=False),
-          args.out)
+    _emit(strict_json(obj), args.out)
 
 
 def _exit_code(reports) -> int:
@@ -216,8 +219,10 @@ def main(argv=None) -> int:
 
 def _run(args) -> int:
     cmd = args.command
-    if cmd in ("kneading", "itinerary") and args.length > MAX_LENGTH:
-        raise ValueError(f"--length {args.length} exceeds the cap {MAX_LENGTH}")
+    for dest, option in _CAPPED:
+        if getattr(args, dest, 0) > MAX_LENGTH:
+            raise ValueError(f"{option} {getattr(args, dest)} exceeds the cap "
+                             f"{MAX_LENGTH}")
     if cmd == "kneading":
         m = make_map(args.map, args.param)
         word = kneading_sequence(m, args.length)
@@ -347,9 +352,7 @@ def _run(args) -> int:
         params = [float(p) for p in args.params.split(",") if p]
         config = _config_from_args(args)
         reports = sweep(config, args.tag, params, parallelism=args.parallelism)
-        payload = json.dumps([r.to_dict() for r in reports], sort_keys=True,
-                             indent=2)
-        _emit(payload + "\n", args.out)
+        _emit(strict_json([r.to_dict() for r in reports]) + "\n", args.out)
         return _exit_code(reports)
 
     raise _CliError(f"unknown command {cmd}")

@@ -79,10 +79,6 @@ class DegenerateOrbit(KneadlabError):
         self.cycle = list(cycle) if cycle is not None else None
 
 
-class CycleNotClosed(KneadlabError):
-    pass
-
-
 class TooManyGaps(KneadlabError):
     pass
 

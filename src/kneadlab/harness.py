@@ -72,13 +72,14 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be positive")
         if self.stream_kind not in ("typical", "critical"):
             raise ValueError("stream_kind must be 'typical' or 'critical'")
+        # a word with no symbol, or with a 'c', matches nothing, and an
+        # empty list would pass with no rows
+        if not self.words:
+            raise ValueError("words must be nonempty")
+        for w in self.words:
+            if not w or set(w) - {"0", "1"}:
+                raise ValueError(f"word {w!r} must be nonempty over 0 and 1")
         make_map(self.map_family, self.map_parameter)  # family + range check
-
-
-def _finite(x):
-    if isinstance(x, float) and not math.isfinite(x):
-        return None
-    return x
 
 
 @dataclass
@@ -107,18 +108,18 @@ class VerificationReport:
             "theorem_tag": self.theorem_tag,
             "verdict": self.verdict,
             "passed": self.passed,
-            "discrepancy": _finite(self.discrepancy),
+            "discrepancy": self.discrepancy,
             "tolerance": self.tolerance,
             "inputs": self.inputs,
-            "measured": _sanitize(self.measured),
-            "predicted": _sanitize(self.predicted),
+            "measured": self.measured,
+            "predicted": self.predicted,
             "failures": self.failures,
             "annotations": self.annotations,
             "provenance": self.provenance,
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        return strict_json(self.to_dict())
 
 
 def _sanitize(obj):
@@ -128,7 +129,15 @@ def _sanitize(obj):
         return [_sanitize(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
         obj = obj.item()
-    return _finite(obj) if isinstance(obj, float) else obj
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
+def strict_json(obj) -> str:
+    """The one JSON writer of reports and CLI output: sorted keys, indent 2,
+    numpy scalars as Python numbers and every non-finite float as null."""
+    return json.dumps(_sanitize(obj), sort_keys=True, indent=2, allow_nan=False)
 
 
 def _provenance(config: ExperimentConfig) -> dict:

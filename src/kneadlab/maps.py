@@ -547,14 +547,8 @@ def word_pullback(m: UnimodalMap, sides, interval) -> Optional[tuple[float, floa
     return lo, hi
 
 
-def branch_preimage(m: UnimodalMap, side: int, interval) -> Optional[tuple[float, float]]:
-    """Preimage of a closed interval under one monotone branch, or None:
-    word_pullback of the one-side word."""
-    return word_pullback(m, (side,), interval)
-
-
 def branch_preimage_arrays(m: UnimodalMap, side, los, his):
-    """Vectorized branch_preimage over arrays of interval endpoints, for
+    """The one-side word_pullback over arrays of interval endpoints, for
     the gap pullback.
 
     Returns (plo, phi, mask): entries where mask is False had empty

@@ -1,5 +1,5 @@
-"""Physical-measure estimation, attractor cycles, Birkhoff/Lyapunov
-statistics, and the gap-regularized density with L^p diagnostics.
+"""Physical-measure estimation, Birkhoff/Lyapunov statistics, and the
+gap-regularized density with L^p diagnostics.
 
 The density estimator uses a single long orbit from a seeded uniform start
 (ergodicity makes one orbit sufficient; ensembles hide burn-in bias
@@ -16,22 +16,18 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (CriticalNonReturn, CycleNotClosed, DegenerateOrbit,
-                     PrecisionExhausted, TooManyGaps, UncoveredMass)
+from .errors import (CriticalNonReturn, DegenerateOrbit, PrecisionExhausted,
+                     TooManyGaps, UncoveredMass)
 from .maps import (DEFAULT_BURN_IN, LEFT, RIGHT, UnimodalMap,
                    branch_preimage_arrays, check_start, evaluate,
-                   log_abs_derivative_array, orbit_array, orbit_chunks,
-                   seeded_start)
-from .nest import NestReport, _interval_image, build_nest, find_restrictive_interval
+                   log_abs_derivative_array, orbit_chunks, seeded_start)
+from .nest import NestReport, build_nest
 from .symbolic import SymbolWord, cylinder
 
 RECURRENCE_WINDOW = 2048
 RECURRENCE_MAX_PERIOD = 64
 RECURRENCE_PROBE = RECURRENCE_WINDOW + RECURRENCE_MAX_PERIOD  # points probed
 GAP_BUDGET = 10 ** 6
-SCREEN_LYAPUNOV_THRESHOLD = 0.05
-SCREEN_LYAPUNOV_ITERATES = 10 ** 5
-SCREEN_MAX_TRIES = 400
 
 
 @dataclass(frozen=True)
@@ -56,12 +52,6 @@ class DensityEstimate:
     @property
     def bin_width(self) -> float:
         return float(self.bin_edges[1] - self.bin_edges[0])
-
-
-@dataclass(frozen=True)
-class AttractorCycle:
-    period: int
-    intervals: tuple[tuple[float, float], ...]
 
 
 @dataclass(frozen=True)
@@ -142,24 +132,6 @@ def measure_of_intervals(density: DensityEstimate, los, his) -> np.ndarray:
     lo = np.clip(los, e[0], e[-1])
     hi = np.clip(his, e[0], e[-1])
     return np.maximum(np.interp(hi, e, c) - np.interp(lo, e, c), 0.0)
-
-
-def attractor_cycle(m: UnimodalMap) -> AttractorCycle:
-    """The cycle T_0, ..., T_{k-1} with T_0 = [f^{2k}(0), f^k(0)], k the
-    period of the deepest prerenormalization found (1 if none)."""
-    k, cycle = find_restrictive_interval(m)
-    if k == 1:
-        c = m.critical_point
-        f1 = m._f(c)
-        f2 = m._f(f1)
-        t0 = (min(f1, f2), max(f1, f2))
-        img = _interval_image(m, t0)
-        slack = 1e-9 * max(t0[1] - t0[0], 1e-30) + 1e-14
-        if img[0] < t0[0] - slack or img[1] > t0[1] + slack:
-            raise CycleNotClosed(
-                f"f(T_0) = {img} is not inside T_0 = {t0}")
-        return AttractorCycle(1, (t0,))
-    return AttractorCycle(k, tuple(cycle))
 
 
 class _BirkhoffSums:
@@ -374,11 +346,11 @@ class GapFamily:
 
 def gap_family(m: UnimodalMap, nest_level: int, max_generation: int, *,
                nest_report: Optional[NestReport] = None,
-               max_iterates: int = 10 ** 6,
-               budget: int = GAP_BUDGET) -> GapFamily:
+               max_iterates: int = 10 ** 6) -> GapFamily:
     """Enumerate landing-domain components by breadth-first pullback of I_n
     through the two monotone branches, deterministic order, tagged with
-    their first-landing iterate count."""
+    their first-landing iterate count.  Raises TooManyGaps once the gaps of
+    all generations so far number more than GAP_BUDGET."""
     if max_generation > 30:
         raise ValueError("max_generation <= 30 required")
     if nest_report is None:
@@ -418,8 +390,8 @@ def gap_family(m: UnimodalMap, nest_level: int, max_generation: int, *,
         order = np.argsort(flo, kind="stable")
         flo, fhi = flo[order], fhi[order]
         total += len(flo)
-        if total > budget:
-            raise TooManyGaps(f"gap budget {budget} exceeded at generation {g}")
+        if total > GAP_BUDGET:
+            raise TooManyGaps(f"gap budget {GAP_BUDGET} exceeded at generation {g}")
         if len(flo) == 0:
             break
         all_lo.append(flo)
@@ -477,58 +449,3 @@ def regularized_density_report(gaps: GapFamily, density: DensityEstimate,
     below = int(np.count_nonzero(w < density.bin_width))
     return RegularizedDensityReport(reg, mu, norms, slope, int(pos.sum()),
                                     coverage, below, warn)
-
-
-# ---------------------------------------------------------------------------
-# stochasticity screen for "typical parameter" fixtures
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ScreenResult:
-    accepted: bool
-    reason: str
-    lyapunov: Optional[float]
-    attractor_period: Optional[int]
-
-
-def stochasticity_screen(m: UnimodalMap, seed) -> ScreenResult:
-    """Reject maps with a detected periodic attractor or a small Birkhoff
-    exponent.  A heuristic: it cannot certify typicality, only screen the
-    obvious regular windows."""
-    hit = _detect_periodic_attractor(m, orbit_array(
-        m, m.critical_point, RECURRENCE_PROBE, burn_in=5 * DEFAULT_BURN_IN))
-    if hit is not None:
-        period, cyc = hit
-        multiplier = float(np.prod([abs(m._df(float(p))) for p in cyc]))
-        if multiplier < 1.0:
-            return ScreenResult(False, f"periodic attractor of period {period}",
-                                None, period)
-        # Misiurewicz-type: the critical orbit landed on a repelling cycle;
-        # fall through to the Birkhoff screen
-    lam = lyapunov_birkhoff(m, seeded_start(m, seed), SCREEN_LYAPUNOV_ITERATES,
-                            burn_in=DEFAULT_BURN_IN)
-    if lam.value < SCREEN_LYAPUNOV_THRESHOLD:
-        return ScreenResult(False, f"lyapunov {lam.value:.4f} below threshold",
-                            lam.value, None)
-    return ScreenResult(True, "accepted", lam.value, None)
-
-
-def screened_parameters(family_ctor, lo: float, hi: float, count: int,
-                        seed) -> list[float]:
-    """Draw parameters uniformly from (lo, hi) until `count` pass the
-    stochasticity screen; deterministic for a fixed seed."""
-    rng = np.random.default_rng(seed)
-    out: list[float] = []
-    tries = 0
-    while len(out) < count and tries < SCREEN_MAX_TRIES:
-        tries += 1
-        p = float(rng.uniform(lo, hi))
-        try:
-            m = family_ctor(p)
-        except ValueError:
-            continue
-        if stochasticity_screen(m, seed).accepted:
-            out.append(p)
-    if len(out) < count:
-        raise RuntimeError(f"only {len(out)} of {count} parameters passed the screen")
-    return out

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -47,13 +47,6 @@ class SymbolWord:
         except KeyError as e:
             raise ValueError(f"bad symbol {e.args[0]!r}; expected 0, 1 or c")
 
-    @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "SymbolWord":
-        syms = tuple(int(b) for b in bits)
-        if any(b not in (0, 1) for b in syms):
-            raise ValueError("bits must be 0 or 1")
-        return cls(syms)
-
     def __str__(self):
         return "".join(_CHARS[s] for s in self.symbols)
 
@@ -81,16 +74,6 @@ class SymbolWord:
                 return False
         return True
 
-    def repeat(self, k: int) -> "SymbolWord":
-        return SymbolWord(self.symbols * k)
-
-    def rotations(self):
-        s = self.symbols
-        return [SymbolWord(s[i:] + s[:i]) for i in range(len(s))]
-
-    def min_rotation(self) -> "SymbolWord":
-        return min(self.rotations(), key=lambda w: w.symbols)
-
     def to_int8(self) -> np.ndarray:
         return np.array(self.symbols, dtype=np.int8)
 
@@ -111,9 +94,8 @@ class SymbolStream:
     same map, start point and precision reproduces them.
     """
 
-    def __init__(self, generator, produced_count: int = 0):
+    def __init__(self, generator):
         self._gen = generator
-        self.produced_count = produced_count
 
     def take(self, n: int) -> np.ndarray:
         """The next n symbols as an int8 array."""
@@ -130,7 +112,6 @@ class SymbolStream:
                 break
         if pos < n:
             raise PrefixTooShort(f"stream exhausted after {pos} of {n} symbols")
-        self.produced_count += n
         return out
 
     # constructors -----------------------------------------------------
@@ -161,16 +142,6 @@ class SymbolStream:
     def from_array(cls, symbols: np.ndarray) -> "SymbolStream":
         arr = np.asarray(symbols, dtype=np.int8)
         return cls(iter([arr]))
-
-    @classmethod
-    def from_cycle(cls, word: SymbolWord) -> "SymbolStream":
-        base = word.to_int8()
-
-        def gen():
-            block = np.tile(base, max(1, 65536 // max(len(base), 1)))
-            while True:
-                yield block
-        return cls(gen())
 
 
 @dataclass(frozen=True)
@@ -207,16 +178,6 @@ class GeometricFrequencyEstimate:
     per_power_log_freq: tuple[tuple[int, float], ...]
     per_power_counts: tuple[tuple[int, int], ...]
     status: str  # ok | shrunk | single_point | zero_frequency
-
-    def last_ratio_diagnostic(self) -> tuple[tuple[int, float], ...]:
-        """r_hat(alpha^k) / r_hat(alpha^{k-1}) per power: noisier than the
-        regression estimate of rho, exposed for inspection only."""
-        out = []
-        by_k = dict(self.per_power_counts)
-        for k in sorted(by_k):
-            if k - 1 in by_k and by_k[k - 1] > 0:
-                out.append((k, by_k[k] / by_k[k - 1]))
-        return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -266,12 +227,6 @@ def count_occurrences(pattern: np.ndarray, prefix: np.ndarray) -> int:
     return int(match.sum())
 
 
-def _power_counts(pattern: SymbolWord, prefix: np.ndarray, max_power: int):
-    base = pattern.to_int8()
-    return tuple((k, count_occurrences(np.tile(base, k), prefix))
-                 for k in range(1, max_power + 1))
-
-
 def frequency(pattern: SymbolWord, stream: SymbolStream, prefix_length: int,
               max_power: int = 1) -> FrequencyEstimate:
     """Sliding-window counts of pattern^k (k <= max_power) over one prefix."""
@@ -286,7 +241,9 @@ def frequency(pattern: SymbolWord, stream: SymbolStream, prefix_length: int,
             f"prefix_length {prefix_length} < |pattern|*max_power = "
             f"{len(pattern) * max_power}")
     prefix = stream.take(prefix_length)
-    counts = _power_counts(pattern, prefix, max_power)
+    base = pattern.to_int8()
+    counts = tuple((k, count_occurrences(np.tile(base, k), prefix))
+                   for k in range(1, max_power + 1))
     return FrequencyEstimate(pattern, prefix_length, counts[0][1],
                              counts[0][1] / prefix_length, counts)
 
@@ -315,15 +272,8 @@ def geometric_frequency(pattern: SymbolWord, stream: SymbolStream,
     """
     if not (1 <= k_min <= k_max):
         raise ValueError("need 1 <= k_min <= k_max")
-    if len(pattern) == 0:
-        raise ValueError("pattern must be nonempty")
-    if pattern.has_critical:
-        raise ContainsCriticalSymbol("frequency patterns must avoid 'c'")
-    if prefix_length < len(pattern) * k_max:
-        raise PrefixTooShort(
-            f"prefix_length {prefix_length} < |pattern|*k_max = {len(pattern) * k_max}")
-    prefix = stream.take(prefix_length)
-    counts = _power_counts(pattern, prefix, k_max)
+    counts = frequency(pattern, stream, prefix_length,
+                       max_power=k_max).per_power_counts
     by_k = dict(counts)
     if by_k[k_min] == 0:
         return GeometricFrequencyEstimate(0.0, (k_min, k_min), 0.0, (), counts,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kneadlab import make_logistic, make_quadratic, make_sine
-from kneadlab.measure import screened_parameters
+from screen import screened_parameters
 
 SCREEN_SEED = 777
 

@@ -25,9 +25,10 @@ from kneadlab import (NoOrbitPredicted, SymbolStream, SymbolWord,
                       make_quadratic, orientation_reversing_fixed_point,
                       regularized_density_report, verify_lyapunov_equality)
 from kneadlab.harness import ExperimentConfig, run_verify
-from kneadlab.measure import measure_of_intervals, screened_parameters
+from kneadlab.measure import measure_of_intervals
 from kneadlab.symbolic import count_occurrences, frequency
 from nest_checks import check_nest_invariants
+from screen import screened_parameters
 
 ACCEPT_SEED = 20260810
 
@@ -277,7 +278,7 @@ def test_criterion_9_property_suites(q2):
         checked += 1
     # cylinder nesting and equal-length disjointness
     nest_ok = True
-    words4 = [SymbolWord.from_bits([(i >> j) & 1 for j in range(4)])
+    words4 = [SymbolWord(tuple((i >> j) & 1 for j in range(4)))
               for i in range(16)]
     ivs = sorted(c.interval for c in (cylinder(q19, w) for w in words4)
                  if not c.is_empty)

@@ -24,6 +24,11 @@ def test_config_validation():
         ExperimentConfig(map_parameter=3.0).validate()  # quadratic range
     with pytest.raises(ValueError):
         ExperimentConfig(stream_kind="sideways").validate()
+    # no words, an empty word or a 'c' would leave a report without a row
+    for words in ((), ("",), ("1", ""), ("c",), ("1", "1c"), ("12",)):
+        with pytest.raises(ValueError):
+            ExperimentConfig(words=words).validate()
+    ExperimentConfig(words=("0", "1", "0110")).validate()
 
 
 # --- reports -----------------------------------------------------------
@@ -299,17 +304,37 @@ def test_nest_lyapunov_report_carries_termination_detail():
     assert (rep.measured["precision_bits"], rep.measured["shadowing_horizon"]) == (53, 90)
 
 
-def test_cli_json_is_strict(capsys):
-    # one gap (generation 0 only) leaves the L^p slope undefined
+def _strict_loads(text):
+    """json.loads that refuses NaN, Infinity and -Infinity."""
     def reject(constant):
         raise ValueError(f"non-standard JSON constant {constant}")
 
+    return json.loads(text, parse_constant=reject)
+
+
+def test_cli_json_is_strict(capsys):
+    # one gap (generation 0 only) leaves the L^p slope undefined
     assert main(["gaps", "--map", "quadratic", "--param", "1.9",
                  "--nest-level", "1", "--max-generation", "0",
                  "--samples", "1e5", "--seed", "6"]) == 0
-    out = json.loads(capsys.readouterr().out, parse_constant=reject)
+    out = _strict_loads(capsys.readouterr().out)
     assert out["gap_count"] == 1
     assert out["slope"] is None
+
+
+def test_cli_report_with_an_embedded_error_is_strict_json(capsys, tmp_path):
+    # q_2's nest has one level, so nest-lyapunov embeds TooShallow and its
+    # tolerance is not a number
+    argv = ["verify", "nest-lyapunov", "--map", "quadratic", "--param", "2.0"]
+    assert main(argv) == 2
+    rep = _strict_loads(capsys.readouterr().out)
+    assert rep["failures"][0]["error"] == "TooShallow"
+    assert rep["tolerance"] is None
+    assert main(argv + ["--out", str(tmp_path / "rep.json")]) == 2
+    assert _strict_loads((tmp_path / "rep.json").read_text()) == rep
+    assert main(["sweep", "--tag", "nest-lyapunov", "--map", "quadratic",
+                 "--params", "2.0"]) == 2
+    assert _strict_loads(capsys.readouterr().out) == [rep]
 
 
 def test_cli_measure_rejects_zero_bins(capsys):
@@ -318,6 +343,22 @@ def test_cli_measure_rejects_zero_bins(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "bin_count" in captured.err
+
+
+@pytest.mark.parametrize("tag,words", [("theorem-a", ","), ("theorem-b", ","),
+                                       ("theorem-a", "c"), ("theorem-b", "1,1c")])
+def test_cli_verify_rejects_words_that_would_pass_with_no_row(capsys, tag, words):
+    assert main(["verify", tag, "--map", "quadratic", "--param", "1.9",
+                 f"--words={words}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _strict_loads(captured.err)["error"] == "ValueError"
+    # a sweep keeps the error in the report of each parameter
+    assert main(["sweep", "--tag", tag, "--map", "quadratic",
+                 "--params", "1.9", f"--words={words}"]) == 2
+    (rep,) = _strict_loads(capsys.readouterr().out)
+    assert rep["verdict"] == "fail"
+    assert rep["failures"][0]["error"] == "ValueError"
 
 
 def test_cli_verify_exit_codes(capsys):
@@ -396,6 +437,35 @@ def test_cli_length_cap(capsys, monkeypatch, argv):
     assert main(argv + ["--length", str(MAX_LENGTH)]) == 0
     capsys.readouterr()
     assert calls == [MAX_LENGTH]
+
+
+class _Reached(Exception):
+    """Raised by a library entry point that a capped run must not reach."""
+
+
+@pytest.mark.parametrize("argv", [
+    ["freq", "--map", "quadratic", "--param", "1.9", "--alpha", "10"],
+    ["verify", "theorem-a", "--map", "quadratic", "--param", "1.9"],
+    ["sweep", "--tag", "theorem-a", "--map", "quadratic", "--params", "1.9"],
+])
+def test_cli_orbit_length_cap(capsys, monkeypatch, argv):
+    # the cap is checked before the map is built or a symbol computed
+    def reached(*args, **kwargs):
+        raise _Reached(args)
+
+    for name in ("make_map", "geometric_frequency", "run_verify", "sweep"):
+        monkeypatch.setattr(cli, name, reached)
+    for length in (str(MAX_LENGTH + 1), "1e12"):
+        assert main(argv + ["--orbit-length", length]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "ValueError",
+            "message": f"--orbit-length {int(float(length))} exceeds the cap "
+                       f"{MAX_LENGTH}"}
+    # the cap itself is let through to the library
+    with pytest.raises(_Reached):
+        main(argv + ["--orbit-length", str(MAX_LENGTH)])
 
 
 @pytest.mark.parametrize("argv", [

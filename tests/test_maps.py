@@ -10,10 +10,9 @@ from kneadlab import (NotSelfMap, OutOfDomain, derivative, evaluate,
                       iterate_orbit, lyapunov_birkhoff, make_custom,
                       make_logistic, make_map, make_quadratic, make_sine)
 from kneadlab.maps import (CHUNK, FAMILIES, LEFT, MATH, NUMPY, RIGHT,
-                           branch_inverse, branch_preimage,
-                           branch_preimage_arrays, branch_range,
-                           mpmath_namespace, orbit_array, seeded_start,
-                           word_pullback)
+                           branch_inverse, branch_preimage_arrays,
+                           branch_range, mpmath_namespace, orbit_array,
+                           seeded_start, word_pullback)
 
 
 def logistic_sine_conjugacy(x):
@@ -153,7 +152,7 @@ def test_branch_preimage_round_trip(m):
     for side in (LEFT, RIGHT):
         for _ in range(200):
             lo, hi = sorted(rng.uniform(*m.domain, 2))
-            pre = branch_preimage(m, side, (lo, hi))
+            pre = word_pullback(m, (side,), (lo, hi))
             if pre is None:
                 continue
             a, b = pre
@@ -169,7 +168,7 @@ def test_branch_preimage_arrays_match_scalar(q19):
     for side in (LEFT, RIGHT):
         plo, phi, mask = branch_preimage_arrays(q19, side, los, his)
         for i in range(64):
-            scalar = branch_preimage(q19, side, (los[i], his[i]))
+            scalar = word_pullback(q19, (side,), (los[i], his[i]))
             if scalar is None:
                 assert not mask[i] or phi[i] - plo[i] <= 0
             else:
@@ -184,7 +183,7 @@ def test_fold_preimage(q2):
     assert lo == pytest.approx(-math.sqrt(0.5), abs=1e-15)
     assert hi == pytest.approx(math.sqrt(0.5), abs=1e-15)
     for side in (LEFT, RIGHT):
-        assert branch_preimage(q2, side, (1.5, 1.5)) is None
+        assert word_pullback(q2, (side,), (1.5, 1.5)) is None
 
 
 def _chain_pullback(m, sides, interval):
@@ -235,7 +234,7 @@ def test_word_pullback_matches_the_branch_inverse_chain(m):
             assert _exact(word_pullback(m, sides, J)) == _exact(ref)
             nones += ref is None
             for side in (LEFT, RIGHT):
-                assert (_exact(branch_preimage(m, side, J))
+                assert (_exact(word_pullback(m, (side,), J))
                         == _exact(_chain_pullback(m, (side,), J)))
         # a cylinder pulled back again, as find_periodic does
         J = _chain_pullback(m, sides, (l, c) if sides[-1] == LEFT else (c, r))

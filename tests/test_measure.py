@@ -5,19 +5,19 @@ import numpy as np
 import pytest
 
 import kneadlab
-from kneadlab import (CriticalNonReturn, CycleNotClosed, DegenerateOrbit,
-                      OutOfDomain, SymbolStream, SymbolWord, TooManyGaps,
-                      UncoveredMass, attractor_cycle, estimate_density,
-                      find_periodic, gap_family, lyapunov_birkhoff,
+from kneadlab import (CriticalNonReturn, DegenerateOrbit, OutOfDomain,
+                      SymbolStream, SymbolWord, TooManyGaps, UncoveredMass,
+                      estimate_density, find_periodic,
+                      find_restrictive_interval, gap_family, lyapunov_birkhoff,
                       make_logistic, make_map, make_quadratic,
                       regularized_density_report, verify_critical_typicality,
                       verify_lyapunov_equality)
 from kneadlab import harness, maps, measure, nest, orbits, symbolic
 from kneadlab.maps import DEFAULT_BURN_IN, orbit_array, orbit_chunks
 from kneadlab.measure import (_detect_periodic_attractor, _integral_log_deriv,
-                              measure_of_intervals, screened_parameters,
-                              seeded_start, stochasticity_screen)
+                              measure_of_intervals, seeded_start)
 from kneadlab.symbolic import cylinder, frequency
+from screen import screened_parameters, stochasticity_screen
 
 
 def W(s):
@@ -89,35 +89,28 @@ def test_measure_of_interval_partial_bin(q2):
 # --- attractor cycle -------------------------------------------------------
 
 def test_attractor_cycle_q2(q2):
-    ac = attractor_cycle(q2)
-    assert ac.period == 1
-    assert ac.intervals[0] == pytest.approx((-1.0, 1.0))
+    period, cycle = find_restrictive_interval(q2)
+    assert period == 1
+    assert cycle[0] == pytest.approx((-1.0, 1.0))
 
 
 def test_attractor_cycle_q19(q19):
-    ac = attractor_cycle(q19)
+    period, cycle = find_restrictive_interval(q19)
     f1 = q19.raw(0.0)
     f2 = q19.raw(f1)
-    assert ac.period == 1
-    assert ac.intervals[0][0] == pytest.approx(f2, abs=1e-15)
-    assert ac.intervals[0][1] == pytest.approx(f1, abs=1e-15)
+    assert period == 1
+    assert cycle[0][0] == pytest.approx(f2, abs=1e-15)
+    assert cycle[0][1] == pytest.approx(f1, abs=1e-15)
 
 
 def test_attractor_cycle_logistic_band_cycles():
     # band counts from a direct simulation oracle: a = 3.6 has a 2-cycle of
     # intervals, a = 3.58 sits one merging level deeper (4-cycle)
-    ac = attractor_cycle(make_logistic(3.6))
-    assert ac.period == 2
-    (a1, b1), (a2, b2) = sorted(ac.intervals)
+    period, cycle = find_restrictive_interval(make_logistic(3.6))
+    assert period == 2
+    (a1, b1), (a2, b2) = sorted(cycle)
     assert b1 < a2  # disjoint interiors
-    assert attractor_cycle(make_logistic(3.58)).period == 4
-
-
-def test_attractor_cycle_not_closed_for_transient():
-    # regular map with a slowly converging critical orbit: T_0 built from
-    # the first two critical iterates is not yet invariant
-    with pytest.raises(CycleNotClosed):
-        attractor_cycle(make_quadratic(0.9))
+    assert find_restrictive_interval(make_logistic(3.58))[0] == 4
 
 
 # --- lyapunov ---------------------------------------------------------------
@@ -305,9 +298,10 @@ def test_gap_coverage_grows(q19):
     assert covers[1] > covers[0]
 
 
-def test_gap_budget(q19):
+def test_gap_budget(q19, monkeypatch):
+    monkeypatch.setattr(measure, "GAP_BUDGET", 100)
     with pytest.raises(TooManyGaps):
-        gap_family(q19, 1, 18, budget=100)
+        gap_family(q19, 1, 18)
 
 
 def test_gap_q2_propagates_critical_non_return(q2):
@@ -390,10 +384,10 @@ def test_keller_lower_bound_empirical(screened_taus):
     for tau in screened_taus[:3]:
         m = make_quadratic(tau)
         d = estimate_density(m, 10 ** 6, 512, seed=42)
-        ac = attractor_cycle(m)
+        _, cycle = find_restrictive_interval(m)
         e = d.bin_edges
         inside = np.zeros(d.bin_count, dtype=bool)
-        for lo, hi in ac.intervals:
+        for lo, hi in cycle:
             inside |= (e[:-1] >= lo) & (e[1:] <= hi)
         dens = d.mass_per_bin / d.bin_width
         mean_dens = d.mass_per_bin[inside].sum() / (d.bin_width * inside.sum())

@@ -23,8 +23,7 @@ from .orbits import (EnumerationResult, PeriodicOrbit, ZetaTruncation,
                      enumerate_periodic, find_periodic,
                      formula_exponent_estimate, lyndon_words)
 from .nest import (NestLevel, NestReport, build_nest,
-                   find_restrictive_interval, nest_asymptotics, nest_lyapunov,
-                   orientation_reversing_fixed_point)
+                   find_restrictive_interval, nest_asymptotics, nest_lyapunov)
 from .measure import (DensityEstimate, GapFamily, LyapunovEstimate,
                       RegularizedDensityReport, TypicalityTable,
                       estimate_density, gap_family, lyapunov_birkhoff,

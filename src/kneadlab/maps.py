@@ -8,7 +8,7 @@ between concurrent workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Optional
 
@@ -17,7 +17,7 @@ import numpy as np
 from .errors import NotSelfMap, OutOfDomain
 
 # Tie tolerance: below this distance to the critical point the branch symbol
-# is numerically meaningless.
+# is numerically meaningless.  Every reader looks it up at call time.
 TIE_TOLERANCE = 1e-14
 # Float rounding may overshoot the invariant interval at the critical value.
 DOMAIN_SLACK = 1e-12
@@ -35,24 +35,18 @@ class UnimodalMap:
     """An interval self-map, strictly increasing left of the critical point
     and strictly decreasing right of it (the critical point is a maximum).
 
-    Built-in families carry their MapFamily record, with closed-form
-    derivatives and branch inverses; custom maps invert their branches by
-    bisection.  A built-in map pickles as its family name, parameter and
-    tolerances.
+    The map is its MapFamily record at one parameter, with the record's
+    float functions bound once: closed-form derivatives and branch inverses
+    for the built-in families, bisection inverses for a custom map.  A
+    built-in map pickles as its family name and parameter.
     """
 
-    domain: tuple[float, float]
-    critical_point: float
-    family_tag: str
+    family: MapFamily
     parameter: float
     _f: Callable[[float], float]
     _df: Callable[[float], float]
     _inv_left: Callable[[float], float]
     _inv_right: Callable[[float], float]
-    _second_derivative_at_critical: Optional[float] = None
-    tie_tolerance: float = TIE_TOLERANCE
-    domain_slack: float = DOMAIN_SLACK
-    family: Optional[MapFamily] = field(default=None, repr=False)
 
     def __post_init__(self):
         l, r = self.domain
@@ -61,32 +55,12 @@ class UnimodalMap:
         _validate_unimodal(self)
 
     def __reduce_ex__(self, protocol):
-        if self.family is None:
-            return super().__reduce_ex__(protocol)
-        return (_rebuild, (self.family_tag, self.parameter, self.tie_tolerance,
-                           self.domain_slack))
+        return (make_map, (self.family_tag, self.parameter))
 
-    # raw evaluation, no domain checks; used by hot loops
-    def raw(self, x: float) -> float:
-        return self._f(x)
-
-    def raw_derivative(self, x: float) -> float:
-        return self._df(x)
-
-    @property
-    def critical_value(self) -> float:
-        return self._f(self.critical_point)
-
-    def _fill(self, buf: np.ndarray, x: float) -> float:
-        """Write x, f(x), f^2(x), ... into buf; return the next iterate."""
-        if self.family is not None:
-            return self.family.fill(buf, x, self.parameter)
-        f = self._f
-        out = memoryview(buf)
-        for i in range(len(out)):
-            out[i] = x
-            x = f(x)
-        return x
+    domain = property(lambda self: self.family.domain)
+    critical_point = property(lambda self: self.family.critical_point)
+    family_tag = property(lambda self: self.family.name)
+    critical_value = property(lambda self: self._f(self.critical_point))
 
 
 @dataclass(frozen=True)
@@ -94,8 +68,8 @@ class OrbitSegment:
     """A finite orbit x0, f(x0), ..., f^n(x0) with the chain-rule log sum.
 
     log_derivative_sum accumulates ln|Df| over the first n points (all but
-    the last), i.e. ln|Df^n(x0)|; it is -inf when the orbit hits the
-    critical point within tie tolerance.
+    the last), i.e. ln|Df^n(x0)|; it is -inf when Df vanishes at one of
+    them.  hit_critical: one of them lies within TIE_TOLERANCE of c.
     """
 
     points: np.ndarray
@@ -108,17 +82,16 @@ class OrbitSegment:
 
 def _validate_unimodal(m: UnimodalMap, samples: int = 33) -> None:
     l, r = m.domain
-    slack = m.domain_slack
     for x in (l, r):
         y = m._f(x)
-        if y < l - slack or y > r + slack:
+        if y < l - DOMAIN_SLACK or y > r + DOMAIN_SLACK:
             raise ValueError(f"not a self-map: f({x}) = {y} leaves [{l}, {r}]")
     # Df(c) is zero up to rounding, and |f''(c)| scales that rounding
     # (known for the families): sine's cos(pi c) is 6e-17, not 0, and as
     # a -> 4 its |f''(c)| grows without bound, to 6e8 with Df(c) = 8e-9 at
     # the top of its range.  So the test asks that the zero of Df lie within
     # about 1e-9 of c.
-    scale = max(1.0, m._second_derivative_at_critical or 0.0)
+    scale = max(1.0, m.family.second_derivative_at_critical(m.parameter) or 0.0)
     if abs(m._df(m.critical_point)) > 1e-9 * scale:
         raise ValueError("derivative at the critical point must vanish")
     c = m.critical_point
@@ -150,20 +123,21 @@ def mpmath_namespace() -> SimpleNamespace:
 
 @dataclass(frozen=True)
 class MapFamily:
-    """A built-in family f_p on a fixed domain with a fixed critical point.
+    """A family f_p on a fixed domain with a fixed critical point: a
+    built-in family, or the one-member family of a custom map.
 
     bind(ns, p) returns (f, Df, left inverse, right inverse), evaluated with
     the functions of ns: MATH for floats (the map's own functions), NUMPY
     for arrays, mpmath_namespace() for the extended-precision nest.
-    fill(buf, x, p) is the orbit loop of orbit_chunks with the step written
-    inline.
+    fill(buf, x, p) writes x, f(x), f^2(x), ... into buf and returns the
+    next iterate: the float orbit walk, with a built-in step inline.
     """
 
     name: str
     domain: tuple[float, float]
     critical_point: float
     parameter_range: tuple[float, float]  # lo < p <= hi
-    second_derivative_at_critical: Callable[[float], float]  # |f''(c)|
+    second_derivative_at_critical: Callable  # |f''(c)|, None if unknown
     bind: Callable
     fill: Callable
 
@@ -171,9 +145,7 @@ class MapFamily:
         lo, hi = self.parameter_range
         if not (lo < p <= hi):
             raise ValueError(f"{self.name} family requires {lo!r} < parameter <= {hi!r}")
-        return UnimodalMap(self.domain, self.critical_point, self.name, p,
-                           *self.bind(MATH, p),
-                           self.second_derivative_at_critical(p), family=self)
+        return UnimodalMap(self, p, *self.bind(MATH, p))
 
 
 # Speed, measured with Python 3.11 on a 2-vCPU Intel Xeon machine, explains
@@ -318,17 +290,38 @@ def make_sine(a: float) -> UnimodalMap:
     return SINE.make(a)
 
 
-def make_custom(f, df, domain, critical_point, parameter=float("nan")) -> UnimodalMap:
-    """Wrap caller-supplied evaluation/derivative callables.
+def make_custom(f, df, domain, critical_point) -> UnimodalMap:
+    """Wrap caller-supplied evaluation/derivative callables as the one map,
+    at parameter nan, of a "custom" MapFamily record.
 
-    Branch inverses are bisections of f.  The unimodal contract (self-map,
-    monotone branches, Df(c)=0) is spot-checked at construction.
+    Branch inverses are bisections of f, the numpy binding applies the
+    functions element by element, and there is no mpmath binding.  The
+    unimodal contract (self-map, monotone branches, Df(c)=0) is
+    spot-checked at construction.
     """
     l, r = domain
     c = critical_point
-    return UnimodalMap((l, r), c, "custom", parameter, f, df,
-                       lambda y: _bisect_monotone(f, y, l, c, True),
-                       lambda y: _bisect_monotone(f, y, c, r, False))
+    scalar = (f, df, lambda y: _bisect_monotone(f, y, l, c, True),
+              lambda y: _bisect_monotone(f, y, c, r, False))
+
+    def bind(ns, p):
+        if ns is MATH:
+            return scalar
+        if ns is NUMPY:
+            return tuple((lambda xs, g=g: np.array([g(float(x)) for x in xs]))
+                         for g in scalar)
+        raise ValueError("extended precision supports built-in families only")
+
+    def fill(buf, x, p):
+        out = memoryview(buf)
+        for i in range(len(out)):
+            out[i] = x
+            x = f(x)
+        return x
+
+    nan = float("nan")
+    family = MapFamily("custom", (l, r), c, (nan, nan), lambda p: None, bind, fill)
+    return UnimodalMap(family, nan, *scalar)
 
 
 def make_map(family: str, parameter: float) -> UnimodalMap:
@@ -337,11 +330,6 @@ def make_map(family: str, parameter: float) -> UnimodalMap:
     except KeyError:
         raise ValueError(f"unknown family {family!r}; choose from {sorted(FAMILIES)}")
     return record.make(parameter)
-
-
-def _rebuild(family, parameter, tie_tolerance, domain_slack) -> UnimodalMap:
-    return replace(make_map(family, parameter), tie_tolerance=tie_tolerance,
-                   domain_slack=domain_slack)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +344,7 @@ def check_start(m: UnimodalMap, x0: float) -> float:
     """
     x = float(x0)
     l, r = m.domain
-    if not (math.isfinite(x) and l - m.domain_slack <= x <= r + m.domain_slack):
+    if not (math.isfinite(x) and l - DOMAIN_SLACK <= x <= r + DOMAIN_SLACK):
         raise OutOfDomain(f"start point x0 = {x} outside [{l}, {r}]")
     return x
 
@@ -371,15 +359,15 @@ def seeded_start(m: UnimodalMap, seed) -> float:
 def evaluate(m: UnimodalMap, x: float) -> float:
     """f(x), clamped to the domain only when the overshoot is below slack."""
     l, r = m.domain
-    if x < l - m.domain_slack or x > r + m.domain_slack:
+    if x < l - DOMAIN_SLACK or x > r + DOMAIN_SLACK:
         raise OutOfDomain(f"x = {x} outside [{l}, {r}]")
     y = m._f(min(max(x, l), r))
     if y < l:
-        if y < l - m.domain_slack:
+        if y < l - DOMAIN_SLACK:
             raise NotSelfMap(f"f({x}) = {y} below {l}")
         return l
     if y > r:
-        if y > r + m.domain_slack:
+        if y > r + DOMAIN_SLACK:
             raise NotSelfMap(f"f({x}) = {y} above {r}")
         return r
     return y
@@ -388,7 +376,7 @@ def evaluate(m: UnimodalMap, x: float) -> float:
 def derivative(m: UnimodalMap, x: float) -> float:
     """Df(x) in closed form for built-in families (never finite differences)."""
     l, r = m.domain
-    if x < l - m.domain_slack or x > r + m.domain_slack:
+    if x < l - DOMAIN_SLACK or x > r + DOMAIN_SLACK:
         raise OutOfDomain(f"x = {x} outside [{l}, {r}]")
     return m._df(min(max(x, l), r))
 
@@ -397,20 +385,11 @@ def iterate_orbit(m: UnimodalMap, x0: float, n: int) -> OrbitSegment:
     """Orbit segment of length n+1; ln|Df| accumulated over the first n points."""
     if n < 1:
         raise ValueError("n >= 1 required")
-    pts = np.empty(n + 1)
-    x = x0
-    hit = False
-    terms = []
-    for i in range(n):
-        pts[i] = x
-        if abs(x - m.critical_point) <= m.tie_tolerance:
-            hit = True
-        d = abs(m._df(x))
-        terms.append(math.log(d) if d > 0.0 else -math.inf)
-        x = evaluate(m, x)
-    pts[n] = x
-    finite = [t for t in terms if t != -math.inf]
-    total = math.fsum(finite) if len(finite) == len(terms) else -math.inf
+    pts = orbit_array(m, check_start(m, x0), n + 1)
+    head = pts[:n]
+    logs = log_abs_derivative_array(m, head)
+    total = math.fsum(logs) if np.all(np.isfinite(logs)) else -math.inf
+    hit = bool(np.any(np.abs(head - m.critical_point) <= TIE_TOLERANCE))
     return OrbitSegment(pts, total, hit)
 
 
@@ -436,33 +415,24 @@ def orbit_chunks(m: UnimodalMap, x0: float, n: int, burn_in: int = 0):
     orbit_array for exactly its length.  Burn-in runs through the same loop,
     into the buffer that the first chunk then overwrites.
     """
+    fill, p = m.family.fill, m.parameter
     x = float(x0)
     buf = np.empty(min(CHUNK, max(n, burn_in)))
     while burn_in > 0:
         k = min(len(buf), burn_in)
-        x = m._fill(buf[:k], x)
+        x = fill(buf[:k], x, p)
         burn_in -= k
     done = 0
     while done < n:
         k = min(CHUNK, n - done)
-        x = m._fill(buf[:k], x)
+        x = fill(buf[:k], x, p)
         done += k
         yield buf[:k]
 
 
-def _array_functions(m: UnimodalMap):
-    """(f, Df, left inverse, right inverse) over numpy arrays: the numpy
-    binding of a built-in family, a custom map's own functions applied
-    element by element."""
-    if m.family is not None:
-        return m.family.bind(NUMPY, m.parameter)
-    return tuple((lambda xs, g=g: np.array([g(float(x)) for x in xs]))
-                 for g in (m._f, m._df, m._inv_left, m._inv_right))
-
-
 def log_abs_derivative_array(m: UnimodalMap, xs: np.ndarray) -> np.ndarray:
     """Vectorized ln|Df| over an array of points (-inf at exact zeros)."""
-    d = np.abs(_array_functions(m)[1](xs))
+    d = np.abs(m.family.bind(NUMPY, m.parameter)[1](xs))
     with np.errstate(divide="ignore"):
         return np.log(d)
 
@@ -472,10 +442,7 @@ def log_abs_derivative_array(m: UnimodalMap, xs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def branch_range(m: UnimodalMap, side: int) -> tuple[float, float]:
-    l, r = m.domain
-    if side == LEFT:
-        return (m._f(l), m.critical_value)
-    return (m._f(r), m.critical_value)
+    return (m._f(m.domain[side != LEFT]), m.critical_value)
 
 
 def _bisect_monotone(f, y, lo, hi, increasing, iters=110):
@@ -558,7 +525,7 @@ def branch_preimage_arrays(m: UnimodalMap, side, los, his):
     lo = np.maximum(los, rlo)
     hi = np.minimum(his, rhi)
     mask = lo <= hi
-    _, _, inv_left, inv_right = _array_functions(m)
+    _, _, inv_left, inv_right = m.family.bind(NUMPY, m.parameter)
     if side == LEFT:
         return inv_left(lo), inv_left(hi), mask
     return inv_right(hi), inv_right(lo), mask

@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import maps
 from .errors import (CriticalNonReturn, DegenerateOrbit, PrecisionExhausted,
                      TooManyGaps, UncoveredMass)
 from .maps import (DEFAULT_BURN_IN, LEFT, RIGHT, UnimodalMap,
@@ -144,7 +145,7 @@ class _BirkhoffSums:
 
     def add(self, buf: np.ndarray) -> None:
         m = self.m
-        if not self.hit and np.any(np.abs(buf - m.critical_point) <= m.tie_tolerance):
+        if not self.hit and np.any(np.abs(buf - m.critical_point) <= maps.TIE_TOLERANCE):
             self.hit = True
         logs = log_abs_derivative_array(m, buf)
         self.sums.append(float(np.sum(logs)) if np.all(np.isfinite(logs)) else -math.inf)
@@ -262,7 +263,7 @@ def _integral_log_deriv(m: UnimodalMap, density: DensityEstimate):
     centers = 0.5 * (e[:-1] + e[1:])
     logd = log_abs_derivative_array(m, centers)
     mass = density.mass_per_bin
-    kappa = m._second_derivative_at_critical
+    kappa = m.family.second_derivative_at_critical(m.parameter)
     singular = []
     c = m.critical_point
     w = density.bin_width

@@ -20,8 +20,9 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
+from . import maps
 from .errors import NoReversingFixedPoint, PrecisionExhausted, TooShallow
-from .maps import UnimodalMap, mpmath_namespace
+from .maps import UnimodalMap, mpmath_namespace, orbit_array
 
 WIDTH_FLOOR_DOUBLE = 1e-13
 WIDTH_FLOOR_EXTENDED = 1e-18
@@ -66,8 +67,9 @@ class NestReport:
 class _Binding:
     """The arithmetic of one nest: the map's own float functions, or the
     mpmath binding of its family at 120 bits (constants such as sqrt(a)/2
-    included).  Every step of a nest runs inside `context`, so the extended
-    nest does not follow mpmath's global precision."""
+    included; a custom map has none).  Every step of a nest runs inside
+    `context`, so the extended nest does not follow mpmath's global
+    precision."""
 
     f: Callable
     inv_left: Callable
@@ -86,8 +88,6 @@ def _bind(m: UnimodalMap, extended: bool) -> _Binding:
     if not extended:
         return _Binding(m._f, m._inv_left, m._inv_right, float, m.critical_point,
                         *m.domain, WIDTH_FLOOR_DOUBLE, 1e-14, 53, nullcontext())
-    if m.family is None:
-        raise ValueError("extended precision supports built-in families only")
     import mpmath as mp
     bits = 120  # > 80-bit significand
     context = mp.workprec(bits)
@@ -103,17 +103,18 @@ def _bind(m: UnimodalMap, extended: bool) -> _Binding:
 # restrictive intervals (renormalization pre-search)
 # ---------------------------------------------------------------------------
 
-def _interval_image(m: UnimodalMap, J):
-    """Exact image of an interval under a unimodal map (max at c)."""
+def _interval_image(f, c, top, J):
+    """Exact image of an interval under a unimodal f with maximum top at c."""
     a, b = J
-    fa, fb = m._f(a), m._f(b)
-    if a <= m.critical_point <= b:
-        return (min(fa, fb), m.critical_value)
+    fa, fb = f(a), f(b)
+    if a <= c <= b:
+        return (min(fa, fb), top)
     return (fa, fb) if fa <= fb else (fb, fa)
 
 
-def find_restrictive_interval(m: UnimodalMap, max_period: int = DEFAULT_RENORM_SEARCH_PERIOD):
-    """Search for the deepest restrictive interval of period <= max_period.
+def find_restrictive_interval(m: UnimodalMap):
+    """Search for the deepest restrictive interval of period
+    <= DEFAULT_RENORM_SEARCH_PERIOD.
 
     Candidate T_0 = [f^{2k}(0), f^k(0)] is tested by exact interval-image
     propagation: f^k(T_0) inside T_0 and pairwise disjoint interiors of the
@@ -122,12 +123,10 @@ def find_restrictive_interval(m: UnimodalMap, max_period: int = DEFAULT_RENORM_S
     smallest restrictive interval rigorously is undecidable numerically;
     this finite-horizon search is reported as such.
     """
-    c = m.critical_point
-    xs = [c]
-    x = c
-    for _ in range(2 * max_period):
-        x = m._f(x)
-        xs.append(x)
+    f, c = m._f, m.critical_point
+    top = f(c)
+    max_period = DEFAULT_RENORM_SEARCH_PERIOD
+    xs = orbit_array(m, c, 2 * max_period + 1).tolist()
     best = None
     for k in range(1, max_period + 1):
         lo, hi = sorted((xs[2 * k], xs[k]))
@@ -137,19 +136,12 @@ def find_restrictive_interval(m: UnimodalMap, max_period: int = DEFAULT_RENORM_S
             continue
         cyc = [(lo, hi)]
         for _ in range(k):
-            cyc.append(_interval_image(m, cyc[-1]))
-        T0 = cyc[0]
-        Tk = cyc[k]
+            cyc.append(_interval_image(f, c, top, cyc[-1]))
         slack = 1e-9 * (hi - lo) + 1e-14
-        if Tk[0] < T0[0] - slack or Tk[1] > T0[1] + slack:
+        if cyc[k][0] < lo - slack or cyc[k][1] > hi + slack:
             continue
-        ok = True
         ordered = sorted(cyc[:k])
-        for (a1, b1), (a2, b2) in zip(ordered, ordered[1:]):
-            if a2 < b1 - slack:
-                ok = False
-                break
-        if ok:
+        if all(a2 >= b1 - slack for (_, b1), (a2, _) in zip(ordered, ordered[1:])):
             best = (k, cyc[:k])
     if best is None:
         # k = 1 candidate can fail for maps whose critical orbit has not
@@ -215,11 +207,6 @@ def _reversing_fixed_point(ar: _Binding, m: UnimodalMap, period: int, T):
     return p
 
 
-def orientation_reversing_fixed_point(m: UnimodalMap) -> float:
-    """The fixed point p > c on the decreasing branch with Df(p) <= -1."""
-    return float(_reversing_fixed_point(_bind(m, False), m, 1, m.domain))
-
-
 # ---------------------------------------------------------------------------
 # nest construction
 # ---------------------------------------------------------------------------
@@ -266,7 +253,7 @@ def _scan_limit(ar: _Binding, m: UnimodalMap, max_iterates: int):
             f"no return within {max_iterates} iterates")
 
 
-def _level_scan(ar: _Binding, I, I_prev, v_prev, max_iter, tie_tol):
+def _level_scan(ar: _Binding, I, I_prev, v_prev, max_iter):
     """Iterate the critical orbit until it enters int I.
 
     Returns (v, sides, s_prev) where sides[j] is the branch side of f^j(c)
@@ -277,7 +264,7 @@ def _level_scan(ar: _Binding, I, I_prev, v_prev, max_iter, tie_tol):
     lo, hi = I
     # an empty I_prev (c, c) counts no visits
     plo, phi = I_prev if I_prev is not None else (c, c)
-    tol = ar.num(tie_tol)
+    tol = ar.num(maps.TIE_TOLERANCE)
     # a point outside int I has |x - c| >= min(c - lo, hi - c) after
     # rounding too, so the tie test can only fire when I is this narrow
     near = c - lo <= tol or hi - c <= tol
@@ -364,8 +351,7 @@ def build_nest(m: UnimodalMap, max_depth: int, max_iterates: int, *,
         while n <= max_depth:
             I_prev = levels[-1]["interval"] if levels else None
             v_prev = levels[-1]["v"] if levels else 0
-            v, sides, s_prev = _level_scan(ar, I, I_prev, v_prev, bound,
-                                           m.tie_tolerance)
+            v, sides, s_prev = _level_scan(ar, I, I_prev, v_prev, bound)
             if v is None:
                 termination = scan_end
                 term_level = n
@@ -402,17 +388,9 @@ def build_nest(m: UnimodalMap, max_depth: int, max_iterates: int, *,
             I = I_next
             n += 1
 
-    out_levels = []
-    for i, rec in enumerate(levels):
-        lo, hi = float(rec["interval"][0]), float(rec["interval"][1])
-        out_levels.append(NestLevel(
-            index=i,
-            interval=(lo, hi),
-            v_n=rec["v"],
-            s_n=rec["s"],
-            c_n=rec["c_ratio"],
-            central_return=rec["central"],
-        ))
+    out_levels = [NestLevel(i, (float(rec["interval"][0]), float(rec["interval"][1])),
+                            rec["v"], rec["s"], rec["c_ratio"], rec["central"])
+                  for i, rec in enumerate(levels)]
     seq = tuple(2.0 * math.log(b.v_n) / a.v_n
                 for a, b in zip(out_levels, out_levels[1:]))
     return NestReport(

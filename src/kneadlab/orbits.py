@@ -15,9 +15,9 @@ import numpy as np
 
 from .errors import (ContainsCriticalSymbol, DivergentInput, EmptyCylinder,
                      IrreducibleRequired, NoOrbitPredicted, NonContraction)
-from .maps import UnimodalMap, evaluate, word_pullback
+from .maps import FAMILIES, UnimodalMap, orbit_array, word_pullback
 from .symbolic import (GeometricFrequencyEstimate, SymbolStream, SymbolWord,
-                       cylinder, geometric_frequency, itinerary)
+                       _symbols, cylinder, geometric_frequency, itinerary)
 
 CYLINDER_WIDTH_TOL = 1e-13
 EMPTY_WIDTH_TOL = 1e-15
@@ -42,10 +42,6 @@ class PeriodicOrbit:
     @property
     def exponent(self) -> float:
         return self.exponent_sign * math.exp(self.exponent_log_abs)
-
-    def expansion_rate(self) -> float:
-        """|Df^n(p)|^(1/n)."""
-        return math.exp(self.exponent_log_abs / self.period)
 
     def is_interior(self, m: UnimodalMap, slack: float = 1e-9) -> bool:
         l, r = m.domain
@@ -83,12 +79,6 @@ def lyndon_words(max_len: int):
             w.pop()
 
 
-def _fm(m: UnimodalMap, x: float, period: int) -> float:
-    for _ in range(period):
-        x = evaluate(m, x)
-    return x
-
-
 def _bracket_scan(g, lo, hi, points=65):
     """A sign-change bracket inside [lo, hi], preferring the middle."""
     xs = np.linspace(lo, hi, points)
@@ -109,7 +99,8 @@ def _bracket_scan(g, lo, hi, points=65):
 
 
 def _polish_root(m: UnimodalMap, period: int, lo: float, hi: float):
-    """Bisection-safeguarded secant on f^m(x) - x inside [lo, hi].
+    """Bisection-safeguarded secant on f^m(x) - x inside [lo, hi], where
+    f^m(x) is the map's fill over one m-point buffer.
 
     Df^m can be huge along expanding orbits, so every secant step is kept
     inside the current bracket and falls back to bisection.  For cylinders
@@ -119,8 +110,11 @@ def _polish_root(m: UnimodalMap, period: int, lo: float, hi: float):
 
     Returns (root, widened_flag).
     """
+    fill, param = m.family.fill, m.parameter
+    buf = np.empty(period)
+
     def g(x):
-        return _fm(m, x, period) - x
+        return fill(buf, x, param) - x
 
     widened = False
     ga, gb = g(lo), g(hi)
@@ -177,8 +171,10 @@ def find_periodic(m: UnimodalMap, word: SymbolWord) -> PeriodicOrbit:
     Nested cylinders I_{word^k} are pulled back until their width drops
     below CYLINDER_WIDTH_TOL (or the widths stall, which happens around
     attracting orbits), then the root of f^m(x) - x is polished inside the
-    final cylinder.  EmptyCylinder signals that no such orbit exists for this
-    map, which is a legal outcome.
+    final cylinder.  One forward walk of 2m points from the root then gives
+    the orbit points, the residual |f^m(p) - p| and the itinerary check.
+    EmptyCylinder signals that no such orbit exists for this map, which is
+    a legal outcome.
     """
     if len(word) == 0:
         raise ValueError("word must be nonempty")
@@ -215,15 +211,15 @@ def find_periodic(m: UnimodalMap, word: SymbolWord) -> PeriodicOrbit:
             raise EmptyCylinder(
                 f"cylinder collapsed below {EMPTY_WIDTH_TOL} with itinerary mismatch")
     p, widened = _polish_root(m, period, J[0], J[1])
-    pts = [p]
-    for _ in range(period - 1):
-        pts.append(evaluate(m, pts[-1]))
-    residual = abs(_fm(m, p, period) - p)
+    walk = orbit_array(m, p, 2 * period)
+    pts = walk[:period].tolist()
+    residual = abs(float(walk[period]) - p)
     scale = max(1.0, abs(p))
     if residual > 1e-9 * scale:
         raise NonContraction(f"root polish left residual {residual}")
-    check = itinerary(m, p, 2 * period)
-    if check.symbols != word.symbols * 2:
+    symbols = tuple(_symbols(m, walk).tolist())
+    if symbols != word.symbols * 2:
+        check = SymbolWord(symbols)
         if widened:
             raise NonContraction(
                 f"widened polish landed on a neighboring orbit ({check})")
@@ -232,7 +228,7 @@ def find_periodic(m: UnimodalMap, word: SymbolWord) -> PeriodicOrbit:
     sign = 1
     log_abs = 0.0
     for x in pts:
-        d = m.raw_derivative(x)
+        d = m._df(x)
         if abs(d) == 0.0:
             raise NonContraction("orbit passes through the critical point")
         sign *= 1 if d > 0 else -1
@@ -257,13 +253,13 @@ def enumerate_periodic(m: UnimodalMap, max_period: int,
     of length <= max_period; failures are recorded per word, not raised.
 
     Word searches are independent and pure; with workers > 1 they run in a
-    process pool (built-in families only, each worker unpickling the
-    caller's map with its tolerances) and merge in word order.
+    process pool and merge in word order.  The workers rebuild the map with
+    make_map, so a custom map is searched serially.
     """
     if max_period > 20:
         raise ValueError("max_period <= 20 required")
     words = [str(w) for w in lyndon_words(max_period)]
-    if workers > 1 and m.family is not None:
+    if workers > 1 and m.family_tag in FAMILIES:
         from concurrent.futures import ProcessPoolExecutor
         shards = [words[i::workers] for i in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:

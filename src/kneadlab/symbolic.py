@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import maps
 from .errors import ContainsCriticalSymbol, InsufficientOccurrences, PrefixTooShort
 from .maps import (DEFAULT_BURN_IN, LEFT, RIGHT, UnimodalMap, check_start,
                    orbit_array, orbit_chunks, seeded_start, word_pullback)
@@ -80,10 +81,10 @@ class SymbolWord:
 
 def _symbols(m: UnimodalMap, points: np.ndarray) -> np.ndarray:
     """The symbol of each orbit point as int8: 0 left of c, 1 right of c,
-    SYM_C within the map's tie tolerance of c."""
+    SYM_C within maps.TIE_TOLERANCE of c."""
     c = m.critical_point
     sym = (points > c).astype(np.int8)
-    sym[np.abs(points - c) <= m.tie_tolerance] = SYM_C
+    sym[np.abs(points - c) <= maps.TIE_TOLERANCE] = SYM_C
     return sym
 
 
@@ -229,7 +230,9 @@ def count_occurrences(pattern: np.ndarray, prefix: np.ndarray) -> int:
 
 def frequency(pattern: SymbolWord, stream: SymbolStream, prefix_length: int,
               max_power: int = 1) -> FrequencyEstimate:
-    """Sliding-window counts of pattern^k (k <= max_power) over one prefix."""
+    """Sliding-window counts of pattern^k (k <= max_power) over one prefix.
+    pattern^(k+1) occurs only where pattern^k does, so after the first zero
+    count the rest are zero without counting."""
     if len(pattern) == 0:
         raise ValueError("pattern must be nonempty")
     if pattern.has_critical:
@@ -242,10 +245,12 @@ def frequency(pattern: SymbolWord, stream: SymbolStream, prefix_length: int,
             f"{len(pattern) * max_power}")
     prefix = stream.take(prefix_length)
     base = pattern.to_int8()
-    counts = tuple((k, count_occurrences(np.tile(base, k), prefix))
-                   for k in range(1, max_power + 1))
+    counts, count = [], 1
+    for k in range(1, max_power + 1):
+        count = count and count_occurrences(np.tile(base, k), prefix)
+        counts.append((k, count))
     return FrequencyEstimate(pattern, prefix_length, counts[0][1],
-                             counts[0][1] / prefix_length, counts)
+                             counts[0][1] / prefix_length, tuple(counts))
 
 
 def _ols_slope(ks, ys):

@@ -3,6 +3,7 @@ unit and acceptance suites."""
 
 import pytest
 
+from kneadlab import maps, nest
 from kneadlab.errors import PrecisionExhausted
 from kneadlab.maps import UnimodalMap
 
@@ -19,10 +20,10 @@ def check_nest_invariants(m, rep):
         # R_n(0) into I_{n+1}, an exact integer identity
         y = c
         for _ in range(lv.v_n):
-            y = m.raw(y)
+            y = m._f(y)
         landing = 0
         while not (nxt.interval[0] < y < nxt.interval[1]):
-            y = m.raw(y)
+            y = m._f(y)
             landing += 1
             assert landing <= nxt.v_n
         assert nxt.v_n == lv.v_n + landing
@@ -30,7 +31,7 @@ def check_nest_invariants(m, rep):
         x = c
         visits = 0
         for t in range(1, nxt.v_n):
-            x = m.raw(x)
+            x = m._f(x)
             if t >= lv.v_n and lv.interval[0] < x < lv.interval[1]:
                 visits += 1
         assert lv.s_n == visits
@@ -57,12 +58,18 @@ def nice_on_horizon(m: UnimodalMap, interval, horizon: int,
         x = e
         amp = 1.0
         for _ in range(horizon):
-            amp *= max(1.0, abs(m.raw_derivative(x)))
-            x = m.raw(x)
+            amp *= max(1.0, abs(m._df(x)))
+            x = m._f(x)
             tol = eps * amp
             if lo + tol < x < hi - tol:
                 return False
     return True
+
+
+def orientation_reversing_fixed_point(m: UnimodalMap) -> float:
+    """The fixed point p > c on the decreasing branch with Df(p) <= -1,
+    by the nest's own bisection at double precision."""
+    return float(nest._reversing_fixed_point(nest._bind(m, False), m, 1, m.domain))
 
 
 # test oracle: outward spreading with a constant-return-time probe --------
@@ -101,7 +108,7 @@ def spreading_central_domain(m: UnimodalMap, I, v: int, bisections: int = 80):
 # reference loops: the plain critical-orbit scan and the full-length pullback
 # that nest._level_scan and nest._pullback_level must agree with ----------
 
-def reference_level_scan(ar, I, I_prev, v_prev, max_iter, tie_tol):
+def reference_level_scan(ar, I, I_prev, v_prev, max_iter):
     """Iterate the critical orbit until it enters int I.
 
     Returns (v, sides, s_prev) where sides[j] is the branch side of f^j(c)
@@ -121,7 +128,7 @@ def reference_level_scan(ar, I, I_prev, v_prev, max_iter, tie_tol):
         if I_prev is not None and t >= v_prev and plo < x < phi:
             s_prev += 1
         d = x - c
-        if abs(d) <= tie_tol:
+        if abs(d) <= maps.TIE_TOLERANCE:
             sides.append(None)
         else:
             sides.append(0 if d < 0 else 1)

@@ -10,7 +10,8 @@ import pytest
 
 import kneadlab
 from kneadlab import cli
-from kneadlab.cli import MAX_LENGTH, _config_from_args, build_parser, main
+from kneadlab.cli import (MAX_LENGTH, MAX_POWER, _config_from_args,
+                          build_parser, main)
 from kneadlab.harness import (ExperimentConfig, VerificationReport, run_verify,
                               sweep)
 
@@ -466,6 +467,43 @@ def test_cli_orbit_length_cap(capsys, monkeypatch, argv):
     # the cap itself is let through to the library
     with pytest.raises(_Reached):
         main(argv + ["--orbit-length", str(MAX_LENGTH)])
+
+
+def test_cli_max_power_cap(capsys, monkeypatch):
+    # the cap is checked before the map is built or a symbol computed
+    def reached(*args, **kwargs):
+        raise _Reached(args)
+
+    for name in ("make_map", "geometric_frequency"):
+        monkeypatch.setattr(cli, name, reached)
+    argv = ["freq", "--map", "quadratic", "--param", "2.0", "--alpha", "0",
+            "--orbit-length", "1e6", "--from-critical"]
+    assert main(argv + ["--max-power", str(MAX_POWER + 1)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "ValueError",
+        "message": f"--max-power {MAX_POWER + 1} exceeds the cap {MAX_POWER}"}
+    with pytest.raises(_Reached):
+        main(argv + ["--max-power", str(MAX_POWER)])
+
+
+@pytest.mark.parametrize("argv", [
+    ["kneading", "--map", "quadratic", "--param", "1.9", "--length", "40"],
+    ["nest", "--map", "quadratic", "--param", "1.9", "--max-depth", "3"],
+    ["verify", "zeta", "--map", "quadratic", "--param", "2.0", "--max-period", "6"],
+    ["measure", "--map", "quadratic", "--param", "1.9", "--samples", "1e5",
+     "--bins", "8"],
+], ids=["kneading", "nest", "verify", "measure"])
+def test_cli_out_file_bytes_equal_stdout(capsys, tmp_path, argv):
+    path = tmp_path / "out"
+    code = main(argv)
+    stdout = capsys.readouterr().out
+    assert code == 0
+    assert main(argv + ["--out", str(path)]) == code
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == stdout.encode()
+    assert stdout.endswith("\n") and not stdout.endswith("\n\n")
 
 
 @pytest.mark.parametrize("argv", [

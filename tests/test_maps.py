@@ -1,6 +1,5 @@
 import math
 import pickle
-from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -103,7 +102,7 @@ def test_iterate_orbit_fixed_point(q2):
 
 def test_log_derivative_sum_matches_fsum(q19):
     seg = iterate_orbit(q19, 0.3456, 200)
-    oracle = math.fsum(math.log(abs(q19.raw_derivative(x)))
+    oracle = math.fsum(math.log(abs(q19._df(x)))
                        for x in seg.points[:-1])
     assert seg.log_derivative_sum == pytest.approx(oracle, rel=1e-13)
 
@@ -117,8 +116,8 @@ def test_monotone_branch_property(m):
     for lo, hi, orient in ((l, c, 1.0), (c, r, -1.0)):
         xs = rng.uniform(lo, hi, size=(10_000, 2))
         x, y = np.minimum(xs[:, 0], xs[:, 1]), np.maximum(xs[:, 0], xs[:, 1])
-        fx = np.array([m.raw(v) for v in x])
-        fy = np.array([m.raw(v) for v in y])
+        fx = np.array([m._f(v) for v in x])
+        fy = np.array([m._f(v) for v in y])
         assert np.all(orient * (fy - fx) >= 0.0)
 
 
@@ -129,8 +128,8 @@ def test_conjugacy_identity(a):
     ga = make_sine(a)
     rng = np.random.default_rng(int(a * 10))
     xs = rng.uniform(0.0, 1.0, 10_000)
-    lhs = logistic_sine_conjugacy([ga.raw(float(x)) for x in xs])
-    rhs = np.array([fa.raw(float(h)) for h in logistic_sine_conjugacy(xs)])
+    lhs = logistic_sine_conjugacy([ga._f(float(x)) for x in xs])
+    rhs = np.array([fa._f(float(h)) for h in logistic_sine_conjugacy(xs)])
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -140,7 +139,7 @@ def test_self_map_closure(m):
     rng = np.random.default_rng(1)
     l, r = m.domain
     xs = rng.uniform(l, r, 100_000)
-    ys = np.array([m.raw(float(x)) for x in xs])
+    ys = np.array([m._f(float(x)) for x in xs])
     assert ys.min() >= l - 1e-12
     assert ys.max() <= r + 1e-12
 
@@ -157,7 +156,7 @@ def test_branch_preimage_round_trip(m):
                 continue
             a, b = pre
             assert a <= b
-            ys = sorted((m.raw(a), m.raw(b)))
+            ys = sorted((m._f(a), m._f(b)))
             assert ys[0] >= lo - 1e-10
             assert ys[1] <= hi + 1e-10
 
@@ -253,7 +252,7 @@ def test_lyapunov_birkhoff_matches_fsum_oracle(q19):
     # four chunks of orbit_chunks; the oracle sums every log exactly
     n = 3 * (1 << 16) + 5
     xs = orbit_array(q19, 0.3456, n)
-    oracle = math.fsum(math.log(abs(q19.raw_derivative(float(x)))) for x in xs) / n
+    oracle = math.fsum(math.log(abs(q19._df(float(x)))) for x in xs) / n
     assert lyapunov_birkhoff(q19, 0.3456, n).value == pytest.approx(oracle, rel=1e-13)
     # a log of -inf in any chunk makes the whole sum -inf
     assert lyapunov_birkhoff(make_quadratic(2.0), 0.0, n).value == -math.inf
@@ -265,7 +264,7 @@ def test_family_bindings_agree(family, p):
     m = make_map(family, p)
     rng = np.random.default_rng(17)
     xs = rng.uniform(*m.domain, 2000)
-    ys = rng.uniform(*sorted((m.raw(m.domain[0]), m.critical_value)), 2000)
+    ys = rng.uniform(*sorted((m._f(m.domain[0]), m.critical_value)), 2000)
     scalar = m.family.bind(MATH, p)
     vector = m.family.bind(NUMPY, p)
     for i, (g, vg) in enumerate(zip(scalar, vector)):
@@ -282,11 +281,9 @@ def test_family_bindings_agree(family, p):
         for i, (g, pg) in enumerate(zip(scalar, precise)):
             for a in (xs if i < 2 else ys)[:200]:
                 assert abs(float(pg(mp.mpf(float(a)))) - g(float(a))) <= 1e-14
-    tuned = replace(m, tie_tolerance=0.05, domain_slack=1e-9)
-    back = pickle.loads(pickle.dumps(tuned))
-    assert (back.family_tag, back.parameter) == (family, p)
-    assert (back.tie_tolerance, back.domain_slack) == (0.05, 1e-9)
-    assert back.raw(0.3) == m.raw(0.3)
+    back = pickle.loads(pickle.dumps(m))
+    assert (back.family, back.parameter) == (m.family, p)
+    assert back._f(0.3) == m._f(0.3)
 
 
 @pytest.mark.parametrize("m", [
@@ -300,8 +297,8 @@ def test_fill_matches_the_bound_step(m):
     starts = (m.critical_point, *m.domain, seeded_start(m, 3), seeded_start(m, 4))
     for x0 in starts:
         got = np.empty(CHUNK + 1234)
-        x_end = m._fill(got[:CHUNK], x0)
-        x_end = m._fill(got[CHUNK:], x_end)
+        x_end = m.family.fill(got[:CHUNK], x0, m.parameter)
+        x_end = m.family.fill(got[CHUNK:], x_end, m.parameter)
         expect = np.empty(len(got))
         x = x0
         for i in range(len(expect)):
@@ -309,6 +306,20 @@ def test_fill_matches_the_bound_step(m):
             x = m._f(x)
         assert np.array_equal(got, expect)
         assert x_end == x
+
+
+def test_custom_map_is_a_family_record():
+    m = make_custom(lambda x: 3.8 * x * (1.0 - x), lambda x: 3.8 - 7.6 * x,
+                    (0.0, 1.0), 0.5)
+    assert (m.family.name, m.family_tag) == ("custom", "custom")
+    assert (m.domain, m.critical_point) == (m.family.domain, m.family.critical_point)
+    assert math.isnan(m.parameter)
+    assert m.family.bind(MATH, m.parameter) == (m._f, m._df, m._inv_left, m._inv_right)
+    xs = np.linspace(0.0, 1.0, 9)
+    for g, vg in zip(m.family.bind(MATH, m.parameter), m.family.bind(NUMPY, m.parameter)):
+        assert np.array_equal(vg(xs), [g(float(x)) for x in xs])
+    with pytest.raises(ValueError, match="built-in families only"):
+        m.family.bind(mpmath_namespace(), mp.mpf(0.5))
 
 
 def test_custom_map_validation_rejects_non_unimodal():

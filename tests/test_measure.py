@@ -96,8 +96,8 @@ def test_attractor_cycle_q2(q2):
 
 def test_attractor_cycle_q19(q19):
     period, cycle = find_restrictive_interval(q19)
-    f1 = q19.raw(0.0)
-    f2 = q19.raw(f1)
+    f1 = q19._f(0.0)
+    f2 = q19._f(f1)
     assert period == 1
     assert cycle[0][0] == pytest.approx(f2, abs=1e-15)
     assert cycle[0][1] == pytest.approx(f1, abs=1e-15)
@@ -323,7 +323,7 @@ def test_gap_landing_property(q19):
         x = float(0.5 * (gaps.gap_lo[i] + gaps.gap_hi[i]))
         for t in range(g):
             assert not (a < x < b)
-            x = q19.raw(x)
+            x = q19._f(x)
         assert a - 1e-9 <= x <= b + 1e-9
 
 
@@ -401,7 +401,7 @@ def test_attractor_invariance_pushforward(q2):
     idx = rng.choice(d.bin_count, size=10 ** 5, p=d.mass_per_bin)
     u = rng.uniform(0, 1, 10 ** 5)
     xs = d.bin_edges[idx] + u * d.bin_width
-    ys = np.array([q2.raw(float(x)) for x in xs])
+    ys = np.array([q2._f(float(x)) for x in xs])
     h, _ = np.histogram(ys, bins=d.bin_edges)
     pushed = dataclasses.replace(d, mass_per_bin=h / h.sum())
     for _ in range(100):
@@ -453,7 +453,7 @@ def test_detect_periodic_attractor_on_cycle():
     m = make_logistic(3.2)  # attracting period-2 cycle
     x = 0.3
     for _ in range(4000):
-        x = m.raw(x)
+        x = m._f(x)
     hit = _detect_periodic_attractor(m, orbit_array(m, x, measure.RECURRENCE_PROBE))
     assert hit is not None
     assert hit[0] == 2

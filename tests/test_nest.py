@@ -1,15 +1,15 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from kneadlab import (NoReversingFixedPoint, TooShallow, build_nest,
-                      make_logistic, make_map, make_quadratic, nest_asymptotics,
-                      nest_lyapunov, orientation_reversing_fixed_point)
-from kneadlab import nest
+                      make_custom, make_logistic, make_map, make_quadratic,
+                      nest_asymptotics, nest_lyapunov)
+from kneadlab import maps, nest
 from kneadlab.nest import NestLevel, NestReport, find_restrictive_interval
-from nest_checks import (reference_level_scan, reference_pullback_level,
+from nest_checks import (orientation_reversing_fixed_point,
+                         reference_level_scan, reference_pullback_level,
                          spreading_central_domain)
 
 
@@ -188,16 +188,23 @@ def test_nest_agrees_with_reference_loops(monkeypatch, family, p, extended):
 
 
 @pytest.mark.parametrize("extended", [False, True])
-def test_level_scan_tie_branch_agrees_with_reference(extended):
+def test_level_scan_tie_branch_agrees_with_reference(monkeypatch, extended):
     # I narrower than twice the tie tolerance, so the tie test is live
-    m = dataclasses.replace(make_quadratic(1.9), tie_tolerance=0.05)
-    ar = nest._bind(m, extended)
+    monkeypatch.setattr(maps, "TIE_TOLERANCE", 0.05)
+    ar = nest._bind(make_quadratic(1.9), extended)
     with ar.context:
         I = (ar.num(-0.01), ar.num(0.01))
         I_prev = (ar.num(-0.04), ar.num(0.04))
-        got = nest._level_scan(ar, I, I_prev, 8, 10 ** 6, m.tie_tolerance)
+        got = nest._level_scan(ar, I, I_prev, 8, 10 ** 6)
         assert None in got[1]
-        assert got == reference_level_scan(ar, I, I_prev, 8, 10 ** 6, m.tie_tolerance)
+        assert got == reference_level_scan(ar, I, I_prev, 8, 10 ** 6)
+
+
+def test_extended_nest_of_a_custom_map_raises():
+    m = make_custom(lambda x: 0.9 - 1.9 * x * x, lambda x: -3.8 * x, (-1.0, 1.0), 0.0)
+    assert build_nest(m, 2, 10 ** 6).levels
+    with pytest.raises(ValueError, match="built-in families only"):
+        build_nest(m, 2, 10 ** 6, extended_precision=True)
 
 
 def test_nest_collapse_ends_in_precision_exhausted_with_null_c_n(q19):
@@ -260,9 +267,9 @@ def test_double_and_extended_nests_agree_on_shared_levels(family, p):
 def test_level_scans_stop_before_the_horizon(monkeypatch):
     bounds = []
 
-    def scan(ar, I, I_prev, v_prev, max_iter, tie_tol):
+    def scan(ar, I, I_prev, v_prev, max_iter):
         bounds.append(max_iter)
-        return reference_level_scan(ar, I, I_prev, v_prev, max_iter, tie_tol)
+        return reference_level_scan(ar, I, I_prev, v_prev, max_iter)
 
     monkeypatch.setattr(nest, "_level_scan", scan)
     for m in (make_quadratic(1.9), make_logistic(3.9), make_map("sine", 3.9)):
@@ -277,10 +284,10 @@ def test_level_scans_stop_before_the_horizon(monkeypatch):
 
 def test_horizon_counts_the_amplified_rounding(q19):
     # E_1 = 1, E_{t+1} = |Df(x_t)| E_t + 1; H is the first t with E_t > 2^53
-    x, e, t = q19.raw(0.0), 1.0, 1
+    x, e, t = q19._f(0.0), 1.0, 1
     while e <= 2.0 ** 53:
-        e = abs(q19.raw_derivative(x)) * e + 1.0
-        x = q19.raw(x)
+        e = abs(q19._df(x)) * e + 1.0
+        x = q19._f(x)
         t += 1
     assert nest._scan_limit(nest._bind(q19, False), q19, 10 ** 6)[:3] == (
         t, t - 1, "PrecisionExhausted")

@@ -8,9 +8,10 @@ import pytest
 from kneadlab import (ContainsCriticalSymbol, DivergentInput, EmptyCylinder,
                       IrreducibleRequired, NoOrbitPredicted, NonContraction,
                       SymbolStream,
-                      SymbolWord, ZetaTruncation, enumerate_periodic,
-                      find_periodic, formula_exponent_estimate, make_logistic,
-                      make_quadratic)
+                      SymbolWord, ZetaTruncation, enumerate_periodic, evaluate,
+                      find_periodic, formula_exponent_estimate, make_custom,
+                      make_logistic, make_map, make_quadratic)
+from kneadlab import maps
 from kneadlab.orbits import lyndon_words
 
 
@@ -83,7 +84,7 @@ def test_attracting_period_two_logistic():
     # drop the fixed points 0 and 1-1/a
     cycle = [r for r in real if abs(r) > 1e-9 and abs(r - (1 - 1 / a)) > 1e-9]
     assert sorted(orb.points) == pytest.approx(cycle, abs=1e-9)
-    d = m.raw_derivative
+    d = m._df
     assert orb.exponent == pytest.approx(d(cycle[0]) * d(cycle[1]), rel=1e-9)
 
 
@@ -264,30 +265,65 @@ def test_exponent_log_storage(q2):
     orb = find_periodic(q2, W("10"))
     assert orb.exponent_sign == -1
     assert orb.exponent_log_abs == pytest.approx(math.log(4.0), rel=1e-11)
-    assert orb.expansion_rate() == pytest.approx(2.0, rel=1e-11)
+    assert math.exp(orb.exponent_log_abs / orb.period) == pytest.approx(2.0, rel=1e-11)
 
 
-def test_enumerate_serial_searches_the_callers_map(q2):
+def test_enumerate_serial_searches_the_callers_map(monkeypatch, q2):
     # a wide tie tolerance turns the symbols of orbit points near c into 'c',
-    # so find_periodic rejects those orbits; the enumeration must agree
-    m = replace(q2, tie_tolerance=0.05)
-    enum = enumerate_periodic(m, 5)
+    # so find_periodic rejects those orbits; the enumeration, which reads
+    # the tolerance at call time too, must agree
+    monkeypatch.setattr(maps, "TIE_TOLERANCE", 0.05)
+    enum = enumerate_periodic(q2, 5)
     for w in lyndon_words(5):
         try:
-            find_periodic(m, w)
+            find_periodic(q2, w)
             found = True
         except (EmptyCylinder, NonContraction):
             found = False
         assert (str(w) not in enum.failures) == found, str(w)
-    assert enum.failures
+    assert (len(enum.orbits), len(enum.failures)) == (13, 1)
 
 
-def test_enumerate_parallel_keeps_the_callers_map(q2):
-    # the pool workers unpickle the map with its tie tolerance, so the
-    # orbit near c is rejected there as in the serial search
-    m = replace(q2, tie_tolerance=0.05)
+def test_enumerate_custom_map_runs_serially():
+    # the pool rebuilds maps by family name, which a custom map has not
+    m = make_custom(lambda x: 1.0 - 1.9 * x * x, lambda x: -3.8 * x, (-1.0, 1.0), 0.0)
     serial = enumerate_periodic(m, 5)
     parallel = enumerate_periodic(m, 5, workers=2)
-    assert (len(serial.orbits), len(serial.failures)) == (13, 1)
-    assert [o.points for o in parallel.orbits] == [o.points for o in serial.orbits]
+    assert len(serial.orbits) > 5
+    assert [(o.word, o.points, o.exponent_log_abs) for o in parallel.orbits] == \
+        [(o.word, o.points, o.exponent_log_abs) for o in serial.orbits]
     assert parallel.failures == serial.failures
+
+
+def _evaluate_chain_fill(m):
+    """The forward walk find_periodic took through maps.evaluate before
+    it went through the family's fill: x, evaluate(x), ... into buf."""
+    def fill(buf, x, p):
+        for i in range(len(buf)):
+            buf[i] = x
+            x = evaluate(m, x)
+        return x
+    return fill
+
+
+@pytest.mark.parametrize("family,p", [("quadratic", 1.9), ("quadratic", 2.0),
+                                      ("logistic", 3.9), ("sine", 3.9)])
+def test_find_periodic_fill_walk_matches_the_evaluate_chain(family, p):
+    # the same map with the evaluate chain as its fill runs the polish,
+    # the points and the residual as find_periodic did through evaluate
+    m = make_map(family, p)
+    ref = replace(m, family=replace(m.family, fill=_evaluate_chain_fill(m)))
+    found = 0
+    for w in lyndon_words(10):
+        try:
+            want = find_periodic(ref, w)
+        except (EmptyCylinder, NonContraction) as e:
+            with pytest.raises(type(e)):
+                find_periodic(m, w)
+            continue
+        got = find_periodic(m, w)
+        assert got.points == want.points, str(w)
+        assert got.residual == want.residual, str(w)
+        assert all(type(x) is float for x in got.points + (got.residual,))
+        found += 1
+    assert found >= 10

@@ -10,7 +10,9 @@ from kneadlab import (ContainsCriticalSymbol, InsufficientOccurrences,
                       cylinder, frequency, geometric_frequency, itinerary,
                       kneading_sequence, make_custom, make_logistic,
                       make_quadratic, make_sine)
-from kneadlab.maps import DEFAULT_BURN_IN, orbit_array, seeded_start
+from kneadlab.maps import (DEFAULT_BURN_IN, TIE_TOLERANCE, orbit_array,
+                           seeded_start)
+from kneadlab import symbolic
 from kneadlab.symbolic import count_occurrences
 
 
@@ -115,11 +117,11 @@ def test_shift_equivariance(q19, q2):
             x = float(rng.uniform(*m.domain))
             pts = [x]
             for _ in range(n):
-                pts.append(m.raw(pts[-1]))
+                pts.append(m._f(pts[-1]))
             if min(abs(p - m.critical_point) for p in pts) <= 1e-12:
                 continue
             a = itinerary(m, x, n)
-            b = itinerary(m, m.raw(x), n - 1)
+            b = itinerary(m, m._f(x), n - 1)
             assert a.symbols[1:] == b.symbols
             checked += 1
 
@@ -225,6 +227,25 @@ def test_count_monotone_in_power(stream_bits, pattern_bits):
     assert all(a >= b for a, b in zip(counts, counts[1:]))
 
 
+def test_frequency_stops_counting_at_the_first_zero(monkeypatch):
+    # (10)^2 occurs in every block of 101000, (10)^3 nowhere
+    bits = np.tile(np.array([1, 0, 1, 0, 0, 0], dtype=np.int8), 100)
+    pattern = SymbolWord.from_string("10")
+    direct = tuple((k, count_occurrences(np.tile(pattern.to_int8(), k), bits))
+                   for k in range(1, 7))
+    assert [c for _, c in direct] == [200, 100, 0, 0, 0, 0]
+    calls = []
+
+    def counting(pat, prefix):
+        calls.append(len(pat))
+        return count_occurrences(pat, prefix)
+
+    monkeypatch.setattr(symbolic, "count_occurrences", counting)
+    est = frequency(pattern, SymbolStream.from_array(bits), len(bits), max_power=6)
+    assert est.per_power_counts == direct
+    assert calls == [2, 4, 6]
+
+
 def test_frequency_per_power_counts_nonincreasing(q19):
     stream = SymbolStream.typical(q19, seed=3)
     est = frequency(SymbolWord.from_string("10"), stream, 200_000, max_power=6)
@@ -311,7 +332,7 @@ def test_typical_stream_is_the_seeded_orbit_after_burn_in(m):
     for seed in (8, 346):
         pts = orbit_array(m, seeded_start(m, seed), n, burn_in=DEFAULT_BURN_IN)
         c = m.critical_point
-        expected = np.where(np.abs(pts - c) <= m.tie_tolerance, 2, pts > c)
+        expected = np.where(np.abs(pts - c) <= TIE_TOLERANCE, 2, pts > c)
         got = SymbolStream.typical(m, seed).take(n)
         assert np.array_equal(got, expected)
 

@@ -35,11 +35,11 @@ MAX_LENGTH = 10 ** 7
 # (dest, option) of every count MAX_LENGTH caps
 _CAPPED = (("length", "--length"), ("orbit_length", "--orbit-length"),
            ("orbit_length_iterates", "--orbit-length"))
-# Highest --max-power of freq.  Counting pattern^k makes k*|pattern| passes
-# over the prefix, so while the counts stay above 0 the time grows like
-# |pattern| * max_power^2.  On a 2-vCPU Xeon, over the 10^7-symbol kneading
-# prefix of quadratic 2.0 (0 from the third symbol on), --alpha 0 took
-# 4.4 s at 32 and 1.9 s at 1; a 50-symbol --alpha of 0s took 106 s at 32.
+# Highest --max-power of freq.  Every power is counted from the match mask
+# of the pattern, so counting makes |pattern| + max_power passes over the
+# prefix.  On a 2-vCPU Xeon, over the 10^7-symbol kneading prefix of
+# quadratic 2.0 (0 from the third symbol on), --alpha 0 took 1.6 s at 32
+# and 1.1 s at 1, and a 50-symbol --alpha of 0s took 1.8 s at 32.
 MAX_POWER = 32
 
 

@@ -20,10 +20,10 @@ from . import __version__
 from .errors import EmptyCylinder, KneadlabError, UncoveredMass
 from .maps import (DEFAULT_BURN_IN, derivative, make_logistic, make_map,
                    make_sine, seeded_start)
-from .measure import (estimate_density, gap_family, lyapunov_birkhoff,
-                      regularized_density_report, verify_critical_typicality,
-                      verify_lyapunov_equality)
-from .nest import build_nest, nest_lyapunov
+from .measure import (MAX_GENERATION, estimate_density, gap_family,
+                      lyapunov_birkhoff, regularized_density_report,
+                      verify_critical_typicality, verify_lyapunov_equality)
+from .nest import MAX_DEPTH, build_nest, nest_lyapunov
 from .orbits import (ZetaTruncation, enumerate_periodic, find_periodic,
                      formula_exponent_estimate)
 from .symbolic import SymbolStream, SymbolWord
@@ -70,6 +70,10 @@ class ExperimentConfig:
                      "conjugacy_max_period"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        for name, top in (("nest_max_depth", MAX_DEPTH), ("gap_nest_level", MAX_DEPTH),
+                          ("gap_max_generation", MAX_GENERATION)):
+            if not 0 <= getattr(self, name) <= top:
+                raise ValueError(f"{name} must be in 0..{top}")
         if self.stream_kind not in ("typical", "critical"):
             raise ValueError("stream_kind must be 'typical' or 'critical'")
         # a word with no symbol, or with a 'c', matches nothing, and an
@@ -263,8 +267,7 @@ def _run_theorem_c(config: ExperimentConfig) -> VerificationReport:
     m = make_map(config.map_family, config.map_parameter)
     density = estimate_density(m, config.density_samples, config.density_bins,
                                config.seed)
-    nest_report = build_nest(m, min(config.gap_nest_level, 8),
-                             config.nest_max_iterates,
+    nest_report = build_nest(m, config.gap_nest_level, config.nest_max_iterates,
                              extended_precision=config.extended_precision)
     g1 = config.gap_max_generation
     g2 = g1 + 4

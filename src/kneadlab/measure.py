@@ -22,13 +22,14 @@ from .errors import (CriticalNonReturn, DegenerateOrbit, PrecisionExhausted,
 from .maps import (DEFAULT_BURN_IN, LEFT, RIGHT, UnimodalMap,
                    branch_preimage_arrays, check_start, evaluate,
                    log_abs_derivative_array, orbit_chunks, seeded_start)
-from .nest import NestReport, build_nest
+from .nest import MAX_DEPTH, NestReport, build_nest
 from .symbolic import SymbolWord, cylinder
 
 RECURRENCE_WINDOW = 2048
 RECURRENCE_MAX_PERIOD = 64
 RECURRENCE_PROBE = RECURRENCE_WINDOW + RECURRENCE_MAX_PERIOD  # points probed
 GAP_BUDGET = 10 ** 6
+MAX_GENERATION = 30
 
 
 @dataclass(frozen=True)
@@ -352,10 +353,12 @@ def gap_family(m: UnimodalMap, nest_level: int, max_generation: int, *,
     through the two monotone branches, deterministic order, tagged with
     their first-landing iterate count.  Raises TooManyGaps once the gaps of
     all generations so far number more than GAP_BUDGET."""
-    if max_generation > 30:
-        raise ValueError("max_generation <= 30 required")
+    if not 0 <= nest_level <= MAX_DEPTH:
+        raise ValueError(f"0 <= nest_level <= {MAX_DEPTH} required")
+    if not 0 <= max_generation <= MAX_GENERATION:
+        raise ValueError(f"0 <= max_generation <= {MAX_GENERATION} required")
     if nest_report is None:
-        nest_report = build_nest(m, min(nest_level, 8), max_iterates)
+        nest_report = build_nest(m, nest_level, max_iterates)
     if len(nest_report.levels) <= nest_level:
         err = {"CriticalNonReturn": CriticalNonReturn,
                "PrecisionExhausted": PrecisionExhausted}.get(

@@ -29,6 +29,7 @@ WIDTH_FLOOR_EXTENDED = 1e-18
 # consecutive central returns before we declare a deeper renormalization
 CENTRAL_CASCADE_LIMIT = 16
 DEFAULT_RENORM_SEARCH_PERIOD = 32
+MAX_DEPTH = 8
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,7 @@ class NestReport:
     extended_precision: bool
     lyapunov_nest_sequence: tuple[float, ...]
     precision_bits: int  # 53 (double) or 120 (extended)
-    shadowing_horizon: Optional[int]  # None: an exact repeat or max_iterates came first
+    shadowing_horizon: Optional[int]  # None: the walk stopped before H, or never reached it
 
 
 # ---------------------------------------------------------------------------
@@ -211,28 +212,23 @@ def _reversing_fixed_point(ar: _Binding, m: UnimodalMap, period: int, T):
 # nest construction
 # ---------------------------------------------------------------------------
 
-def _scan_limit(ar: _Binding, m: UnimodalMap, max_iterates: int):
-    """How far the critical-orbit scans may run: walk x_t = f^t(c) once with
-    E_1 = 1, E_{t+1} = |Df(x_t)| E_t + 1, the factor by which the roundings
-    made along the orbit can have grown at x_t (Hammel, Yorke & Grebogi
-    1987).  The horizon H is the first t with E_t > 2^bits; past it the
-    computed orbit need not shadow any true one.
-
-    Returns (horizon, bound, termination, detail): the scans stop after
-    `bound` iterates, and a scan that reaches it ends the nest with that
-    termination and detail.  A computed orbit that repeats a point before H
-    (checked against the point at the last power of two, as in Brent's
-    cycle detection) visits nothing new afterwards, so the scans stop once
-    they have seen its cycle.
-    """
+def _critical_orbit(ar: _Binding, m: UnimodalMap, max_iterates: int):
+    """Yield x_t = f^t(c), t = 1, 2, ..., in the binding's precision, and
+    return (termination, detail, H or None) at the horizon H, an exact
+    repeat or max_iterates.  E_1 = 1, E_{t+1} = |Df(x_t)| E_t + 1 is the
+    factor by which the roundings made along the orbit can have grown at x_t
+    (Hammel, Yorke & Grebogi 1987); past H, the first t with E_t > 2^bits,
+    the computed orbit need not shadow any true one.  An orbit that repeats
+    a point (checked against the point at the last power of two, as in
+    Brent's cycle detection) visits nothing new afterwards."""
     f, df = ar.f, m._df
     limit = 2.0 ** ar.bits
     x, e = f(ar.c), 1.0  # x_1, E_1
     mark, mark_t = x, 1
     for t in range(1, max_iterates + 1):
         if e > limit:
-            return (t, t - 1, "PrecisionExhausted",
-                    f"return time beyond the shadowing horizon at iterate {t}")
+            return ("PrecisionExhausted",
+                    f"return time beyond the shadowing horizon at iterate {t}", t)
         if x == mark and t > mark_t:
             # the cycle starts at the first mu with x_mu == x_{mu+period}
             period = t - mark_t
@@ -243,45 +239,13 @@ def _scan_limit(ar: _Binding, m: UnimodalMap, max_iterates: int):
             while a != b:
                 a, b, mu = f(a), f(b), mu + 1
             what = f"fixed at {float(a)!r}" if period == 1 else f"periodic with period {period}"
-            return (None, mu + period - 1, "CriticalNonReturn",
-                    f"critical orbit {what} from iterate {mu}")
+            return ("CriticalNonReturn", f"critical orbit {what} from iterate {mu}", None)
         if t == 2 * mark_t:
             mark, mark_t = x, t
+        yield x
         e = abs(df(float(x))) * e + 1.0
         x = f(x)
-    return (None, max_iterates, "CriticalNonReturn",
-            f"no return within {max_iterates} iterates")
-
-
-def _level_scan(ar: _Binding, I, I_prev, v_prev, max_iter):
-    """Iterate the critical orbit until it enters int I.
-
-    Returns (v, sides, s_prev) where sides[j] is the branch side of f^j(c)
-    for 1 <= j < v and s_prev counts visits to int I_prev at times in
-    [v_prev, v).  v is None when there is no return within max_iter.
-    """
-    f, c = ar.f, ar.c
-    lo, hi = I
-    # an empty I_prev (c, c) counts no visits
-    plo, phi = I_prev if I_prev is not None else (c, c)
-    tol = ar.num(maps.TIE_TOLERANCE)
-    # a point outside int I has |x - c| >= min(c - lo, hi - c) after
-    # rounding too, so the tie test can only fire when I is this narrow
-    near = c - lo <= tol or hi - c <= tol
-    x = c
-    sides = []
-    s_prev = 0
-    for t in range(1, max_iter + 1):
-        x = f(x)
-        if lo < x < hi:
-            return t, sides, s_prev
-        if t >= v_prev and plo < x < phi:
-            s_prev += 1
-        if near and abs(x - c) <= tol:
-            sides.append(None)
-        else:
-            sides.append(0 if x < c else 1)
-    return None, sides, s_prev
+    return ("CriticalNonReturn", f"no return within {max_iterates} iterates", None)
 
 
 def _pullback_level(ar: _Binding, I, sides):
@@ -327,12 +291,13 @@ def build_nest(m: UnimodalMap, max_depth: int, max_iterates: int, *,
 
     Restrictive intervals of period <= DEFAULT_RENORM_SEARCH_PERIOD are
     searched first; when one is found the nest is built for the renormalized return
-    map (v_n still counts base-map iterates) and the report says so.  The
-    critical-orbit scans stop before the shadowing horizon of the working
-    precision, which the report gives with the precision bits.
+    map (v_n still counts base-map iterates) and the report says so.  All
+    levels scan one walk of the critical orbit, which stops before the
+    shadowing horizon of the working precision; the report gives the
+    precision bits, and the horizon when the walk reached it.
     """
-    if max_depth > 8:
-        raise ValueError("max_depth <= 8 required")
+    if not 0 <= max_depth <= MAX_DEPTH:
+        raise ValueError(f"0 <= max_depth <= {MAX_DEPTH} required")
     if max_iterates < 10 ** 6:
         raise ValueError("max_iterates >= 1e6 required")
     period, cycle = find_restrictive_interval(m)
@@ -341,22 +306,38 @@ def build_nest(m: UnimodalMap, max_depth: int, max_iterates: int, *,
     termination = "DepthReached"
     term_level: Optional[int] = None
     detail = f"max_depth {max_depth} reached"
+    horizon = None
     central_streak = 0
     n = 0
     with ar.context:
         p = _reversing_fixed_point(ar, m, period, cycle[0])
         d = abs(p - ar.c)
         I = (ar.c - d, ar.c + d)
-        horizon, bound, scan_end, scan_detail = _scan_limit(ar, m, max_iterates)
+        c, tol = ar.c, ar.num(maps.TIE_TOLERANCE)
+        walk = _critical_orbit(ar, m, max_iterates)
+        sides = []  # the branch side of each walked point, None within tol of c
+        x = next(walk)  # x_t, t = len(sides) + 1
         while n <= max_depth:
-            I_prev = levels[-1]["interval"] if levels else None
-            v_prev = levels[-1]["v"] if levels else 0
-            v, sides, s_prev = _level_scan(ar, I, I_prev, v_prev, bound)
-            if v is None:
-                termination = scan_end
+            # level n's scan goes on from t = v_{n-1}: every earlier x_t lies
+            # outside int I_{n-1}, which contains I_n.  s_prev counts visits
+            # to int I_{n-1} at times in [v_{n-1}, v_n); level 0 has none.
+            lo, hi = I
+            plo, phi = levels[-1]["interval"] if levels else (c, c)
+            # a point outside int I has |x - c| >= min(c - lo, hi - c) after
+            # rounding too, so the tie test can only fire when I is this narrow
+            near = c - lo <= tol or hi - c <= tol
+            s_prev = 0
+            try:
+                while not lo < x < hi:
+                    if plo < x < phi:
+                        s_prev += 1
+                    sides.append(None if near and abs(x - c) <= tol else 0 if x < c else 1)
+                    x = next(walk)
+            except StopIteration as stop:
+                termination, detail, horizon = stop.value
                 term_level = n
-                detail = scan_detail
                 break
+            v = len(sides) + 1
             if levels:
                 prev = levels[-1]
                 prev["s"] = s_prev

@@ -329,6 +329,8 @@ class ZetaTruncation:
     """
 
     def __init__(self, orbits, max_period: int):
+        if max_period < 1:
+            raise ValueError("max_period >= 1 required")
         self.max_period = max_period
         self.orbit_table: dict[int, list[tuple[str, float]]] = {}
         for orb in orbits:

@@ -216,23 +216,29 @@ def cylinder(m: UnimodalMap, word: SymbolWord) -> CylinderInterval:
     return CylinderInterval(word, word_pullback(m, word.symbols[:-1], domain))
 
 
+def _match_mask(pattern: np.ndarray, prefix: np.ndarray) -> np.ndarray:
+    """True at each i where pattern occurs at prefix[i:], in one pass over
+    the prefix per symbol; needs 1 <= len(pattern) <= len(prefix)."""
+    n = len(prefix) - len(pattern) + 1
+    match = np.ones(n, dtype=bool)
+    for i, symbol in enumerate(pattern):
+        match &= prefix[i:i + n] == symbol
+    return match
+
+
 def count_occurrences(pattern: np.ndarray, prefix: np.ndarray) -> int:
     """Overlapping occurrences of pattern fully contained in prefix."""
-    L = len(pattern)
-    n = len(prefix)
-    if L == 0 or L > n:
+    if len(pattern) == 0 or len(pattern) > len(prefix):
         return 0
-    match = np.ones(n - L + 1, dtype=bool)
-    for i in range(L):
-        match &= prefix[i:n - L + 1 + i] == pattern[i]
-    return int(match.sum())
+    return int(_match_mask(pattern, prefix).sum())
 
 
 def frequency(pattern: SymbolWord, stream: SymbolStream, prefix_length: int,
               max_power: int = 1) -> FrequencyEstimate:
-    """Sliding-window counts of pattern^k (k <= max_power) over one prefix.
-    pattern^(k+1) occurs only where pattern^k does, so after the first zero
-    count the rest are zero without counting."""
+    """Sliding-window counts of pattern^k (k <= max_power) over one prefix,
+    all from the match mask of the pattern: pattern^k occurs at i when
+    pattern^(k-1) does and pattern occurs at i + (k-1)|pattern|.  After the
+    first zero count the rest are zero without counting."""
     if len(pattern) == 0:
         raise ValueError("pattern must be nonempty")
     if pattern.has_critical:
@@ -244,10 +250,13 @@ def frequency(pattern: SymbolWord, stream: SymbolStream, prefix_length: int,
             f"prefix_length {prefix_length} < |pattern|*max_power = "
             f"{len(pattern) * max_power}")
     prefix = stream.take(prefix_length)
-    base = pattern.to_int8()
-    counts, count = [], 1
+    L = len(pattern)
+    alpha = _match_mask(pattern.to_int8(), prefix)
+    mask, counts, count = alpha, [], 1
     for k in range(1, max_power + 1):
-        count = count and count_occurrences(np.tile(base, k), prefix)
+        if count and k > 1:
+            mask = mask[:-L] & alpha[(k - 1) * L:]
+        count = count and int(mask.sum())
         counts.append((k, count))
     return FrequencyEstimate(pattern, prefix_length, counts[0][1],
                              counts[0][1] / prefix_length, tuple(counts))

@@ -1,6 +1,8 @@
 """Shared nest-invariant checker and test-only nest oracles used by the
 unit and acceptance suites."""
 
+import math
+
 import pytest
 
 from kneadlab import maps, nest
@@ -105,11 +107,49 @@ def spreading_central_domain(m: UnimodalMap, I, v: int, bisections: int = 80):
     return (out[0], out[1])
 
 
-# reference loops: the plain critical-orbit scan and the full-length pullback
-# that nest._level_scan and nest._pullback_level must agree with ----------
+# reference nest: an up-front walk to the shadowing horizon, then one plain
+# critical-orbit scan per level restarted at c, and the full-length pullback.
+# nest.build_nest, which walks the critical orbit once, must agree with it ----
+
+def reference_horizon_walk(ar, m, max_iterates):
+    """How far the level scans may run: walk x_t = f^t(c) with E_1 = 1,
+    E_{t+1} = |Df(x_t)| E_t + 1 up to the horizon H, the first t with
+    E_t > 2^bits, an exact repeat (Brent's check against the point at the
+    last power of two), or max_iterates.
+
+    Returns (horizon, bound, termination, detail): the scans stop after
+    `bound` iterates, and a scan that reaches it ends the nest with that
+    termination and detail.
+    """
+    f, df = ar.f, m._df
+    limit = 2.0 ** ar.bits
+    x, e = f(ar.c), 1.0
+    mark, mark_t = x, 1
+    for t in range(1, max_iterates + 1):
+        if e > limit:
+            return (t, t - 1, "PrecisionExhausted",
+                    f"return time beyond the shadowing horizon at iterate {t}")
+        if x == mark and t > mark_t:
+            period = t - mark_t
+            a = b = f(ar.c)
+            for _ in range(period):
+                b = f(b)
+            mu = 1
+            while a != b:
+                a, b, mu = f(a), f(b), mu + 1
+            what = f"fixed at {float(a)!r}" if period == 1 else f"periodic with period {period}"
+            return (None, mu + period - 1, "CriticalNonReturn",
+                    f"critical orbit {what} from iterate {mu}")
+        if t == 2 * mark_t:
+            mark, mark_t = x, t
+        e = abs(df(float(x))) * e + 1.0
+        x = f(x)
+    return (None, max_iterates, "CriticalNonReturn",
+            f"no return within {max_iterates} iterates")
+
 
 def reference_level_scan(ar, I, I_prev, v_prev, max_iter):
-    """Iterate the critical orbit until it enters int I.
+    """Iterate the critical orbit from c until it enters int I.
 
     Returns (v, sides, s_prev) where sides[j] is the branch side of f^j(c)
     for 1 <= j < v and s_prev counts visits to int I_prev at times in
@@ -142,20 +182,77 @@ def reference_pullback_level(ar, I, sides):
     f_lo, f_hi = ar.f(ar.lo), ar.f(ar.c)  # left-branch range; shared max
     f_rlo = ar.f(ar.hi)
     J = (lo, hi)
-    for side in reversed(sides):
+    steps = len(sides)
+    for k in range(1, steps + 1):
+        side = sides[steps - k]
         if side is None:
             raise PrecisionExhausted(
-                "critical-orbit point within tie tolerance of c during pullback")
+                f"critical-orbit point within tie tolerance of c at pullback step {k} of {steps}")
         a, b = J
+        a2 = max(a, f_lo if side == 0 else f_rlo)
+        b2 = min(b, f_hi)
+        if a2 > b2:
+            raise PrecisionExhausted(
+                f"pullback interval left the branch range at step {k} of {steps}")
         if side == 0:
-            a2, b2 = max(a, f_lo), min(b, f_hi)
-            if a2 > b2:
-                raise PrecisionExhausted("pullback interval left the branch range")
             J = (ar.inv_left(a2), ar.inv_left(b2))
         else:
-            a2, b2 = max(a, f_rlo), min(b, f_hi)
-            if a2 > b2:
-                raise PrecisionExhausted("pullback interval left the branch range")
             J = (ar.inv_right(b2), ar.inv_right(a2))
+        if J[0] == J[1]:
+            raise PrecisionExhausted(
+                f"pullback interval collapsed to a point at step {k} of {steps}")
     a = J[0]
     return (ar.inv_left(a), ar.inv_right(a))
+
+
+def reference_build_nest(m, max_depth, max_iterates, extended_precision=False):
+    """The principal nest as NestReport, built with the reference loops."""
+    period, cycle = nest.find_restrictive_interval(m)
+    ar = nest._bind(m, extended_precision)
+    levels = []
+    termination, term_level = "DepthReached", None
+    detail = f"max_depth {max_depth} reached"
+    streak = 0
+    with ar.context:
+        p = nest._reversing_fixed_point(ar, m, period, cycle[0])
+        d = abs(p - ar.c)
+        I = (ar.c - d, ar.c + d)
+        horizon, bound, scan_end, scan_detail = reference_horizon_walk(ar, m, max_iterates)
+        for n in range(max_depth + 1):
+            I_prev = levels[-1]["interval"] if levels else None
+            v_prev = levels[-1]["v"] if levels else 0
+            v, sides, s_prev = reference_level_scan(ar, I, I_prev, v_prev, bound)
+            if v is None:
+                termination, term_level, detail = scan_end, n, scan_detail
+                break
+            if levels:
+                levels[-1]["s"] = s_prev
+                levels[-1]["central"] = s_prev == 0
+                streak = streak + 1 if s_prev == 0 else 0
+            levels.append({"interval": I, "v": v, "s": None, "c_ratio": None,
+                           "central": None})
+            if streak >= nest.CENTRAL_CASCADE_LIMIT:
+                termination, term_level = "RestrictiveIntervalFound", n
+                detail = f"{nest.CENTRAL_CASCADE_LIMIT} consecutive central returns"
+                break
+            if n == max_depth:
+                break
+            try:
+                I_next = reference_pullback_level(ar, I, sides)
+            except PrecisionExhausted as exc:
+                termination, term_level, detail = "PrecisionExhausted", n + 1, str(exc)
+                break
+            width = float(I_next[1] - I_next[0])
+            if width < ar.width_floor:
+                termination, term_level = "PrecisionExhausted", n + 1
+                detail = f"width {width!r} below floor {ar.width_floor!r}"
+                break
+            levels[-1]["c_ratio"] = float((I_next[1] - I_next[0]) / (I[1] - I[0]))
+            I = I_next
+    out = tuple(nest.NestLevel(i, (float(r["interval"][0]), float(r["interval"][1])),
+                               r["v"], r["s"], r["c_ratio"], r["central"])
+                for i, r in enumerate(levels))
+    seq = tuple(2.0 * math.log(b.v_n) / a.v_n for a, b in zip(out, out[1:]))
+    return nest.NestReport(out, termination, term_level, detail, period,
+                           nest.DEFAULT_RENORM_SEARCH_PERIOD, extended_precision,
+                           seq, ar.bits, horizon)

@@ -291,7 +291,7 @@ def test_cli_nest_collapse_reports_null_c_n_and_the_cause(capsys):
     assert out["termination"] == "PrecisionExhausted"
     assert out["termination_detail"] == (
         "pullback interval collapsed to a point at step 152 of 152")
-    assert (out["precision_bits"], out["shadowing_horizon"]) == (120, 162)
+    assert (out["precision_bits"], out["shadowing_horizon"]) == (120, None)
 
 
 def test_nest_lyapunov_report_carries_termination_detail():
@@ -344,6 +344,22 @@ def test_cli_measure_rejects_zero_bins(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "bin_count" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["nest", "--max-depth", "-1"], "0 <= max_depth <= 8 required"),
+    (["gaps", "--nest-level", "-1"], "0 <= nest_level <= 8 required"),
+    (["gaps", "--max-generation", "-3"], "0 <= max_generation <= 30 required"),
+    (["verify", "theorem-c", "--nest-level", "-1"], "gap_nest_level must be in 0..8"),
+    (["verify", "theorem-c", "--max-generation", "-3"], "gap_max_generation must be in 0..30"),
+    (["verify", "nest-lyapunov", "--max-depth", "-1"], "nest_max_depth must be in 0..8"),
+    (["zeta", "--max-period", "0", "--z", "0.1"], "max_period >= 1 required"),
+])
+def test_cli_rejects_out_of_range_sizes(capsys, argv, message):
+    assert main(argv + ["--map", "quadratic", "--param", "1.9"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _strict_loads(captured.err) == {"error": "ValueError", "message": message}
 
 
 @pytest.mark.parametrize("tag,words", [("theorem-a", ","), ("theorem-b", ","),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,8 +10,7 @@ from kneadlab import (NoReversingFixedPoint, TooShallow, build_nest,
 from kneadlab import maps, nest
 from kneadlab.nest import NestLevel, NestReport, find_restrictive_interval
 from nest_checks import (orientation_reversing_fixed_point,
-                         reference_level_scan, reference_pullback_level,
-                         spreading_central_domain)
+                         reference_build_nest, spreading_central_domain)
 
 
 def _report_from_vs(vs, cs=None):
@@ -158,11 +158,14 @@ def test_extended_nest_ignores_mpmaths_global_precision():
     assert low == default
 
 
-# --- the collapse stop and the slim scan against the reference loops -----
+# --- the collapse stop and the one walk against the reference nest -------
 
-def _level_key(rep):
-    return ([(lv.interval, lv.v_n, lv.s_n, lv.central_return) for lv in rep.levels],
-            rep.termination, rep.termination_level)
+def _agrees_with_reference(rep, ref):
+    # the reference walks to H up front; the nest's walk reaches H only when
+    # a scan needs it
+    if rep.shadowing_horizon is None:
+        ref = dataclasses.replace(ref, shadowing_horizon=None)
+    assert rep == ref
 
 
 REFERENCE_NESTS = [
@@ -177,27 +180,23 @@ REFERENCE_NESTS = [
 
 
 @pytest.mark.parametrize("family, p, extended", REFERENCE_NESTS)
-def test_nest_agrees_with_reference_loops(monkeypatch, family, p, extended):
+def test_nest_agrees_with_reference_loops(family, p, extended):
     m = make_map(family, p)
-    depth = 4 if extended else 6
-    fast = build_nest(m, depth, 10 ** 6, extended_precision=extended)
-    monkeypatch.setattr(nest, "_level_scan", reference_level_scan)
-    monkeypatch.setattr(nest, "_pullback_level", reference_pullback_level)
-    slow = build_nest(m, depth, 10 ** 6, extended_precision=extended)
-    assert _level_key(fast) == _level_key(slow)
+    for depth in (2, 4 if extended else 6):
+        rep = build_nest(m, depth, 10 ** 6, extended_precision=extended)
+        _agrees_with_reference(rep, reference_build_nest(m, depth, 10 ** 6, extended))
 
 
 @pytest.mark.parametrize("extended", [False, True])
 def test_level_scan_tie_branch_agrees_with_reference(monkeypatch, extended):
-    # I narrower than twice the tie tolerance, so the tie test is live
-    monkeypatch.setattr(maps, "TIE_TOLERANCE", 0.05)
-    ar = nest._bind(make_quadratic(1.9), extended)
-    with ar.context:
-        I = (ar.num(-0.01), ar.num(0.01))
-        I_prev = (ar.num(-0.04), ar.num(0.04))
-        got = nest._level_scan(ar, I, I_prev, 8, 10 ** 6)
-        assert None in got[1]
-        assert got == reference_level_scan(ar, I, I_prev, 8, 10 ** 6)
+    # a tolerance this wide puts x_3 within it of c, so pulling I_2 back to
+    # I_3 stops there in both precisions
+    monkeypatch.setattr(maps, "TIE_TOLERANCE", 0.15)
+    m = make_quadratic(1.9)
+    rep = build_nest(m, 6, 10 ** 6, extended_precision=extended)
+    assert rep.termination_detail == (
+        "critical-orbit point within tie tolerance of c at pullback step 5 of 7")
+    _agrees_with_reference(rep, reference_build_nest(m, 6, 10 ** 6, extended))
 
 
 def test_extended_nest_of_a_custom_map_raises():
@@ -264,22 +263,47 @@ def test_double_and_extended_nests_agree_on_shared_levels(family, p):
             assert a.s_n == b.s_n
 
 
-def test_level_scans_stop_before_the_horizon(monkeypatch):
-    bounds = []
-
-    def scan(ar, I, I_prev, v_prev, max_iter):
-        bounds.append(max_iter)
-        return reference_level_scan(ar, I, I_prev, v_prev, max_iter)
-
-    monkeypatch.setattr(nest, "_level_scan", scan)
+def test_level_scans_stop_before_the_horizon():
     for m in (make_quadratic(1.9), make_logistic(3.9), make_map("sine", 3.9)):
         for extended in (False, True):
-            bounds.clear()
             rep = build_nest(m, 6, 10 ** 6, extended_precision=extended)
             assert rep.termination_detail == (
                 f"return time beyond the shadowing horizon at iterate {rep.shadowing_horizon}")
-            assert bounds and max(bounds) == rep.shadowing_horizon - 1
             assert all(lv.v_n < rep.shadowing_horizon for lv in rep.levels)
+            assert rep == reference_build_nest(m, 6, 10 ** 6, extended)
+
+
+def test_the_nest_walks_the_critical_orbit_only_as_far_as_its_scans_ask(monkeypatch):
+    # at the neutral parameter the computed critical orbit neither leaves
+    # 2^bits behind nor repeats exactly, yet every level returns at 2
+    calls = []
+    bind = nest._bind
+
+    def counting_bind(m, extended):
+        ar = bind(m, extended)
+
+        def f(x):
+            calls.append(1)
+            return ar.f(x)
+        return dataclasses.replace(ar, f=f)
+
+    monkeypatch.setattr(nest, "_bind", counting_bind)
+    for extended in (False, True):
+        calls.clear()
+        rep = build_nest(make_quadratic(1.5), 4, 10 ** 6, extended_precision=extended)
+        assert [lv.v_n for lv in rep.levels] == [2, 2, 2, 2, 2]
+        assert rep.shadowing_horizon is None
+        assert len(calls) < 10 ** 3
+
+
+def _walk_to_the_end(ar, m):
+    walk = nest._critical_orbit(ar, m, 10 ** 6)
+    points = []
+    while True:
+        try:
+            points.append(next(walk))
+        except StopIteration as stop:
+            return points, stop.value
 
 
 def test_horizon_counts_the_amplified_rounding(q19):
@@ -289,8 +313,9 @@ def test_horizon_counts_the_amplified_rounding(q19):
         e = abs(q19._df(x)) * e + 1.0
         x = q19._f(x)
         t += 1
-    assert nest._scan_limit(nest._bind(q19, False), q19, 10 ** 6)[:3] == (
-        t, t - 1, "PrecisionExhausted")
+    points, (end, detail, horizon) = _walk_to_the_end(nest._bind(q19, False), q19)
+    assert (len(points), end, horizon) == (t - 1, "PrecisionExhausted", t)
+    assert detail == f"return time beyond the shadowing horizon at iterate {t}"
 
 
 def test_exact_fixed_point_ends_the_scan(q2):
@@ -306,14 +331,16 @@ def test_exact_cycle_bounds_the_scan():
     m = make_quadratic(1.75)
     ar = nest._bind(m, True)
     with ar.context:
-        horizon, bound, end, detail = nest._scan_limit(ar, m, 10 ** 6)
+        points, (end, detail, horizon) = _walk_to_the_end(ar, m)
         first, x, t = {}, ar.f(ar.c), 1
         while x not in first:
             first[x] = t
             x, t = ar.f(x), t + 1
     mu, period = first[x], t - first[x]
     assert (mu, period) == (85, 4)
-    assert (horizon, bound, end) == (None, mu + period - 1, "CriticalNonReturn")
+    # the walk stops at Brent's check, within one doubling of the cycle
+    assert mu + period <= len(points) + 1 <= 2 * (mu + period)
+    assert (end, horizon) == ("CriticalNonReturn", None)
     assert detail == "critical orbit periodic with period 4 from iterate 85"
 
 

@@ -234,16 +234,44 @@ def test_frequency_stops_counting_at_the_first_zero(monkeypatch):
     direct = tuple((k, count_occurrences(np.tile(pattern.to_int8(), k), bits))
                    for k in range(1, 7))
     assert [c for _, c in direct] == [200, 100, 0, 0, 0, 0]
-    calls = []
+    matched, summed = [], []
 
-    def counting(pat, prefix):
-        calls.append(len(pat))
-        return count_occurrences(pat, prefix)
+    class Mask(np.ndarray):
+        def sum(self, *args, **kwargs):
+            summed.append(len(self))
+            return np.asarray(self).sum(*args, **kwargs)
 
-    monkeypatch.setattr(symbolic, "count_occurrences", counting)
+    original = symbolic._match_mask
+
+    def match_mask(pat, prefix):
+        matched.append(len(pat))
+        return original(pat, prefix).view(Mask)
+
+    monkeypatch.setattr(symbolic, "_match_mask", match_mask)
     est = frequency(pattern, SymbolStream.from_array(bits), len(bits), max_power=6)
     assert est.per_power_counts == direct
-    assert calls == [2, 4, 6]
+    # one match mask of the pattern, then one count per power up to the zero
+    assert matched == [2]
+    assert summed == [599, 597, 595]
+
+
+@given(st.data())
+@settings(max_examples=150)
+def test_frequency_counts_match_the_tiled_pattern_counts(data):
+    alpha = data.draw(st.lists(st.integers(0, 1), min_size=1, max_size=8))
+    max_power = data.draw(st.integers(1, 8))
+    # whole copies of alpha between short random runs, so high powers occur
+    blocks = data.draw(st.lists(
+        st.one_of(st.just(alpha), st.lists(st.integers(0, 1), min_size=1, max_size=3)),
+        max_size=40))
+    bits = [b for block in blocks for b in block]
+    bits += [0] * max(0, len(alpha) * max_power - len(bits))
+    prefix = np.array(bits, dtype=np.int8)
+    pattern = SymbolWord.from_string("".join(map(str, alpha)))
+    est = frequency(pattern, SymbolStream.from_array(prefix), len(prefix), max_power)
+    assert est.per_power_counts == tuple(
+        (k, count_occurrences(np.tile(pattern.to_int8(), k), prefix))
+        for k in range(1, max_power + 1))
 
 
 def test_frequency_per_power_counts_nonincreasing(q19):

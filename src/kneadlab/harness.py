@@ -41,6 +41,9 @@ TOLERANCE_CONJUGACY = 1e-9
 TOLERANCE_NORM_DRIFT = 2.0
 SLOPE_WINDOW = (0.8, 1.2)
 LP_EXPONENTS = (1.0, 2.0, 4.0)
+# theorem-c compares the gap families at gap_max_generation and this many
+# generations more, so gap_max_generation stops this far below MAX_GENERATION
+GENERATION_STEP = 4
 
 
 @dataclass(frozen=True)
@@ -70,10 +73,13 @@ class ExperimentConfig:
                      "conjugacy_max_period"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        for name, top in (("nest_max_depth", MAX_DEPTH), ("gap_nest_level", MAX_DEPTH),
-                          ("gap_max_generation", MAX_GENERATION)):
+        for name, top in (("nest_max_depth", MAX_DEPTH), ("gap_nest_level", MAX_DEPTH)):
             if not 0 <= getattr(self, name) <= top:
                 raise ValueError(f"{name} must be in 0..{top}")
+        top = MAX_GENERATION - GENERATION_STEP
+        if not 0 <= self.gap_max_generation <= top:
+            raise ValueError(f"gap_max_generation must be in 0..{top}: theorem-c also builds "
+                             f"generation gap_max_generation + {GENERATION_STEP} <= {MAX_GENERATION}")
         if self.stream_kind not in ("typical", "critical"):
             raise ValueError("stream_kind must be 'typical' or 'critical'")
         # a word with no symbol, or with a 'c', matches nothing, and an
@@ -270,7 +276,7 @@ def _run_theorem_c(config: ExperimentConfig) -> VerificationReport:
     nest_report = build_nest(m, config.gap_nest_level, config.nest_max_iterates,
                              extended_precision=config.extended_precision)
     g1 = config.gap_max_generation
-    g2 = g1 + 4
+    g2 = g1 + GENERATION_STEP
     reports = {}
     annotations = []
     for g in (g1, g2):

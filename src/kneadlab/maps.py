@@ -8,6 +8,7 @@ between concurrent workers.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Optional
@@ -130,7 +131,9 @@ class MapFamily:
     the functions of ns: MATH for floats (the map's own functions), NUMPY
     for arrays, mpmath_namespace() for the extended-precision nest.
     fill(buf, x, p) writes x, f(x), f^2(x), ... into buf and returns the
-    next iterate: the float orbit walk, with a built-in step inline.
+    next iterate: the float orbit walk, with a built-in step inline.  Walks
+    run orbit_fill(record), which is a built-in fill's compiled twin from
+    _kernel.c when that builds.
     """
 
     name: str
@@ -155,13 +158,16 @@ class MapFamily:
 # evaluates, take their constants from ns.num once: mpmath converts a float
 # operand on every operation, and a 120-bit logistic f took 9.9 us with a
 # float literal against 4.6 us.  Each family's fill repeats the step of its
-# bind inline and writes through a memoryview of the buffer, because
-# orbit_chunks is the hot loop of every orbit statistic.  Per point, best of
-# 21 fills of one 65,536-point buffer: quadratic 88 ns with numpy item
-# assignment against 65 ns through the memoryview, logistic 85 against
-# 64 ns; sine 479 ns with a call of its f against 139 ns inline, where
-# math.sin and math.asin are locals and comparisons clamp u to [-1, 1] in
-# place of min and max (the same float operations as its f).
+# bind inline and writes through a memoryview of the buffer.  These Python
+# fills are what a walk runs only when the compiled kernel cannot be built
+# (see orbit_fill), and the reference the compiled fills are tested
+# against.  Per point, best of 21 fills of one 65,536-point buffer:
+# quadratic 88 ns with numpy item assignment against 65 ns through the
+# memoryview, logistic 85 against 64 ns; sine 479 ns with a call of its f
+# against 139 ns inline, where math.sin and math.asin are locals and
+# comparisons clamp u to [-1, 1] in place of min and max (the same float
+# operations as its f).  The compiled fills take about 5 ns (quadratic,
+# logistic) and 65 ns (sine, spent in libm's sin and asin) per point.
 
 def _quadratic(ns, tau):
     """q_tau(x) = tau - 1 - tau*x^2 on [-1, 1], critical point 0."""
@@ -333,6 +339,104 @@ def make_map(family: str, parameter: float) -> UnimodalMap:
 
 
 # ---------------------------------------------------------------------------
+# the compiled fills: _kernel.c, built on the first orbit walk
+# ---------------------------------------------------------------------------
+
+KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
+# -ffp-contract=off: a fused multiply-add would change the bits
+KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_compiled = None  # {a built-in record's fill: its compiled twin}, once loaded
+
+
+def orbit_fill(family: MapFamily) -> Callable:
+    """The fill an orbit walk runs: the compiled twin of a built-in
+    record's own fill, else the record's fill (a custom map, a record
+    whose fill was replaced, or no kernel)."""
+    global _compiled
+    if _compiled is None:
+        kernel = _load_kernel()
+        _compiled = {} if kernel is None else {
+            fam.fill: getattr(kernel, f"{name}_fill") for name, fam in FAMILIES.items()}
+    return _compiled.get(family.fill, family.fill)
+
+
+def _compiler() -> list[str]:
+    import shlex
+    import sysconfig
+    cc = sysconfig.get_config_var("CC")
+    if not cc:
+        raise OSError("this Python names no C compiler")
+    return shlex.split(cc)
+
+
+def _kernel_path(source: bytes, directory: str) -> str:
+    """The module built from source, named by a hash of the source, the
+    flags and the extension suffix, so an edit never loads a stale build."""
+    import hashlib
+    import importlib.machinery
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    key = hashlib.sha256(b"\0".join([source, " ".join(KERNEL_FLAGS).encode(),
+                                     suffix.encode()])).hexdigest()[:16]
+    return os.path.join(directory, f"_kernel.{key}{suffix}")
+
+
+def _load_kernel():
+    """The module compiled from KERNEL_SOURCE, or None when it cannot be
+    built or loaded.
+
+    The build goes to the __pycache__ beside the source; a read-only
+    package builds into a temporary directory of this process, removed
+    once the module is loaded.
+    """
+    import importlib.machinery
+    import importlib.util
+    import shutil
+    import subprocess
+    import tempfile
+    scratch = None
+    try:
+        with open(KERNEL_SOURCE, "rb") as fh:
+            source = fh.read()
+        cache = os.path.join(os.path.dirname(KERNEL_SOURCE), "__pycache__")
+        path = _kernel_path(source, cache)
+        if not os.path.exists(path):
+            try:
+                os.makedirs(cache, exist_ok=True)
+            except OSError:
+                pass
+            if not os.access(cache, os.W_OK):
+                scratch = tempfile.mkdtemp(prefix="kneadlab-")
+                path = _kernel_path(source, scratch)
+            _build_kernel(path)
+        loader = importlib.machinery.ExtensionFileLoader("kneadlab._kernel", path)
+        module = importlib.util.module_from_spec(
+            importlib.util.spec_from_loader(loader.name, loader))
+        loader.exec_module(module)
+        return module
+    except (OSError, ValueError, subprocess.SubprocessError, ImportError):
+        return None  # no compiler or headers, a failed build, a failed load
+    finally:
+        if scratch is not None:
+            shutil.rmtree(scratch, ignore_errors=True)
+
+
+def _build_kernel(path: str) -> None:
+    """Compile KERNEL_SOURCE to path under a temporary name that os.replace
+    moves into place, so a concurrent build or load never sees half a file."""
+    import subprocess
+    import sysconfig
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        subprocess.run([*_compiler(), *KERNEL_FLAGS, "-I" + sysconfig.get_paths()["include"],
+                        KERNEL_SOURCE, "-o", tmp, "-lm"],
+                       stdin=subprocess.DEVNULL, capture_output=True, check=True, timeout=300)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+# ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
 
@@ -415,7 +519,7 @@ def orbit_chunks(m: UnimodalMap, x0: float, n: int, burn_in: int = 0):
     orbit_array for exactly its length.  Burn-in runs through the same loop,
     into the buffer that the first chunk then overwrites.
     """
-    fill, p = m.family.fill, m.parameter
+    fill, p = orbit_fill(m.family), m.parameter
     x = float(x0)
     buf = np.empty(min(CHUNK, max(n, burn_in)))
     while burn_in > 0:

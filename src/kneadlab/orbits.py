@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import (ContainsCriticalSymbol, DivergentInput, EmptyCylinder,
                      IrreducibleRequired, NoOrbitPredicted, NonContraction)
-from .maps import FAMILIES, UnimodalMap, orbit_array, word_pullback
+from .maps import FAMILIES, UnimodalMap, orbit_array, orbit_fill, word_pullback
 from .symbolic import (GeometricFrequencyEstimate, SymbolStream, SymbolWord,
                        _symbols, cylinder, geometric_frequency, itinerary)
 
@@ -110,7 +110,7 @@ def _polish_root(m: UnimodalMap, period: int, lo: float, hi: float):
 
     Returns (root, widened_flag).
     """
-    fill, param = m.family.fill, m.parameter
+    fill, param = orbit_fill(m.family), m.parameter
     buf = np.empty(period)
 
     def g(x):

@@ -351,7 +351,9 @@ def test_cli_measure_rejects_zero_bins(capsys):
     (["gaps", "--nest-level", "-1"], "0 <= nest_level <= 8 required"),
     (["gaps", "--max-generation", "-3"], "0 <= max_generation <= 30 required"),
     (["verify", "theorem-c", "--nest-level", "-1"], "gap_nest_level must be in 0..8"),
-    (["verify", "theorem-c", "--max-generation", "-3"], "gap_max_generation must be in 0..30"),
+    (["verify", "theorem-c", "--max-generation", "-3"],
+     "gap_max_generation must be in 0..26: theorem-c also builds "
+     "generation gap_max_generation + 4 <= 30"),
     (["verify", "nest-lyapunov", "--max-depth", "-1"], "nest_max_depth must be in 0..8"),
     (["zeta", "--max-period", "0", "--z", "0.1"], "max_period >= 1 required"),
 ])
@@ -360,6 +362,23 @@ def test_cli_rejects_out_of_range_sizes(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert _strict_loads(captured.err) == {"error": "ValueError", "message": message}
+
+
+def test_cli_theorem_c_generation_leaves_room_for_its_second_family(capsys):
+    # theorem-c also builds the gap family 4 generations deeper, and
+    # gap_family stops at generation 30
+    argv = ["verify", "theorem-c", "--map", "quadratic", "--param", "1.9",
+            "--samples", "1e5", "--max-generation"]
+    assert main(argv + ["27"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _strict_loads(captured.err)["message"] == (
+        "gap_max_generation must be in 0..26: theorem-c also builds "
+        "generation gap_max_generation + 4 <= 30")
+    assert main(argv + ["26"]) in (0, 2)
+    rep = _strict_loads(capsys.readouterr().out)
+    assert rep["failures"] == []
+    assert sorted(rep["measured"]["coverage"]) == ["26", "30"]
 
 
 @pytest.mark.parametrize("tag,words", [("theorem-a", ","), ("theorem-b", ","),

@@ -1,17 +1,24 @@
 import math
+import os
 import pickle
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from kneadlab import (NotSelfMap, OutOfDomain, derivative, evaluate,
-                      iterate_orbit, lyapunov_birkhoff, make_custom,
-                      make_logistic, make_map, make_quadratic, make_sine)
+from kneadlab import (EmptyCylinder, NonContraction, NotSelfMap, OutOfDomain,
+                      derivative, evaluate, find_periodic, iterate_orbit,
+                      lyapunov_birkhoff, make_custom, make_logistic, make_map,
+                      make_quadratic, make_sine, maps)
 from kneadlab.maps import (CHUNK, FAMILIES, LEFT, MATH, NUMPY, RIGHT,
                            branch_inverse, branch_preimage_arrays,
                            branch_range, mpmath_namespace, orbit_array,
-                           seeded_start, word_pullback)
+                           orbit_fill, seeded_start, word_pullback)
+from kneadlab.orbits import lyndon_words
 
 
 def logistic_sine_conjugacy(x):
@@ -306,6 +313,145 @@ def test_fill_matches_the_bound_step(m):
             x = m._f(x)
         assert np.array_equal(got, expect)
         assert x_end == x
+
+
+# --- the compiled fills of _kernel.c --------------------------------------
+
+def _compiled_fill(family):
+    fill = orbit_fill(family)
+    if fill is family.fill:
+        pytest.skip("the compiled kernel cannot be built with this Python")
+    return fill
+
+
+@pytest.mark.parametrize("family,p", [
+    ("quadratic", 2.0), ("logistic", 4.0), ("sine", math.nextafter(4.0, 0.0)),
+    ("quadratic", 1.9), ("logistic", 3.9), ("sine", 3.9)])
+def test_compiled_fill_gives_the_bits_of_the_python_fill(family, p):
+    # chained full chunks and a partial one, and the period-sized buffers
+    # of the polish (lengths 0, 1 and 2), from the same starts
+    record = FAMILIES[family]
+    compiled = _compiled_fill(record)
+    m = record.make(p)
+    for x0 in (m.critical_point, *m.domain, seeded_start(m, 3), seeded_start(m, 4)):
+        for sizes in ((CHUNK, CHUNK, CHUNK, 1234), (0, 1, 2, 1, 0, 2)):
+            got, want = np.empty(sum(sizes)), np.empty(sum(sizes))
+            x_got = x_want = x0
+            pos = 0
+            for k in sizes:
+                x_got = compiled(got[pos:pos + k], x_got, p)
+                x_want = record.fill(want[pos:pos + k], x_want, p)
+                assert type(x_got) is float
+                assert x_got.hex() == x_want.hex()
+                pos += k
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_compiled_fill_refuses_buffers_it_cannot_write(family):
+    record = FAMILIES[family]
+    compiled = _compiled_fill(record)
+    frozen = np.full(4, 0.25)
+    frozen.flags.writeable = False
+    for buf, error in ((np.full(4, 0.25, dtype=np.float32), TypeError),
+                       (np.full((2, 2), 0.25), TypeError),
+                       (bytearray(32), TypeError),
+                       (frozen, BufferError)):
+        before = bytes(memoryview(buf))
+        with pytest.raises(error):
+            compiled(buf, 0.3, 1.9)
+        assert bytes(memoryview(buf)) == before
+    with pytest.raises(TypeError):
+        compiled(np.empty(4), 0.3)
+    # a strided buffer is written where the Python fill writes it
+    got, want = np.zeros(9), np.zeros(9)
+    assert compiled(got[::2], 0.3, 1.9) == record.fill(want[::2], 0.3, 1.9)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _kernel_copy(tmp_path, source=None):
+    """A copy of _kernel.c (or source) whose build goes to tmp_path/__pycache__."""
+    path = tmp_path / "_kernel.c"
+    path.write_bytes(Path(maps.KERNEL_SOURCE).read_bytes() if source is None else source)
+    return str(path)
+
+
+def _walks():
+    """orbit_array, find_periodic and lyapunov_birkhoff output of each family."""
+    out = []
+    for m in (make_quadratic(1.9), make_logistic(3.9), make_sine(3.9)):
+        x0 = seeded_start(m, 5)
+        out.append(orbit_array(m, x0, CHUNK + 99, burn_in=1000).tobytes())
+        for w in lyndon_words(8):
+            try:
+                orbit = find_periodic(m, w)
+            except (EmptyCylinder, NonContraction) as e:
+                out.append(type(e))
+            else:
+                out.append((orbit.points, orbit.residual, orbit.exponent_log_abs))
+        est = lyapunov_birkhoff(m, x0, 10 ** 5, burn_in=1000)
+        out.append((est.value, est.hit_critical))
+    return out
+
+
+def test_failed_kernel_build_falls_back_to_the_same_bits(monkeypatch, tmp_path):
+    want = _walks()
+    # an edited source has no build yet, and the compiler cannot be run
+    monkeypatch.setattr(maps, "KERNEL_SOURCE",
+                        _kernel_copy(tmp_path, Path(maps.KERNEL_SOURCE).read_bytes() + b"\n"))
+    monkeypatch.setattr(maps, "_compiler", lambda: [str(tmp_path / "no-such-cc")])
+    monkeypatch.setattr(maps, "_compiled", None)
+    assert all(orbit_fill(record) is record.fill for record in FAMILIES.values())
+    assert list((tmp_path / "__pycache__").iterdir()) == []
+    assert _walks() == want
+
+
+def test_kernel_build_is_cached_under_a_hash_of_its_source(monkeypatch, tmp_path):
+    _compiled_fill(maps.QUADRATIC)
+    compiler = maps._compiler
+    source = Path(maps.KERNEL_SOURCE).read_bytes()
+    monkeypatch.setattr(maps, "KERNEL_SOURCE", _kernel_copy(tmp_path))
+    cache = tmp_path / "__pycache__"
+    first = maps._load_kernel()
+    (built,) = cache.iterdir()
+    assert str(built) == maps._kernel_path(source, str(cache))
+    # a second load reuses the build and runs no compiler
+    monkeypatch.setattr(maps, "_compiler", lambda: pytest.fail("the compiler ran"))
+    second = maps._load_kernel()
+    assert list(cache.iterdir()) == [built]
+    assert second.__doc__ == first.__doc__
+    assert second.logistic_fill(np.empty(3), 0.3, 3.9) == maps._logistic_fill(np.empty(3), 0.3, 3.9)
+    # an edited source is built under a new name, and its module is loaded
+    doc = b'"The orbit walks of the built-in map families, compiled.", -1'
+    assert doc in source
+    monkeypatch.setattr(maps, "KERNEL_SOURCE",
+                        _kernel_copy(tmp_path, source.replace(doc, b'"edited", -1')))
+    monkeypatch.setattr(maps, "_compiler", compiler)
+    third = maps._load_kernel()
+    assert third.__doc__ == "edited"
+    assert len(list(cache.iterdir())) == 2
+
+
+def test_read_only_package_builds_the_kernel_in_a_temporary_directory(monkeypatch, tmp_path):
+    _compiled_fill(maps.QUADRATIC)
+    monkeypatch.setattr(maps, "KERNEL_SOURCE", _kernel_copy(tmp_path))
+    cache = str(tmp_path / "__pycache__")
+    access = maps.os.access
+    monkeypatch.setattr(maps.os, "access", lambda path, mode: path != cache and access(path, mode))
+    made = []
+    mkdtemp = tempfile.mkdtemp
+    monkeypatch.setattr(tempfile, "mkdtemp", lambda **kw: made.append(mkdtemp(**kw)) or made[-1])
+    kernel = maps._load_kernel()
+    assert kernel.quadratic_fill(np.empty(3), 0.3, 1.9) == maps._quadratic_fill(np.empty(3), 0.3, 1.9)
+    assert list((tmp_path / "__pycache__").iterdir()) == []
+    # the per-process directory is removed once the module is loaded
+    assert len(made) == 1 and not Path(made[0]).exists()
+
+
+def test_import_does_not_build_the_kernel():
+    code = "import kneadlab, kneadlab.maps as m; assert m._compiled is None"
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": str(Path(maps.__file__).parents[1])})
 
 
 def test_custom_map_is_a_family_record():

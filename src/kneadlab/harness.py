@@ -20,7 +20,7 @@ from . import __version__
 from .errors import EmptyCylinder, KneadlabError, UncoveredMass
 from .maps import (DEFAULT_BURN_IN, derivative, make_logistic, make_map,
                    make_sine, seeded_start)
-from .measure import (MAX_GENERATION, estimate_density, gap_family,
+from .measure import (MAX_BINS, MAX_GENERATION, estimate_density, gap_family,
                       lyapunov_birkhoff, regularized_density_report,
                       verify_critical_typicality, verify_lyapunov_equality)
 from .nest import MAX_DEPTH, build_nest, nest_lyapunov
@@ -73,6 +73,8 @@ class ExperimentConfig:
                      "conjugacy_max_period"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.density_bins > MAX_BINS:
+            raise ValueError(f"density_bins must be at most {MAX_BINS}")
         for name, top in (("nest_max_depth", MAX_DEPTH), ("gap_nest_level", MAX_DEPTH)):
             if not 0 <= getattr(self, name) <= top:
                 raise ValueError(f"{name} must be in 0..{top}")

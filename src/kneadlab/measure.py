@@ -19,7 +19,7 @@ import numpy as np
 from . import maps
 from .errors import (CriticalNonReturn, DegenerateOrbit, PrecisionExhausted,
                      TooManyGaps, UncoveredMass)
-from .maps import (DEFAULT_BURN_IN, LEFT, RIGHT, UnimodalMap,
+from .maps import (DEFAULT_BURN_IN, LEFT, NUMPY, RIGHT, UnimodalMap,
                    branch_preimage_arrays, check_start, evaluate,
                    log_abs_derivative_array, orbit_chunks, seeded_start)
 from .nest import MAX_DEPTH, NestReport, build_nest
@@ -29,6 +29,9 @@ RECURRENCE_WINDOW = 2048
 RECURRENCE_MAX_PERIOD = 64
 RECURRENCE_PROBE = RECURRENCE_WINDOW + RECURRENCE_MAX_PERIOD  # points probed
 GAP_BUDGET = 10 ** 6
+# The most histogram bins.  The edges, counts and masses of a pass take 8 MB
+# each at the cap; uncapped, 10^11 bins asked numpy for 745 GiB.
+MAX_BINS = 10 ** 6
 MAX_GENERATION = 30
 
 
@@ -65,11 +68,17 @@ class LyapunovEstimate:
 
 def _detect_periodic_attractor(m: UnimodalMap, w: np.ndarray):
     """Near-period recurrence probe on the first RECURRENCE_PROBE orbit
-    points w; returns (period, cycle) or None."""
+    points w; returns (period, cycle) or None.
+
+    A lag p is screened by its first term |w[p] - w[0]| before the whole
+    window is compared; a lag that fails the screen has a window error
+    at least that large, so the screen rejects only rejected lags.
+    """
     tol = 1e-8 * (m.domain[1] - m.domain[0])
-    for p in range(1, RECURRENCE_MAX_PERIOD + 1):
-        err = np.max(np.abs(w[p:p + RECURRENCE_WINDOW] - w[:RECURRENCE_WINDOW]))
-        if err < tol:
+    head = w[:RECURRENCE_WINDOW]
+    near = np.abs(w[1:RECURRENCE_MAX_PERIOD + 1] - w[0]) < tol
+    for p in (np.flatnonzero(near) + 1).tolist():
+        if np.max(np.abs(w[p:p + RECURRENCE_WINDOW] - head)) < tol:
             return p, w[:p].copy()
     return None
 
@@ -90,6 +99,8 @@ def _seeded_pass(m: UnimodalMap, n: int, bin_count: int, seed, *,
         raise ValueError("sample_count >= 1e5 required")
     if bin_count < 1:
         raise ValueError("bin_count >= 1 required")
+    if bin_count > MAX_BINS:
+        raise ValueError(f"bin_count <= {MAX_BINS} required")
     chunks = orbit_chunks(m, seeded_start(m, seed), n, burn_in=DEFAULT_BURN_IN)
     first = next(chunks)  # n >= 1e5, so it holds the whole probe
     hit = _detect_periodic_attractor(m, first)
@@ -99,15 +110,17 @@ def _seeded_pass(m: UnimodalMap, n: int, bin_count: int, seed, *,
             f"orbit converges to a periodic attractor of period {period}",
             period=period, cycle=cycle)
     edges = np.linspace(m.domain[0], m.domain[1], bin_count + 1)
-    hist = np.zeros(bin_count)
+    histogram = maps.compiled(maps.numpy_histogram) or maps.numpy_histogram
+    tally = np.zeros(bin_count, dtype=np.int64)
     sums = _BirkhoffSums(m) if birkhoff else None
     counts = [0] * len(intervals)
     for buf in itertools.chain([first], chunks):
-        h, _ = np.histogram(buf, bins=edges)
-        hist += h
+        histogram(buf, edges, tally)
         if sums is not None:
             sums.add(buf)
         _count_visits(buf, intervals, counts)
+    # every count is below 2^53, so hist and its sum are exact
+    hist = tally.astype(float)
     density = DensityEstimate(edges, hist / hist.sum(), n, seed,
                               m.family_tag, m.parameter, DEFAULT_BURN_IN)
     lyap = sums.estimate(n) if sums is not None else None
@@ -137,19 +150,39 @@ def measure_of_intervals(density: DensityEstimate, los, his) -> np.ndarray:
 
 
 class _BirkhoffSums:
-    """Per-chunk sums of ln|Df| and the critical-hit flag along an orbit."""
+    """Per-chunk sums of ln|Df| and the critical-hit flag along an orbit.
+
+    |Df| and the hit test run in the compiled twin of the record's bind
+    where there is one (quadratic, logistic), into one reused buffer, else
+    through the NUMPY df bound once.  The log, the finiteness test and the
+    sum stay in numpy for every family: numpy's float64 log is its own
+    SIMD loop, not libm's, and differs from it in the last bit.
+    """
 
     def __init__(self, m: UnimodalMap):
         self.m = m
         self.sums: list[float] = []
         self.hit = False
+        self.abs_df = maps.compiled(m.family.bind)
+        if self.abs_df is None:
+            self.df = m.family.bind(NUMPY, m.parameter)[1]
+        else:
+            self.out = np.empty(maps.CHUNK)
 
     def add(self, buf: np.ndarray) -> None:
         m = self.m
-        if not self.hit and np.any(np.abs(buf - m.critical_point) <= maps.TIE_TOLERANCE):
-            self.hit = True
-        logs = log_abs_derivative_array(m, buf)
-        self.sums.append(float(np.sum(logs)) if np.all(np.isfinite(logs)) else -math.inf)
+        c, tol = m.critical_point, maps.TIE_TOLERANCE
+        if self.abs_df is None:
+            d = np.abs(self.df(buf), dtype=float)
+            if not self.hit and np.any(np.abs(buf - c) <= tol):
+                self.hit = True
+        else:
+            d = self.out[:len(buf)]
+            if self.abs_df(buf, d, m.parameter, c, tol):
+                self.hit = True
+        with np.errstate(divide="ignore"):
+            np.log(d, out=d)
+        self.sums.append(float(np.sum(d)) if np.all(np.isfinite(d)) else -math.inf)
 
     def estimate(self, n: int) -> LyapunovEstimate:
         return LyapunovEstimate(math.fsum(self.sums) / n, self.hit, n)

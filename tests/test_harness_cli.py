@@ -21,6 +21,9 @@ from kneadlab.harness import (ExperimentConfig, VerificationReport, run_verify,
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(density_bins=0).validate()
+    with pytest.raises(ValueError, match="density_bins must be at most 1000000"):
+        ExperimentConfig(density_bins=10 ** 6 + 1).validate()
+    ExperimentConfig(density_bins=10 ** 6).validate()
     with pytest.raises(ValueError):
         ExperimentConfig(map_parameter=3.0).validate()  # quadratic range
     with pytest.raises(ValueError):
@@ -344,6 +347,33 @@ def test_cli_measure_rejects_zero_bins(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "bin_count" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["measure", "--map", "logistic", "--param", "3.9", "--samples", "1e5",
+      "--format", "json"], "bin_count <= 1000000 required"),
+    (["verify", "lyap-equality", "--map", "logistic", "--param", "3.9"],
+     "density_bins must be at most 1000000"),
+])
+def test_cli_bins_are_capped(capsys, monkeypatch, tmp_path, argv, message):
+    assert main(argv + ["--bins", str(10 ** 6 + 1)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "ValueError", "message": message}
+    out = tmp_path / "out.json"
+    if argv[0] == "measure":
+        # writing 2 x 10^6 floats as indented JSON takes seconds, so the
+        # histogram's payload is checked before it is written
+        emitted = []
+        monkeypatch.setattr(cli, "_emit_json", lambda obj, args: emitted.append(obj))
+        assert main(argv + ["--bins", str(10 ** 6)]) == 0
+        assert len(emitted[0]["mass_per_bin"]) == 10 ** 6
+    else:
+        assert main(argv + ["--bins", str(10 ** 6), "--out", str(out)]) in (0, 2, 3)
+        report = _strict_loads(out.read_text())
+        # the bins within two widths of c = 1/2 sit in the middle of 10^6
+        singular = report["measured"]["singular_bins"]
+        assert singular and all(abs(i - 10 ** 6 // 2) <= 2 for i in singular)
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -317,11 +317,11 @@ def test_fill_matches_the_bound_step(m):
 
 # --- the compiled fills of _kernel.c --------------------------------------
 
-def _compiled_fill(family):
-    fill = orbit_fill(family)
-    if fill is family.fill:
+def _compiled_twin(reference):
+    twin = maps.compiled(reference)
+    if twin is None:
         pytest.skip("the compiled kernel cannot be built with this Python")
-    return fill
+    return twin
 
 
 @pytest.mark.parametrize("family,p", [
@@ -331,7 +331,7 @@ def test_compiled_fill_gives_the_bits_of_the_python_fill(family, p):
     # chained full chunks and a partial one, and the period-sized buffers
     # of the polish (lengths 0, 1 and 2), from the same starts
     record = FAMILIES[family]
-    compiled = _compiled_fill(record)
+    compiled = _compiled_twin(record.fill)
     m = record.make(p)
     for x0 in (m.critical_point, *m.domain, seeded_start(m, 3), seeded_start(m, 4)):
         for sizes in ((CHUNK, CHUNK, CHUNK, 1234), (0, 1, 2, 1, 0, 2)):
@@ -350,7 +350,7 @@ def test_compiled_fill_gives_the_bits_of_the_python_fill(family, p):
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_compiled_fill_refuses_buffers_it_cannot_write(family):
     record = FAMILIES[family]
-    compiled = _compiled_fill(record)
+    compiled = _compiled_twin(record.fill)
     frozen = np.full(4, 0.25)
     frozen.flags.writeable = False
     for buf, error in ((np.full(4, 0.25, dtype=np.float32), TypeError),
@@ -367,6 +367,116 @@ def test_compiled_fill_refuses_buffers_it_cannot_write(family):
     got, want = np.zeros(9), np.zeros(9)
     assert compiled(got[::2], 0.3, 1.9) == record.fill(want[::2], 0.3, 1.9)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# --- the compiled tallies of _kernel.c: histogram and |Df| -----------------
+
+def _pieces(pts):
+    """pts cut into chunks of 0 and 1 points, a partial chunk and the rest."""
+    cuts = [0, 0, 1, 1 + len(pts) // 3, len(pts)]
+    return [pts[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def _histogram_cases(bins, rng):
+    """(edges, points) pairs: uniform edges on the families' domains and,
+    up to 512 bins, uneven edges with a repeated one (the bin guess walks
+    to its bin one edge at a time, so uneven edges cost up to the number of
+    bins per point); the points hold every edge, both float neighbours of
+    each (of every 64th edge at 10^6 bins, where np.histogram's reference
+    takes a second per 10^6 points), points beyond both ends, +-inf, NaN
+    and uniform draws, shuffled."""
+    cases = [np.linspace(0.0, 1.0, bins + 1)]
+    if bins <= 512:
+        cases.append(np.linspace(-1.0, 1.0, bins + 1))
+        uneven = np.sort(rng.uniform(-1.0, 1.0, bins + 1))
+        uneven[bins // 2] = uneven[bins // 2 + 1]
+        cases.append(uneven)
+    for edges in cases:
+        sides = edges if bins <= 512 else edges[::64]
+        pts = np.concatenate([
+            edges, np.nextafter(sides, -np.inf), np.nextafter(sides, np.inf),
+            [edges[0] - 0.5, edges[-1] + 0.5, -np.inf, np.inf, np.nan],
+            rng.uniform(edges[0], edges[-1], 4096)])
+        rng.shuffle(pts)
+        yield edges, pts
+
+
+@pytest.mark.parametrize("bins", [1, 7, 256, 512, 10 ** 6])
+def test_compiled_histogram_counts_as_numpy_histogram(bins):
+    histogram = _compiled_twin(maps.numpy_histogram)
+    rng = np.random.default_rng(bins)
+    for edges, pts in _histogram_cases(bins, rng):
+        got, want = np.zeros(bins, dtype=np.int64), np.zeros(bins, dtype=np.int64)
+        for piece in _pieces(pts):
+            histogram(piece, edges, got)
+            want += np.histogram(piece, bins=edges)[0]
+            assert np.array_equal(got, want)
+        # the closed last edge and the points off the edges
+        assert got.sum() == np.count_nonzero((pts >= edges[0]) & (pts <= edges[-1]))
+
+
+@pytest.mark.parametrize("family,p", [
+    ("quadratic", 2.0), ("quadratic", 1.9), ("logistic", 4.0), ("logistic", 3.9)])
+def test_compiled_abs_df_gives_the_bits_of_the_numpy_df(family, p):
+    record = FAMILIES[family]
+    abs_df = _compiled_twin(record.bind)
+    m = record.make(p)
+    c, tol = m.critical_point, maps.TIE_TOLERANCE
+    df = record.bind(NUMPY, p)[1]
+    near = np.array([c, c - tol, c + tol, np.nextafter(c - tol, -1.0), np.nextafter(c + tol, 2.0)])
+    orbit = orbit_array(m, seeded_start(m, 3), CHUNK + 77, burn_in=1000)
+    far = orbit[np.abs(orbit - c) > tol]
+    for pts in (far, np.concatenate([far, near, m.domain])):
+        for piece in _pieces(pts):
+            out = np.full(len(piece), np.nan)
+            hit = abs_df(piece, out, p, c, tol)
+            assert np.array_equal(out.view(np.int64), np.abs(df(piece)).view(np.int64))
+            assert hit is bool(np.any(np.abs(piece - c) <= tol))
+    # the hit test of each point near c by itself; at quadratic c = 0,
+    # |c +- tol - c| is tol itself
+    out = np.empty(1)
+    for x in near:
+        assert abs_df(near[near == x], out, p, c, tol) is bool(abs(x - c) <= tol)
+    # Df(c) = 0, so ln|Df| is -inf there
+    assert abs_df(np.array([c]), out, p, c, tol) is True
+    with np.errstate(divide="ignore"):
+        assert np.log(out)[0] == -np.inf
+
+
+def test_compiled_tallies_refuse_buffers_they_cannot_use():
+    histogram = _compiled_twin(maps.numpy_histogram)
+    pts, edges = np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 5)
+    frozen = np.zeros(4, dtype=np.int64)
+    frozen.flags.writeable = False
+    counts = np.zeros(4, dtype=np.int64)
+    for args, error in (((pts, edges, np.zeros(4)), TypeError),
+                        ((pts, edges, np.zeros(4, dtype=np.int32)), TypeError),
+                        ((pts, edges, np.zeros(3, dtype=np.int64)), TypeError),
+                        ((pts, edges, np.zeros(5, dtype=np.int64)), TypeError),
+                        ((pts, edges, np.zeros(0, dtype=np.int64)), TypeError),
+                        ((pts, edges, frozen), BufferError),
+                        ((pts.astype(np.float32), edges, counts), TypeError),
+                        ((pts, edges.astype(np.int64), counts), TypeError),
+                        ((pts, edges), TypeError)):
+        before = [bytes(memoryview(a)) for a in args]
+        with pytest.raises(error):
+            histogram(*args)
+        assert [bytes(memoryview(a)) for a in args] == before
+    for name in ("quadratic", "logistic"):
+        abs_df = _compiled_twin(FAMILIES[name].bind)
+        frozen = np.zeros(9)
+        frozen.flags.writeable = False
+        for buf, out, error in ((pts, np.zeros(9, dtype=np.float32), TypeError),
+                                (pts, np.zeros(8), TypeError),
+                                (pts, np.zeros(10), TypeError),
+                                (pts.astype(np.float32), np.zeros(9), TypeError),
+                                (pts, frozen, BufferError)):
+            before = bytes(memoryview(out))
+            with pytest.raises(error):
+                abs_df(buf, out, 1.9, 0.5, 1e-14)
+            assert bytes(memoryview(out)) == before
+        with pytest.raises(TypeError):
+            abs_df(pts, np.zeros(9), 1.9, 0.5)
 
 
 def _kernel_copy(tmp_path, source=None):
@@ -402,12 +512,13 @@ def test_failed_kernel_build_falls_back_to_the_same_bits(monkeypatch, tmp_path):
     monkeypatch.setattr(maps, "_compiler", lambda: [str(tmp_path / "no-such-cc")])
     monkeypatch.setattr(maps, "_compiled", None)
     assert all(orbit_fill(record) is record.fill for record in FAMILIES.values())
+    assert maps.compiled(maps.numpy_histogram) is None
     assert list((tmp_path / "__pycache__").iterdir()) == []
     assert _walks() == want
 
 
 def test_kernel_build_is_cached_under_a_hash_of_its_source(monkeypatch, tmp_path):
-    _compiled_fill(maps.QUADRATIC)
+    _compiled_twin(maps.QUADRATIC.fill)
     compiler = maps._compiler
     source = Path(maps.KERNEL_SOURCE).read_bytes()
     monkeypatch.setattr(maps, "KERNEL_SOURCE", _kernel_copy(tmp_path))
@@ -422,7 +533,7 @@ def test_kernel_build_is_cached_under_a_hash_of_its_source(monkeypatch, tmp_path
     assert second.__doc__ == first.__doc__
     assert second.logistic_fill(np.empty(3), 0.3, 3.9) == maps._logistic_fill(np.empty(3), 0.3, 3.9)
     # an edited source is built under a new name, and its module is loaded
-    doc = b'"The orbit walks of the built-in map families, compiled.", -1'
+    doc = b'"The orbit walks and seeded-pass tallies of the built-in map families, compiled.", -1'
     assert doc in source
     monkeypatch.setattr(maps, "KERNEL_SOURCE",
                         _kernel_copy(tmp_path, source.replace(doc, b'"edited", -1')))
@@ -433,7 +544,7 @@ def test_kernel_build_is_cached_under_a_hash_of_its_source(monkeypatch, tmp_path
 
 
 def test_read_only_package_builds_the_kernel_in_a_temporary_directory(monkeypatch, tmp_path):
-    _compiled_fill(maps.QUADRATIC)
+    _compiled_twin(maps.QUADRATIC.fill)
     monkeypatch.setattr(maps, "KERNEL_SOURCE", _kernel_copy(tmp_path))
     cache = str(tmp_path / "__pycache__")
     access = maps.os.access

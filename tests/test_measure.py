@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +38,12 @@ def test_density_normalization(q19):
 def test_density_requires_enough_samples(q19):
     with pytest.raises(ValueError):
         estimate_density(q19, 10 ** 4, 256, seed=1)
+
+
+def test_density_bins_are_capped(q19):
+    with pytest.raises(ValueError, match=f"bin_count <= {measure.MAX_BINS} required"):
+        estimate_density(q19, 10 ** 5, measure.MAX_BINS + 1, seed=1)
+    assert estimate_density(q19, 10 ** 5, measure.MAX_BINS, seed=1).bin_count == measure.MAX_BINS
 
 
 def test_density_degenerate_orbit():
@@ -266,6 +274,31 @@ def test_typicality_walks_the_seeded_orbit_once(family, p, monkeypatch):
     assert [r.mu_hat for r in table.rows] == mu.tolist()
 
 
+def _seeded_outputs():
+    """Densities and Birkhoff exponents (the critical orbit's hits c) of
+    each family, and the lyap-equality records of those with a compiled
+    |Df|, as bytes."""
+    out = []
+    for family, p in FAMILY_PARAMS + [("quadratic", 2.0)]:
+        m = make_map(family, p)
+        out.append(estimate_density(m, 10 ** 5 + 7, 256, seed=3).mass_per_bin.tobytes())
+        for x0, n, burn_in in ((seeded_start(m, 3), 10 ** 5, DEFAULT_BURN_IN),
+                               (m.critical_point, 1000, 0)):
+            est = lyapunov_birkhoff(m, x0, n, burn_in=burn_in)
+            out.append((est.value.hex(), est.hit_critical))
+        if family != "sine":
+            out.append(repr(verify_lyapunov_equality(m, 10 ** 6, 3)))
+    return out
+
+
+def test_seeded_pass_without_the_kernel_gives_the_same_bytes(monkeypatch):
+    # with the compiled walk, histogram and |Df| where the kernel builds;
+    # then with the numpy references and the Python fills
+    want = _seeded_outputs()
+    monkeypatch.setattr(maps, "_compiled", {})
+    assert _seeded_outputs() == want
+
+
 # --- gaps -------------------------------------------------------------------
 
 def test_gap_generation_zero_is_base_interval(q19):
@@ -457,3 +490,59 @@ def test_detect_periodic_attractor_on_cycle():
     hit = _detect_periodic_attractor(m, orbit_array(m, x, measure.RECURRENCE_PROBE))
     assert hit is not None
     assert hit[0] == 2
+
+
+def _reference_probe(m, w):
+    """The probe without its screen: every lag compares its whole window."""
+    tol = 1e-8 * (m.domain[1] - m.domain[0])
+    window = measure.RECURRENCE_WINDOW
+    for p in range(1, measure.RECURRENCE_MAX_PERIOD + 1):
+        if np.max(np.abs(w[p:p + window] - w[:window])) < tol:
+            return p, w[:p].copy()
+    return None
+
+
+def _probe_orbits(m):
+    """The probe's orbit from three seeded starts and from the critical point."""
+    starts = [(seeded_start(m, seed), DEFAULT_BURN_IN) for seed in (1, 2, 3)]
+    return [orbit_array(m, x0, measure.RECURRENCE_PROBE, burn_in=burn_in)
+            for x0, burn_in in starts + [(m.critical_point, 5 * DEFAULT_BURN_IN)]]
+
+
+def _same_probe(got, want):
+    return (got is None and want is None) or (
+        got is not None and want is not None and got[0] == want[0]
+        and np.array_equal(got[1], want[1]))
+
+
+@pytest.mark.parametrize("family,p", [
+    ("quadratic", 1.75), ("quadratic", 1.0), ("logistic", 3.83), ("logistic", 3.5),
+    ("sine", 3.3)])
+def test_screened_probe_finds_the_attractors_of_the_full_probe(family, p):
+    m = make_map(family, p)
+    for w in _probe_orbits(m):
+        want = _reference_probe(m, w)
+        assert want is not None
+        assert _same_probe(_detect_periodic_attractor(m, w), want)
+
+
+def test_screened_probe_finds_nothing_on_the_chaotic_pool():
+    pool = json.loads((Path(__file__).parents[1] / "perfbench" / "params.json").read_text())
+    for family, params in sorted(pool["chaotic"].items()):
+        for p in params:
+            m = make_map(family, p)
+            for w in _probe_orbits(m)[:3]:
+                assert _reference_probe(m, w) is None
+                assert _detect_periodic_attractor(m, w) is None
+
+
+def test_screened_probe_still_compares_the_whole_window(q19):
+    # a period-2 pattern broken at w[100]: every even lag passes the screen
+    # (w[p] == w[0]) and then fails on the window, every odd lag fails both
+    w = np.tile([0.2, 0.7], measure.RECURRENCE_PROBE // 2)
+    w[100] = 0.25
+    assert np.all(w[2:measure.RECURRENCE_MAX_PERIOD + 1:2] == w[0])
+    assert _reference_probe(q19, w) is None
+    assert _detect_periodic_attractor(q19, w) is None
+    w[100] = 0.2
+    assert _same_probe(_detect_periodic_attractor(q19, w), (2, np.array([0.2, 0.7])))

@@ -104,51 +104,50 @@ def _bind(m: UnimodalMap, extended: bool) -> _Binding:
 # restrictive intervals (renormalization pre-search)
 # ---------------------------------------------------------------------------
 
-def _interval_image(f, c, top, J):
-    """Exact image of an interval under a unimodal f with maximum top at c."""
-    a, b = J
-    fa, fb = f(a), f(b)
-    if a <= c <= b:
-        return (min(fa, fb), top)
-    return (fa, fb) if fa <= fb else (fb, fa)
-
-
 def find_restrictive_interval(m: UnimodalMap):
     """Search for the deepest restrictive interval of period
     <= DEFAULT_RENORM_SEARCH_PERIOD.
 
-    Candidate T_0 = [f^{2k}(0), f^k(0)] is tested by exact interval-image
-    propagation: f^k(T_0) inside T_0 and pairwise disjoint interiors of the
-    cycle.  Returns (period, cycle_intervals); period 1 means no
-    renormalization was detected (T_0 = [f^2(0), f(0)]).  Detecting the
-    smallest restrictive interval rigorously is undecidable numerically;
-    this finite-horizon search is reported as such.
+    Candidate T_0 = [f^{2k}(c), f^k(c)] is tested by exact interval images:
+    f^k(T_0) inside T_0, and T_0, ..., T_{k-1} with pairwise disjoint
+    interiors (dropped at the first overlap).  Every endpoint is a point
+    x_i = f^i(c) of the critical orbit: f maps [x_i, x_j] onto [x_{i+1},
+    x_{j+1}], ordered, or onto [min(x_{i+1}, x_{j+1}), x_1] when it contains
+    c, so the search reads one (3K + 1)-point orbit array and calls no f.
+    Returns (period, cycle_intervals); period 1 means no renormalization
+    was detected (T_0 = [f^2(c), f(c)]).  Detecting the smallest
+    restrictive interval rigorously is undecidable numerically; this
+    finite-horizon search is reported as such.
     """
-    f, c = m._f, m.critical_point
-    top = f(c)
-    max_period = DEFAULT_RENORM_SEARCH_PERIOD
-    xs = orbit_array(m, c, 2 * max_period + 1).tolist()
-    best = None
-    for k in range(1, max_period + 1):
-        lo, hi = sorted((xs[2 * k], xs[k]))
-        if hi - lo <= 0.0:
+    c, max_period = m.critical_point, DEFAULT_RENORM_SEARCH_PERIOD
+    xs = orbit_array(m, c, 3 * max_period + 1).tolist()
+    for k in range(max_period, 0, -1):  # the deepest candidate that holds
+        i, j = (2 * k, k) if xs[2 * k] <= xs[k] else (k, 2 * k)
+        lo, hi = xs[i], xs[j]
+        if hi - lo <= 0.0 or (k > 1 and not lo < c < hi):
             continue
-        if k > 1 and not (lo < c < hi):
-            continue
-        cyc = [(lo, hi)]
-        for _ in range(k):
-            cyc.append(_interval_image(f, c, top, cyc[-1]))
         slack = 1e-9 * (hi - lo) + 1e-14
-        if cyc[k][0] < lo - slack or cyc[k][1] > hi + slack:
-            continue
-        ordered = sorted(cyc[:k])
-        if all(a2 >= b1 - slack for (_, b1), (a2, _) in zip(ordered, ordered[1:])):
-            best = (k, cyc[:k])
-    if best is None:
-        # k = 1 candidate can fail for maps whose critical orbit has not
-        # settled; fall back to the full domain as the trivial cycle
-        return 1, [m.domain]
-    return best
+        cyc = [(lo, hi)]
+        for step in range(1, k + 1):  # T_step = [x_i, x_j]
+            if xs[i] <= c <= xs[j]:
+                i, j = (i + 1 if xs[i + 1] <= xs[j + 1] else j + 1), 1
+            elif xs[i + 1] <= xs[j + 1]:
+                i, j = i + 1, j + 1
+            else:
+                i, j = j + 1, i + 1
+            t = (xs[i], xs[j])
+            if step < k:
+                for a in cyc:  # of each ordered pair A <= B, B starts inside A
+                    if t[0] < a[1] - slack if a <= t else a[0] < t[1] - slack:
+                        break
+                else:
+                    cyc.append(t)
+                    continue
+                break  # the first overlap drops the candidate
+            if not (t[0] < lo - slack or t[1] > hi + slack):
+                return k, cyc
+    # not even k = 1 holds (an unsettled critical orbit): the trivial cycle
+    return 1, [m.domain]
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,48 @@ def orientation_reversing_fixed_point(m: UnimodalMap) -> float:
     return float(nest._reversing_fixed_point(nest._bind(m, False), m, 1, m.domain))
 
 
+# reference restrictive-interval search: each cycle member is the image of
+# the one before under the float f, and the cycle is sorted and checked for
+# overlaps once it is complete.  nest.find_restrictive_interval, which reads
+# every endpoint off one critical-orbit array, must return the same repr ---
+
+def _interval_image(f, c, top, J):
+    """Exact image of an interval under a unimodal f with maximum top at c."""
+    a, b = J
+    fa, fb = f(a), f(b)
+    if a <= c <= b:
+        return (min(fa, fb), top)
+    return (fa, fb) if fa <= fb else (fb, fa)
+
+
+def reference_restrictive_interval(m: UnimodalMap):
+    """(period, cycle_intervals) of the deepest restrictive interval of
+    period <= nest.DEFAULT_RENORM_SEARCH_PERIOD, or (1, [m.domain])."""
+    f, c = m._f, m.critical_point
+    top = f(c)
+    max_period = nest.DEFAULT_RENORM_SEARCH_PERIOD
+    xs = maps.orbit_array(m, c, 2 * max_period + 1).tolist()
+    best = None
+    for k in range(1, max_period + 1):
+        lo, hi = sorted((xs[2 * k], xs[k]))
+        if hi - lo <= 0.0:
+            continue
+        if k > 1 and not (lo < c < hi):
+            continue
+        cyc = [(lo, hi)]
+        for _ in range(k):
+            cyc.append(_interval_image(f, c, top, cyc[-1]))
+        slack = 1e-9 * (hi - lo) + 1e-14
+        if cyc[k][0] < lo - slack or cyc[k][1] > hi + slack:
+            continue
+        ordered = sorted(cyc[:k])
+        if all(a2 >= b1 - slack for (_, b1), (a2, _) in zip(ordered, ordered[1:])):
+            best = (k, cyc[:k])
+    if best is None:
+        return 1, [m.domain]
+    return best
+
+
 # test oracle: outward spreading with a constant-return-time probe --------
 
 def spreading_central_domain(m: UnimodalMap, I, v: int, bisections: int = 80):
@@ -207,7 +249,7 @@ def reference_pullback_level(ar, I, sides):
 
 def reference_build_nest(m, max_depth, max_iterates, extended_precision=False):
     """The principal nest as NestReport, built with the reference loops."""
-    period, cycle = nest.find_restrictive_interval(m)
+    period, cycle = reference_restrictive_interval(m)
     ar = nest._bind(m, extended_precision)
     levels = []
     termination, term_level = "DepthReached", None

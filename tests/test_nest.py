@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from kneadlab import (NoReversingFixedPoint, TooShallow, build_nest,
 from kneadlab import maps, nest
 from kneadlab.nest import NestLevel, NestReport, find_restrictive_interval
 from nest_checks import (orientation_reversing_fixed_point,
-                         reference_build_nest, spreading_central_domain)
+                         reference_build_nest, reference_restrictive_interval,
+                         spreading_central_domain)
 
 
 def _report_from_vs(vs, cs=None):
@@ -179,12 +181,58 @@ REFERENCE_NESTS = [
 ]
 
 
+# one map per period of the logistic cascade up to 32, and the quadratic
+# period-3 window
+RENORMALIZED_NESTS = [
+    ("logistic", 3.6, 2), ("quadratic", 1.92262, 3), ("logistic", 3.58, 4),
+    ("logistic", 3.571915, 8), ("logistic", 3.570733, 16),
+    ("logistic", 3.569833, 32),
+]
+
+
 @pytest.mark.parametrize("family, p, extended", REFERENCE_NESTS)
 def test_nest_agrees_with_reference_loops(family, p, extended):
     m = make_map(family, p)
     for depth in (2, 4 if extended else 6):
         rep = build_nest(m, depth, 10 ** 6, extended_precision=extended)
         _agrees_with_reference(rep, reference_build_nest(m, depth, 10 ** 6, extended))
+
+
+@pytest.mark.parametrize("extended", [False, True])
+@pytest.mark.parametrize("family, p, period", RENORMALIZED_NESTS)
+def test_renormalized_nest_agrees_with_reference_loops(family, p, period, extended):
+    m = make_map(family, p)
+    for depth in (2, 4 if extended else 6):
+        rep = build_nest(m, depth, 10 ** 6, extended_precision=extended)
+        assert rep.renormalization_period == period
+        _agrees_with_reference(rep, reference_build_nest(m, depth, 10 ** 6, extended))
+
+
+@pytest.mark.parametrize("kernel", [True, False], ids=["compiled", "python"])
+def test_restrictive_interval_search_matches_the_reference(monkeypatch, kernel):
+    # the search reads its endpoints off one critical-orbit array, walked by
+    # the compiled fill or the Python one; the reference maps each cycle
+    # member through the float f
+    if not kernel:
+        monkeypatch.setattr(maps, "_compiled", {})
+    ms = [make_map(f, p) for f, p, _ in REFERENCE_NESTS + RENORMALIZED_NESTS]
+    ms += [make_quadratic(p) for p in (2.0, 1.5, 1.401155189)]
+    # a containment that holds at a deeper k, dropped only by an overlap:
+    # with non-adjacent members at logistic 3.58223 and sine 3.554642
+    ms += [make_map(f, p) for f, p in (("logistic", 3.58223), ("sine", 3.554642),
+                                       ("quadratic", 1.915939))]
+    ms.append(make_custom(lambda x: 3.8 * x * (1.0 - x), lambda x: 3.8 - 7.6 * x,
+                          (0.0, 1.0), 0.5))
+    rng = random.Random(19)
+    for family, record in sorted(maps.FAMILIES.items()):
+        lo, hi = record.parameter_range
+        ms += [make_map(family, hi - (hi - lo) * rng.random()) for _ in range(200)]
+    periods = set()
+    for m in ms:
+        got = find_restrictive_interval(m)
+        assert repr(got) == repr(reference_restrictive_interval(m)), (m.family.name, m.parameter)
+        periods.add(got[0])
+    assert {1, 2, 3, 4, 8, 16, 32} <= periods
 
 
 @pytest.mark.parametrize("extended", [False, True])

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -478,13 +478,15 @@ def _sweep_worker(args):
 def sweep(config: ExperimentConfig, theorem_tag: str,
           parameters: Sequence[float], parallelism: int = 1
           ) -> list[VerificationReport]:
-    """Run one verification per parameter; reports come back in input order
-    regardless of execution order, failures isolated per parameter."""
+    """Run one verification per parameter, in at most parallelism processes
+    and one per CPU; reports keep input order, failures isolated per parameter."""
     if not parameters:
         raise ValueError("parameter list must be nonempty")
     jobs = [(replace(config, map_parameter=float(p)), theorem_tag)
             for p in parameters]
-    if parallelism <= 1:
+    workers = min(parallelism, len(jobs), os.cpu_count() or 1)
+    if workers <= 1:
         return [_sweep_worker(j) for j in jobs]
-    with ProcessPoolExecutor(max_workers=parallelism) as pool:
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_sweep_worker, jobs))

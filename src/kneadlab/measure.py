@@ -410,16 +410,12 @@ def gap_family(m: UnimodalMap, nest_level: int, max_generation: int, *,
         for side in (LEFT, RIGHT):
             plo, phi, mask = branch_preimage_arrays(m, side, flo, fhi)
             plo, phi = plo[mask], phi[mask]
-            # points already inside int I_n have landing time 0: keep only
-            # the parts outside (gaps never straddle I_n, which contains c)
-            left_piece = phi <= a
-            right_piece = plo >= b
-            cross_l = (~left_piece) & (~right_piece) & (plo < a)
-            cross_r = (~left_piece) & (~right_piece) & (phi > b)
-            new_lo.extend([plo[left_piece], plo[right_piece],
-                           plo[cross_l], np.full(cross_r.sum(), b)])
-            new_hi.extend([phi[left_piece], phi[right_piece],
-                           np.full(cross_l.sum(), a), phi[cross_r]])
+            # points inside int I_n have landing time 0.  A preimage lies on
+            # one side of c, which int I_n contains, so at most its part left
+            # of a or its part right of b is kept
+            left, right = plo < a, phi > b
+            new_lo.extend([plo[left], np.maximum(plo[right], b)])
+            new_hi.extend([np.minimum(phi[left], a), phi[right]])
         flo = np.concatenate(new_lo)
         fhi = np.concatenate(new_hi)
         keep = fhi - flo > 0.0

@@ -26,8 +26,6 @@ from .maps import UnimodalMap, mpmath_namespace, orbit_array
 
 WIDTH_FLOOR_DOUBLE = 1e-13
 WIDTH_FLOOR_EXTENDED = 1e-18
-# consecutive central returns before we declare a deeper renormalization
-CENTRAL_CASCADE_LIMIT = 16
 DEFAULT_RENORM_SEARCH_PERIOD = 32
 MAX_DEPTH = 8
 
@@ -49,7 +47,7 @@ class NestLevel:
 @dataclass(frozen=True)
 class NestReport:
     levels: tuple[NestLevel, ...]
-    termination: str  # DepthReached | CriticalNonReturn | RestrictiveIntervalFound | PrecisionExhausted
+    termination: str  # DepthReached | CriticalNonReturn | PrecisionExhausted
     termination_level: Optional[int]
     termination_detail: str  # the check that ended the nest, and where
     renormalization_period: int
@@ -253,35 +251,33 @@ def _pullback_level(ar: _Binding, I, sides):
 
     Raises PrecisionExhausted, naming the step, when the pullback cannot
     resolve the level: a side within tie tolerance of c, an interval that
-    left the branch range, or one that collapsed to a point (a point stays
-    a point under every further inverse).
+    left the branch range or collapsed to a point (a point stays a point
+    under every further inverse), or a level below the width floor.
     """
-    f_lo, f_hi = ar.f(ar.lo), ar.f(ar.c)  # left-branch range; shared max
-    f_rlo = ar.f(ar.hi)
+    top = ar.f(ar.c)  # the shared top of both branch ranges
+    # (bottom of the branch range, inverse) for the left and the right side
+    branches = ((ar.f(ar.lo), ar.inv_left), (ar.f(ar.hi), ar.inv_right))
     J = I
     steps = len(sides)
     for k, side in enumerate(reversed(sides), 1):
         if side is None:
             raise PrecisionExhausted(
                 f"critical-orbit point within tie tolerance of c at pullback step {k} of {steps}")
-        a, b = J
-        if side == 0:
-            a2, b2 = max(a, f_lo), min(b, f_hi)
-            if a2 > b2:
-                raise PrecisionExhausted(
-                    f"pullback interval left the branch range at step {k} of {steps}")
-            J = (ar.inv_left(a2), ar.inv_left(b2))
-        else:
-            a2, b2 = max(a, f_rlo), min(b, f_hi)
-            if a2 > b2:
-                raise PrecisionExhausted(
-                    f"pullback interval left the branch range at step {k} of {steps}")
-            J = (ar.inv_right(b2), ar.inv_right(a2))
+        bottom, inv = branches[side]
+        a, b = max(J[0], bottom), min(J[1], top)
+        if a > b:
+            raise PrecisionExhausted(
+                f"pullback interval left the branch range at step {k} of {steps}")
+        # the left branch increases, the right one decreases
+        J = (inv(a), inv(b)) if side == 0 else (inv(b), inv(a))
         if J[0] == J[1]:
             raise PrecisionExhausted(
                 f"pullback interval collapsed to a point at step {k} of {steps}")
-    a = J[0]
-    return (ar.inv_left(a), ar.inv_right(a))
+    lo, hi = ar.inv_left(J[0]), ar.inv_right(J[0])
+    width = float(hi - lo)
+    if width < ar.width_floor:
+        raise PrecisionExhausted(f"width {width!r} below floor {ar.width_floor!r}")
+    return lo, hi
 
 
 def build_nest(m: UnimodalMap, max_depth: int, max_iterates: int, *,
@@ -301,27 +297,26 @@ def build_nest(m: UnimodalMap, max_depth: int, max_iterates: int, *,
         raise ValueError("max_iterates >= 1e6 required")
     period, cycle = find_restrictive_interval(m)
     ar = _bind(m, extended_precision)
-    levels: list[dict] = []
-    termination = "DepthReached"
-    term_level: Optional[int] = None
-    detail = f"max_depth {max_depth} reached"
-    horizon = None
-    central_streak = 0
-    n = 0
+    levels: list[NestLevel] = []
+    # (termination, termination_level, detail, shadowing horizon)
+    end = ("DepthReached", None, f"max_depth {max_depth} reached", None)
     with ar.context:
         p = _reversing_fixed_point(ar, m, period, cycle[0])
         d = abs(p - ar.c)
         I = (ar.c - d, ar.c + d)
         c, tol = ar.c, ar.num(maps.TIE_TOLERANCE)
+        I_prev = (c, c)
+        # the newest level, appended once the next scan has counted its s_n
+        interval, v, c_n = None, None, None
         walk = _critical_orbit(ar, m, max_iterates)
         sides = []  # the branch side of each walked point, None within tol of c
         x = next(walk)  # x_t, t = len(sides) + 1
-        while n <= max_depth:
+        for n in range(max_depth + 1):
             # level n's scan goes on from t = v_{n-1}: every earlier x_t lies
             # outside int I_{n-1}, which contains I_n.  s_prev counts visits
             # to int I_{n-1} at times in [v_{n-1}, v_n); level 0 has none.
             lo, hi = I
-            plo, phi = levels[-1]["interval"] if levels else (c, c)
+            plo, phi = I_prev
             # a point outside int I has |x - c| >= min(c - lo, hi - c) after
             # rounding too, so the tie test can only fire when I is this narrow
             near = c - lo <= tol or hi - c <= tol
@@ -334,47 +329,27 @@ def build_nest(m: UnimodalMap, max_depth: int, max_iterates: int, *,
                     x = next(walk)
             except StopIteration as stop:
                 termination, detail, horizon = stop.value
-                term_level = n
+                end = (termination, n, detail, horizon)
                 break
-            v = len(sides) + 1
-            if levels:
-                prev = levels[-1]
-                prev["s"] = s_prev
-                prev["central"] = (s_prev == 0)
-                central_streak = central_streak + 1 if s_prev == 0 else 0
-            levels.append({"interval": I, "v": v, "s": None, "c_ratio": None,
-                           "central": None})
-            if central_streak >= CENTRAL_CASCADE_LIMIT:
-                termination = "RestrictiveIntervalFound"
-                term_level = n
-                detail = f"{CENTRAL_CASCADE_LIMIT} consecutive central returns"
-                break
+            if v is not None:
+                levels.append(NestLevel(n - 1, interval, v, s_prev, c_n, s_prev == 0))
+            interval, v, c_n = (float(lo), float(hi)), len(sides) + 1, None
             if n == max_depth:
                 break
             try:
                 I_next = _pullback_level(ar, I, sides)
             except PrecisionExhausted as exc:
-                termination = "PrecisionExhausted"
-                term_level = n + 1
-                detail = str(exc)
+                end = ("PrecisionExhausted", n + 1, str(exc), None)
                 break
-            width = float(I_next[1] - I_next[0])
-            if width < ar.width_floor:
-                termination = "PrecisionExhausted"
-                term_level = n + 1
-                detail = f"width {width!r} below floor {ar.width_floor!r}"
-                break
-            levels[-1]["c_ratio"] = float((I_next[1] - I_next[0]) / (I[1] - I[0]))
-            I = I_next
-            n += 1
+            c_n = float((I_next[1] - I_next[0]) / (hi - lo))
+            I_prev, I = I, I_next
+    if v is not None:
+        levels.append(NestLevel(len(levels), interval, v, c_n=c_n))
 
-    out_levels = [NestLevel(i, (float(rec["interval"][0]), float(rec["interval"][1])),
-                            rec["v"], rec["s"], rec["c_ratio"], rec["central"])
-                  for i, rec in enumerate(levels)]
-    seq = tuple(2.0 * math.log(b.v_n) / a.v_n
-                for a, b in zip(out_levels, out_levels[1:]))
+    termination, term_level, detail, horizon = end
+    seq = tuple(2.0 * math.log(b.v_n) / a.v_n for a, b in zip(levels, levels[1:]))
     return NestReport(
-        levels=tuple(out_levels),
+        levels=tuple(levels),
         termination=termination,
         termination_level=term_level,
         termination_detail=detail,

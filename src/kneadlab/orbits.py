@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,12 +254,13 @@ def enumerate_periodic(m: UnimodalMap, max_period: int,
     of length <= max_period; failures are recorded per word, not raised.
 
     Word searches are independent and pure; with workers > 1 they run in a
-    process pool and merge in word order.  The workers rebuild the map with
-    make_map, so a custom map is searched serially.
+    pool of at most one process per word and CPU and merge in word order.
+    The workers rebuild the map with make_map: a custom map runs serially.
     """
     if max_period > 20:
         raise ValueError("max_period <= 20 required")
     words = [str(w) for w in lyndon_words(max_period)]
+    workers = min(workers, len(words), os.cpu_count() or 1)
     if workers > 1 and m.family_tag in FAMILIES:
         from concurrent.futures import ProcessPoolExecutor
         shards = [words[i::workers] for i in range(workers)]

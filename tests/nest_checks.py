@@ -1,13 +1,26 @@
-"""Shared nest-invariant checker and test-only nest oracles used by the
-unit and acceptance suites."""
+"""Shared nest-invariant checker and test-only nest and gap oracles used
+by the unit and acceptance suites."""
 
 import math
 
+import numpy as np
 import pytest
 
-from kneadlab import maps, nest
-from kneadlab.errors import PrecisionExhausted
-from kneadlab.maps import UnimodalMap
+from kneadlab import maps, measure, nest
+from kneadlab.errors import PrecisionExhausted, TooManyGaps
+from kneadlab.maps import LEFT, RIGHT, UnimodalMap, branch_preimage_arrays
+
+# screened maps whose nests and gap families are compared with the reference
+# loops below: (family, parameter, extended precision)
+REFERENCE_NESTS = [
+    ("quadratic", 1.848322, False), ("quadratic", 1.904616, False),
+    ("quadratic", 1.941619, False), ("quadratic", 1.988686, False),
+    ("logistic", 3.731428, False), ("logistic", 3.791349, False),
+    ("logistic", 3.913485, False), ("logistic", 3.966638, False),
+    ("sine", 3.701132, False), ("sine", 3.804052, False),
+    ("sine", 3.861791, False), ("sine", 3.94379, False),
+    ("quadratic", 1.965229, True), ("logistic", 3.782239, True),
+]
 
 
 def check_nest_invariants(m, rep):
@@ -254,7 +267,6 @@ def reference_build_nest(m, max_depth, max_iterates, extended_precision=False):
     levels = []
     termination, term_level = "DepthReached", None
     detail = f"max_depth {max_depth} reached"
-    streak = 0
     with ar.context:
         p = nest._reversing_fixed_point(ar, m, period, cycle[0])
         d = abs(p - ar.c)
@@ -270,13 +282,8 @@ def reference_build_nest(m, max_depth, max_iterates, extended_precision=False):
             if levels:
                 levels[-1]["s"] = s_prev
                 levels[-1]["central"] = s_prev == 0
-                streak = streak + 1 if s_prev == 0 else 0
             levels.append({"interval": I, "v": v, "s": None, "c_ratio": None,
                            "central": None})
-            if streak >= nest.CENTRAL_CASCADE_LIMIT:
-                termination, term_level = "RestrictiveIntervalFound", n
-                detail = f"{nest.CENTRAL_CASCADE_LIMIT} consecutive central returns"
-                break
             if n == max_depth:
                 break
             try:
@@ -298,3 +305,45 @@ def reference_build_nest(m, max_depth, max_iterates, extended_precision=False):
     return nest.NestReport(out, termination, term_level, detail, period,
                            nest.DEFAULT_RENORM_SEARCH_PERIOD, extended_precision,
                            seq, ar.bits, horizon)
+
+
+# reference gap family: each preimage split into four masked pieces (wholly
+# left of I_n, wholly right, crossing its left end, crossing its right end).
+# measure.gap_family, which keeps one piece left of a and one right of b,
+# must return the same arrays ---
+
+def reference_gap_family(m: UnimodalMap, nest_report, nest_level: int,
+                         max_generation: int):
+    """(gap_lo, gap_hi, generations) of the first-landing gaps of level
+    nest_level of nest_report, or TooManyGaps past measure.GAP_BUDGET."""
+    a, b = nest_report.levels[nest_level].interval
+    all_lo, all_hi, all_gen = [np.array([a])], [np.array([b])], [np.array([0])]
+    flo, fhi = all_lo[0], all_hi[0]
+    total = 1
+    for g in range(1, max_generation + 1):
+        new_lo, new_hi = [], []
+        for side in (LEFT, RIGHT):
+            plo, phi, mask = branch_preimage_arrays(m, side, flo, fhi)
+            plo, phi = plo[mask], phi[mask]
+            left_piece = phi <= a
+            right_piece = plo >= b
+            cross_l = (~left_piece) & (~right_piece) & (plo < a)
+            cross_r = (~left_piece) & (~right_piece) & (phi > b)
+            new_lo.extend([plo[left_piece], plo[right_piece],
+                           plo[cross_l], np.full(cross_r.sum(), b)])
+            new_hi.extend([phi[left_piece], phi[right_piece],
+                           np.full(cross_l.sum(), a), phi[cross_r]])
+        flo, fhi = np.concatenate(new_lo), np.concatenate(new_hi)
+        keep = fhi - flo > 0.0
+        flo, fhi = flo[keep], fhi[keep]
+        order = np.argsort(flo, kind="stable")
+        flo, fhi = flo[order], fhi[order]
+        total += len(flo)
+        if total > measure.GAP_BUDGET:
+            raise TooManyGaps(f"gap budget {measure.GAP_BUDGET} exceeded at generation {g}")
+        if len(flo) == 0:
+            break
+        all_lo.append(flo)
+        all_hi.append(fhi)
+        all_gen.append(np.full(len(flo), g))
+    return np.concatenate(all_lo), np.concatenate(all_hi), np.concatenate(all_gen)

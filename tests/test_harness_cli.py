@@ -168,6 +168,26 @@ def test_sweep_parallel_order_matches_serial():
     assert [r.to_json() for r in serial] == [r.to_json() for r in parallel]
 
 
+def test_sweep_pool_is_bounded_by_the_parameters_and_the_cpus(monkeypatch, recorded_pools):
+    cfg = ExperimentConfig(map_family="logistic", map_parameter=3.3)
+    params = [3.9, 2.5, 3.3]
+    serial = [r.to_json() for r in sweep(cfg, "conjugacy", params)]
+    for cpus, pools in ((8, [3]), (2, [2]), (1, []), (None, [])):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        recorded_pools.clear()
+        reports = sweep(cfg, "conjugacy", params, parallelism=5000)
+        assert recorded_pools == pools
+        assert [r.to_json() for r in reports] == serial
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    code = ("import sys, kneadlab; "
+            "assert not {'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)")
+    src = os.path.dirname(os.path.dirname(kneadlab.__file__))
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
+
+
 def test_sweep_isolates_bad_parameter():
     cfg = _fast_config()
     reports = sweep(cfg, "zeta", [2.0, 9.9])

@@ -9,9 +9,9 @@ import pytest
 import kneadlab
 from kneadlab import (CriticalNonReturn, DegenerateOrbit, OutOfDomain,
                       SymbolStream, SymbolWord, TooManyGaps, UncoveredMass,
-                      estimate_density, find_periodic,
+                      build_nest, estimate_density, find_periodic,
                       find_restrictive_interval, gap_family, lyapunov_birkhoff,
-                      make_logistic, make_map, make_quadratic,
+                      make_custom, make_logistic, make_map, make_quadratic,
                       regularized_density_report, verify_critical_typicality,
                       verify_lyapunov_equality)
 from kneadlab import harness, maps, measure, nest, orbits, symbolic
@@ -19,6 +19,7 @@ from kneadlab.maps import DEFAULT_BURN_IN, orbit_array, orbit_chunks
 from kneadlab.measure import (_detect_periodic_attractor, _integral_log_deriv,
                               measure_of_intervals, seeded_start)
 from kneadlab.symbolic import cylinder, frequency
+from nest_checks import REFERENCE_NESTS, reference_gap_family
 from screen import screened_parameters, stochasticity_screen
 
 
@@ -333,8 +334,28 @@ def test_gap_coverage_grows(q19):
 
 def test_gap_budget(q19, monkeypatch):
     monkeypatch.setattr(measure, "GAP_BUDGET", 100)
-    with pytest.raises(TooManyGaps):
+    with pytest.raises(TooManyGaps) as err:
         gap_family(q19, 1, 18)
+    with pytest.raises(TooManyGaps) as ref:
+        reference_gap_family(q19, build_nest(q19, 1, 10 ** 6), 1, 18)
+    assert str(err.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("family, p, extended", [
+    (f, p, ext) for f, p, e in REFERENCE_NESTS for ext in sorted({False, e})
+] + [("quadratic", 2.0, False), ("custom", 3.9, False)])
+def test_gap_family_matches_the_four_piece_reference(family, p, extended):
+    if family == "custom":  # the logistic map, with bisected branch inverses
+        m = make_custom(lambda x: p * x * (1.0 - x), lambda x: p - 2.0 * p * x,
+                        (0.0, 1.0), 0.5)
+    else:
+        m = make_map(family, p)
+    rep = build_nest(m, 2, 10 ** 6, extended_precision=extended)
+    for level in range(len(rep.levels)):
+        gaps = gap_family(m, level, 16, nest_report=rep)
+        ref = reference_gap_family(m, rep, level, 16)
+        for got, want in zip((gaps.gap_lo, gaps.gap_hi, gaps.generations), ref):
+            assert np.array_equal(got, want), (level, len(got), len(want))
 
 
 def test_gap_q2_propagates_critical_non_return(q2):

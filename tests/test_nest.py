@@ -10,7 +10,7 @@ from kneadlab import (NoReversingFixedPoint, TooShallow, build_nest,
                       nest_asymptotics, nest_lyapunov)
 from kneadlab import maps, nest
 from kneadlab.nest import NestLevel, NestReport, find_restrictive_interval
-from nest_checks import (orientation_reversing_fixed_point,
+from nest_checks import (REFERENCE_NESTS, orientation_reversing_fixed_point,
                          reference_build_nest, reference_restrictive_interval,
                          spreading_central_domain)
 
@@ -170,17 +170,6 @@ def _agrees_with_reference(rep, ref):
     assert rep == ref
 
 
-REFERENCE_NESTS = [
-    ("quadratic", 1.848322, False), ("quadratic", 1.904616, False),
-    ("quadratic", 1.941619, False), ("quadratic", 1.988686, False),
-    ("logistic", 3.731428, False), ("logistic", 3.791349, False),
-    ("logistic", 3.913485, False), ("logistic", 3.966638, False),
-    ("sine", 3.701132, False), ("sine", 3.804052, False),
-    ("sine", 3.861791, False), ("sine", 3.94379, False),
-    ("quadratic", 1.965229, True), ("logistic", 3.782239, True),
-]
-
-
 # one map per period of the logistic cascade up to 32, and the quadratic
 # period-3 window
 RENORMALIZED_NESTS = [
@@ -268,6 +257,22 @@ def test_nest_collapse_ends_in_precision_exhausted_with_null_c_n(q19):
     assert rep.termination_detail == "pullback interval collapsed to a point at step 152 of 152"
     assert rep.levels[-1].c_n is None
     assert all(0.0 < lv.c_n < 1.0 for lv in rep.levels[:-1])
+
+
+@pytest.mark.parametrize("family, p, depth, extended, vs, floor", [
+    ("logistic", 3.9481263790872907, 6, False, [4, 12, 50], "1e-13"),
+    ("sine", 3.894540513167379, 4, True, [3, 13, 147], "1e-18"),
+])
+def test_nest_width_floor_ends_in_precision_exhausted(family, p, depth, extended, vs, floor):
+    # the pullback of I_2 reaches f(c) to working precision, so I_3, its
+    # central fold preimage, has width 0
+    m = make_map(family, p)
+    rep = build_nest(m, depth, 10 ** 6, extended_precision=extended)
+    assert [lv.v_n for lv in rep.levels] == vs
+    assert (rep.termination, rep.termination_level) == ("PrecisionExhausted", 3)
+    assert rep.termination_detail == f"width 0.0 below floor {floor}"
+    assert rep.levels[-1].c_n is None
+    _agrees_with_reference(rep, reference_build_nest(m, depth, 10 ** 6, extended))
 
 
 def test_no_nest_reports_a_zero_c_n():

@@ -1,5 +1,6 @@
 import cmath
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -259,6 +260,18 @@ def test_enumerate_parallel_matches_serial(q2):
         [str(o.word) for o in parallel.orbits]
     assert [o.exponent for o in serial.orbits] == \
         [o.exponent for o in parallel.orbits]
+
+
+def test_enumerate_pool_is_bounded_by_the_words_and_the_cpus(monkeypatch, recorded_pools, q2):
+    serial = enumerate_periodic(q2, 3)  # five words: 0, 1, 01, 001, 011
+    for cpus, pools in ((8, [5]), (2, [2]), (1, []), (None, [])):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        recorded_pools.clear()
+        enum = enumerate_periodic(q2, 3, workers=5000)
+        assert recorded_pools == pools
+        assert [(o.word, o.points) for o in enum.orbits] == \
+            [(o.word, o.points) for o in serial.orbits]
+        assert enum.failures == serial.failures
 
 
 def test_exponent_log_storage(q2):

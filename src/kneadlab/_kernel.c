@@ -3,9 +3,10 @@
  *
  * Each fill(buf, x, p) writes x, f(x), f^2(x), ... into the float64
  * buffer buf and returns the next iterate, with the same IEEE operations
- * in the same order as _quadratic_fill, _logistic_fill and _sine_fill in
- * maps.py, so it gives the same bits.  That needs -ffp-contract=off: a
- * fused multiply-add rounds once where the Python loop rounds twice.
+ * in the same order as the family's float f (its bind in maps.py), so it
+ * gives the bits of maps.python_fill over that f.  That needs
+ * -ffp-contract=off: a fused multiply-add rounds once where the Python
+ * loop rounds twice.
  * histogram and the abs_df functions are the compiled twins of
  * maps.numpy_histogram and of the numpy |Df| and critical-hit test of
  * measure._BirkhoffSums, with the same counts and bits.
@@ -116,7 +117,8 @@ sine_fill(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     if (fill_args(args, nargs, &view, &x, &a) < 0)
         return NULL;
     /* Py_MATH_PI is math.pi; sin, asin and sqrt are the libm functions
-     * that math.sin, math.asin and math.sqrt call */
+     * that math.sin, math.asin and math.sqrt call; for a finite u the
+     * clamp gives the min(1, max(-1, u)) of the Python f */
     const double pi = Py_MATH_PI;
     const double s = sqrt(a) / 2.0;
     const double k = 2.0 / pi;
@@ -237,11 +239,11 @@ logistic_abs_df(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 
 static PyMethodDef kernel_methods[] = {
     {"quadratic_fill", (PyCFunction)(void (*)(void))quadratic_fill, METH_FASTCALL,
-     "quadratic_fill(buf, x, tau): _quadratic_fill of maps.py, compiled."},
+     "quadratic_fill(buf, x, tau): the quadratic orbit walk of maps.py, compiled."},
     {"logistic_fill", (PyCFunction)(void (*)(void))logistic_fill, METH_FASTCALL,
-     "logistic_fill(buf, x, a): _logistic_fill of maps.py, compiled."},
+     "logistic_fill(buf, x, a): the logistic orbit walk of maps.py, compiled."},
     {"sine_fill", (PyCFunction)(void (*)(void))sine_fill, METH_FASTCALL,
-     "sine_fill(buf, x, a): _sine_fill of maps.py, compiled."},
+     "sine_fill(buf, x, a): the sine orbit walk of maps.py, compiled."},
     {"histogram", (PyCFunction)(void (*)(void))histogram, METH_FASTCALL,
      "histogram(buf, edges, counts): numpy_histogram of maps.py, compiled."},
     {"quadratic_abs_df", (PyCFunction)(void (*)(void))quadratic_abs_df, METH_FASTCALL,

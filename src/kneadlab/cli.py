@@ -53,10 +53,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _count(text: str) -> int:
-    """Integer argument that also accepts scientific notation like 1e7."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"count must be finite, got {text!r}")
+    """An integer option: an integer literal, read with every digit, or a
+    float literal with an integral value such as 1e7."""
+    try:
+        return int(text)
+    except ValueError:
+        value = float(text)  # not a number: argparse's "invalid _count value"
+    if not (math.isfinite(value) and value.is_integer()):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite integer such as 12 or 1e6, got {text!r}")
     return int(value)
 
 
@@ -105,9 +110,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("freq", help="pattern frequencies in a symbol stream")
     _add_map_args(p)
     p.add_argument("--alpha", required=True, help="pattern over 0/1")
-    p.add_argument("--max-power", type=int, default=6)
+    p.add_argument("--max-power", type=_count, default=6)
     p.add_argument("--orbit-length", type=_count, required=True)
-    p.add_argument("--k-min", type=int, default=1)
+    p.add_argument("--k-min", type=_count, default=1)
     src = p.add_mutually_exclusive_group()
     src.add_argument("--from-critical", action="store_true")
     src.add_argument("--from-random", action="store_true")
@@ -119,29 +124,29 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("zeta", help="truncated dynamical zeta value")
     _add_map_args(p)
-    p.add_argument("--max-period", type=int, default=12)
+    p.add_argument("--max-period", type=_count, default=12)
     p.add_argument("--z", type=float, required=True)
 
     p = sub.add_parser("nest", help="principal nest report")
     _add_map_args(p)
-    p.add_argument("--max-depth", type=int, default=6)
+    p.add_argument("--max-depth", type=_count, default=6)
     p.add_argument("--max-iterates", type=_count, default=10 ** 6)
     p.add_argument("--extended-precision", action="store_true")
 
     p = sub.add_parser("measure", help="physical-measure histogram (CSV)")
     _add_map_args(p)
     p.add_argument("--samples", type=_count, required=True)
-    p.add_argument("--bins", type=int, default=512)
+    p.add_argument("--bins", type=_count, default=512)
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     _add_seed(p)
 
     p = sub.add_parser("gaps", help="gap family and regularized density")
     _add_map_args(p)
-    p.add_argument("--nest-level", type=int, default=1)
-    p.add_argument("--max-generation", type=int, default=14)
+    p.add_argument("--nest-level", type=_count, default=1)
+    p.add_argument("--max-generation", type=_count, default=14)
     p.add_argument("--p", default="1,2,4", help="comma-separated L^p exponents")
     p.add_argument("--samples", type=_count, default=10 ** 6)
-    p.add_argument("--bins", type=int, default=512)
+    p.add_argument("--bins", type=_count, default=512)
     p.add_argument("--max-iterates", type=_count, default=10 ** 6)
     _add_seed(p)
 
@@ -153,13 +158,13 @@ def build_parser() -> _Parser:
     p.add_argument("tag", choices=VERIFY_TAGS)
     _add_map_args(p)
     _add_config_options(p)
-    p.add_argument("--bins", dest="density_bins", type=int)
+    p.add_argument("--bins", dest="density_bins", type=_count)
     p.add_argument("--stream", dest="stream_kind", choices=("typical", "critical"))
-    p.add_argument("--max-depth", dest="nest_max_depth", type=int)
+    p.add_argument("--max-depth", dest="nest_max_depth", type=_count)
     p.add_argument("--max-iterates", dest="nest_max_iterates", type=_count)
-    p.add_argument("--nest-level", dest="gap_nest_level", type=int)
-    p.add_argument("--max-generation", dest="gap_max_generation", type=int)
-    p.add_argument("--max-period", dest="zeta_max_period", type=int)
+    p.add_argument("--nest-level", dest="gap_nest_level", type=_count)
+    p.add_argument("--max-generation", dest="gap_max_generation", type=_count)
+    p.add_argument("--max-period", dest="zeta_max_period", type=_count)
     p.add_argument("--z", dest="zeta_z_values", type=_floats)
 
     p = sub.add_parser("sweep", help="verify across a parameter list",
@@ -168,7 +173,7 @@ def build_parser() -> _Parser:
     p.add_argument("--map", required=True, choices=tuple(FAMILIES))
     p.add_argument("--params", required=True,
                    help="comma-separated parameter values")
-    p.add_argument("--parallelism", type=int, default=1)
+    p.add_argument("--parallelism", type=_count, default=1)
     _add_config_options(p)
 
     for p in sub.choices.values():

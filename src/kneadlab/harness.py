@@ -86,8 +86,9 @@ class ExperimentConfig:
             raise ValueError("stream_kind must be 'typical' or 'critical'")
         # a word with no symbol, or with a 'c', matches nothing, and an
         # empty list would pass with no rows
-        if not self.words:
-            raise ValueError("words must be nonempty")
+        for name in ("words", "zeta_z_values"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must be nonempty")
         for w in self.words:
             if not w or set(w) - {"0", "1"}:
                 raise ValueError(f"word {w!r} must be nonempty over 0 and 1")

@@ -129,11 +129,9 @@ class MapFamily:
 
     bind(ns, p) returns (f, Df, left inverse, right inverse), evaluated with
     the functions of ns: MATH for floats (the map's own functions), NUMPY
-    for arrays, mpmath_namespace() for the extended-precision nest.
-    fill(buf, x, p) writes x, f(x), f^2(x), ... into buf and returns the
-    next iterate: the float orbit walk, with a built-in step inline.  Walks
-    run orbit_fill(record), which is a built-in fill's compiled twin from
-    _kernel.c when that builds.
+    for arrays, mpmath_namespace() for the extended-precision nest.  Float
+    orbits are walked by orbit_fill(m): the family's compiled fill from
+    _kernel.c when that builds, else python_fill over the map's own f.
     """
 
     name: str
@@ -142,7 +140,6 @@ class MapFamily:
     parameter_range: tuple[float, float]  # lo < p <= hi
     second_derivative_at_critical: Callable  # |f''(c)|, None if unknown
     bind: Callable
-    fill: Callable
 
     def make(self, p: float) -> UnimodalMap:
         lo, hi = self.parameter_range
@@ -151,29 +148,17 @@ class MapFamily:
         return UnimodalMap(self, p, *self.bind(MATH, p))
 
 
-# Speed, measured with Python 3.11 on a 2-vCPU Intel Xeon machine, explains
-# three choices below.  Each bind copies the namespace functions it uses
-# into local names: with a namespace attribute lookup per call the sine f
-# took 604 ns against 510 ns.  f and the inverses, which the extended nest
-# evaluates, take their constants from ns.num once: mpmath converts a float
-# operand on every operation, and a 120-bit logistic f took 9.9 us with a
-# float literal against 4.6 us.  Each family's fill repeats the step of its
-# bind inline and writes through a memoryview of the buffer.  These Python
-# fills are what a walk runs only when the compiled kernel cannot be built
-# (see orbit_fill), and the reference the compiled fills are tested
-# against.  Per point, best of 21 fills of one 65,536-point buffer:
-# quadratic 88 ns with numpy item assignment against 65 ns through the
-# memoryview, logistic 85 against 64 ns; sine 479 ns with a call of its f
-# against 139 ns inline, where math.sin and math.asin are locals and
-# comparisons clamp u to [-1, 1] in place of min and max (the same float
-# operations as its f).  The compiled fills take about 5 ns (quadratic,
-# logistic) and 65 ns (sine, spent in libm's sin and asin) per point.  The
-# seeded pass after the walk, per point of one 65,536-point chunk (best of
-# 41 calls, the range over repeated processes): the compiled histogram
-# 3.3-6.3 ns against np.histogram's 5.8-9.5 ns, and, at quadratic and
-# logistic maps, measure._BirkhoffSums.add 3.0-6.5 ns against 4.2-25 ns
-# for its all-numpy form; numpy's log, finiteness test and sum, which it
-# keeps, take 2.5-3 ns of that.
+# Speed, measured with Python 3.11 on a 2-vCPU Intel Xeon machine.  Each
+# bind copies the namespace functions it uses into local names (the sine f:
+# 510 ns against 604 ns with an attribute lookup per call), and takes the
+# constants of f and the inverses from ns.num once (a 120-bit logistic f:
+# 4.6 us against 9.9 us: mpmath converts a float operand every time).  Per
+# point of a 65,536-point buffer, best of 21 or 41 calls: the compiled fills
+# 5 ns (quadratic, logistic) and 65 ns (sine: libm's sin and asin),
+# python_fill 100, 91 and 427 ns (a memoryview saves 20 ns against numpy
+# item assignment); the compiled histogram 3.3-6.3 ns against np.histogram's
+# 5.8-9.5 ns, and the compiled |Df| of _BirkhoffSums.add 3.0-6.5 ns against
+# 4.2-25 ns in numpy.
 
 def _quadratic(ns, tau):
     """q_tau(x) = tau - 1 - tau*x^2 on [-1, 1], critical point 0."""
@@ -196,15 +181,6 @@ def _quadratic(ns, tau):
     return f, df, inv_left, inv_right
 
 
-def _quadratic_fill(buf, x, tau):
-    tm1 = tau - 1.0
-    out = memoryview(buf)
-    for i in range(len(out)):
-        out[i] = x
-        x = tm1 - tau * x * x
-    return x
-
-
 def _logistic(ns, a):
     """f_a(x) = a*x*(1-x) on [0, 1], critical point 1/2."""
     sqrt, maximum = ns.sqrt, ns.maximum
@@ -223,14 +199,6 @@ def _logistic(ns, a):
         return half * (one + sqrt(maximum(one - four * y / a, zero)))
 
     return f, df, inv_left, inv_right
-
-
-def _logistic_fill(buf, x, a):
-    out = memoryview(buf)
-    for i in range(len(out)):
-        out[i] = x
-        x = a * x * (1.0 - x)
-    return x
 
 
 def _sine(ns, a):
@@ -257,33 +225,17 @@ def _sine(ns, a):
     return f, df, inv_left, inv_right
 
 
-def _sine_fill(buf, x, a):
-    sin, asin, pi = math.sin, math.asin, math.pi
-    s = math.sqrt(a) / 2.0
-    k = 2.0 / pi
-    out = memoryview(buf)
-    for i in range(len(out)):
-        out[i] = x
-        u = s * sin(pi * x)
-        if u > 1.0:
-            u = 1.0
-        elif u < -1.0:
-            u = -1.0
-        x = k * asin(u)
-    return x
-
-
 def _sine_curvature(a):
     return math.sqrt(a) * math.pi / math.sqrt(1.0 - a / 4.0)
 
 
 QUADRATIC = MapFamily("quadratic", (-1.0, 1.0), 0.0, (0.0, 2.0),
-                      lambda tau: 2.0 * tau, _quadratic, _quadratic_fill)
+                      lambda tau: 2.0 * tau, _quadratic)
 LOGISTIC = MapFamily("logistic", (0.0, 1.0), 0.5, (0.0, 4.0),
-                     lambda a: 2.0 * a, _logistic, _logistic_fill)
+                     lambda a: 2.0 * a, _logistic)
 # g_4 is the tent map, which has no smooth critical point: a < 4
 SINE = MapFamily("sine", (0.0, 1.0), 0.5, (0.0, math.nextafter(4.0, 0.0)),
-                 _sine_curvature, _sine, _sine_fill)
+                 _sine_curvature, _sine)
 FAMILIES = {fam.name: fam for fam in (QUADRATIC, LOGISTIC, SINE)}
 
 
@@ -324,15 +276,8 @@ def make_custom(f, df, domain, critical_point) -> UnimodalMap:
                          for g in scalar)
         raise ValueError("extended precision supports built-in families only")
 
-    def fill(buf, x, p):
-        out = memoryview(buf)
-        for i in range(len(out)):
-            out[i] = x
-            x = f(x)
-        return x
-
     nan = float("nan")
-    family = MapFamily("custom", (l, r), c, (nan, nan), lambda p: None, bind, fill)
+    family = MapFamily("custom", (l, r), c, (nan, nan), lambda p: None, bind)
     return UnimodalMap(family, nan, *scalar)
 
 
@@ -351,7 +296,7 @@ def make_map(family: str, parameter: float) -> UnimodalMap:
 KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 # -ffp-contract=off: a fused multiply-add would change the bits
 KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-_compiled = None  # {a Python reference: its compiled twin}, once loaded
+_compiled = None  # the kernel's names, once loaded ({} without a kernel)
 
 
 def numpy_histogram(buf, edges, counts) -> None:
@@ -360,27 +305,36 @@ def numpy_histogram(buf, edges, counts) -> None:
     counts += np.histogram(buf, bins=edges)[0]
 
 
-def compiled(reference) -> Optional[Callable]:
-    """The compiled twin from _kernel.c of reference, or None (no kernel,
-    or no twin).  The twins: each built-in record's fill, the |Df| and
-    critical-hit loop of the quadratic and logistic records' bind (see
-    measure._BirkhoffSums), and numpy_histogram.  A custom map, or a
-    record whose fill or bind was replaced, has none."""
+def python_fill(buf, x, f):
+    """Writes x, f(x), f^2(x), ... into buf and returns the next iterate:
+    the float orbit walk of a map with no compiled fill, over its own f."""
+    out = memoryview(buf)
+    for i in range(len(out)):
+        out[i] = x
+        x = f(x)
+    return x
+
+
+def compiled(name: str, family: Optional[MapFamily] = None) -> Optional[Callable]:
+    """The compiled twin from _kernel.c, or None (no kernel, or no twin):
+    compiled("histogram") of numpy_histogram, compiled("fill", family) of
+    python_fill over the family's float f, compiled("abs_df", family) of
+    the NUMPY |Df| and hit test in measure._BirkhoffSums.  A record that is
+    not the built-in FAMILIES[family.name] itself has none."""
     global _compiled
     if _compiled is None:
         kernel = _load_kernel()
-        _compiled = {} if kernel is None else {
-            **{fam.fill: getattr(kernel, f"{name}_fill") for name, fam in FAMILIES.items()},
-            QUADRATIC.bind: kernel.quadratic_abs_df,
-            LOGISTIC.bind: kernel.logistic_abs_df,
-            numpy_histogram: kernel.histogram}
-    return _compiled.get(reference)
+        _compiled = {} if kernel is None else vars(kernel)
+    if family is not None and FAMILIES.get(family.name) is not family:
+        return None
+    return _compiled.get(name if family is None else f"{family.name}_{name}")
 
 
-def orbit_fill(family: MapFamily) -> Callable:
-    """The fill an orbit walk runs: the compiled twin of the record's fill,
-    else the record's fill."""
-    return compiled(family.fill) or family.fill
+def orbit_fill(m: UnimodalMap) -> tuple[Callable, object]:
+    """(fill, arg), the float orbit walk fill(buf, x, arg) of m: its
+    family's compiled fill and parameter, else python_fill and its f."""
+    fill = compiled("fill", m.family)
+    return (python_fill, m._f) if fill is None else (fill, m.parameter)
 
 
 def _compiler() -> list[str]:
@@ -542,17 +496,17 @@ def orbit_chunks(m: UnimodalMap, x0: float, n: int, burn_in: int = 0):
     orbit_array for exactly its length.  Burn-in runs through the same loop,
     into the buffer that the first chunk then overwrites.
     """
-    fill, p = orbit_fill(m.family), m.parameter
+    fill, arg = orbit_fill(m)
     x = float(x0)
     buf = np.empty(min(CHUNK, max(n, burn_in)))
     while burn_in > 0:
         k = min(len(buf), burn_in)
-        x = fill(buf[:k], x, p)
+        x = fill(buf[:k], x, arg)
         burn_in -= k
     done = 0
     while done < n:
         k = min(CHUNK, n - done)
-        x = fill(buf[:k], x, p)
+        x = fill(buf[:k], x, arg)
         done += k
         yield buf[:k]
 

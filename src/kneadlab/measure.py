@@ -110,7 +110,7 @@ def _seeded_pass(m: UnimodalMap, n: int, bin_count: int, seed, *,
             f"orbit converges to a periodic attractor of period {period}",
             period=period, cycle=cycle)
     edges = np.linspace(m.domain[0], m.domain[1], bin_count + 1)
-    histogram = maps.compiled(maps.numpy_histogram) or maps.numpy_histogram
+    histogram = maps.compiled("histogram") or maps.numpy_histogram
     tally = np.zeros(bin_count, dtype=np.int64)
     sums = _BirkhoffSums(m) if birkhoff else None
     counts = [0] * len(intervals)
@@ -152,7 +152,7 @@ def measure_of_intervals(density: DensityEstimate, los, his) -> np.ndarray:
 class _BirkhoffSums:
     """Per-chunk sums of ln|Df| and the critical-hit flag along an orbit.
 
-    |Df| and the hit test run in the compiled twin of the record's bind
+    |Df| and the hit test run in the compiled twin of the family's NUMPY df
     where there is one (quadratic, logistic), into one reused buffer, else
     through the NUMPY df bound once.  The log, the finiteness test and the
     sum stay in numpy for every family: numpy's float64 log is its own
@@ -163,7 +163,7 @@ class _BirkhoffSums:
         self.m = m
         self.sums: list[float] = []
         self.hit = False
-        self.abs_df = maps.compiled(m.family.bind)
+        self.abs_df = maps.compiled("abs_df", m.family)
         if self.abs_df is None:
             self.df = m.family.bind(NUMPY, m.parameter)[1]
         else:

@@ -101,7 +101,7 @@ def _bracket_scan(g, lo, hi, points=65):
 
 def _polish_root(m: UnimodalMap, period: int, lo: float, hi: float):
     """Bisection-safeguarded secant on f^m(x) - x inside [lo, hi], where
-    f^m(x) is the map's fill over one m-point buffer.
+    f^m(x) is the map's orbit walk over one m-point buffer.
 
     Df^m can be huge along expanding orbits, so every secant step is kept
     inside the current bracket and falls back to bisection.  For cylinders
@@ -111,11 +111,11 @@ def _polish_root(m: UnimodalMap, period: int, lo: float, hi: float):
 
     Returns (root, widened_flag).
     """
-    fill, param = orbit_fill(m.family), m.parameter
+    fill, arg = orbit_fill(m)
     buf = np.empty(period)
 
     def g(x):
-        return fill(buf, x, param) - x
+        return fill(buf, x, arg) - x
 
     widened = False
     ga, gb = g(lo), g(hi)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,6 +9,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kneadlab
 from kneadlab import cli
@@ -495,6 +499,134 @@ def test_cli_rejects_non_finite_count(capsys, text):
     assert captured.out == ""
     assert captured.err.startswith("error: argument --length: ")
     assert "finite" in captured.err
+
+
+# every integer option of each command: (argv before the option, option, dest)
+_COUNT_OPTIONS = [
+    (["kneading", "--map", "quadratic", "--param", "1.9"], "--length", "length"),
+    (["itinerary", "--map", "quadratic", "--param", "1.9", "--x0", "0.3"], "--length", "length"),
+    (["freq", "--map", "quadratic", "--param", "1.9", "--alpha", "1",
+      "--orbit-length", "1e5"], "--max-power", "max_power"),
+    (["freq", "--map", "quadratic", "--param", "1.9", "--alpha", "1",
+      "--orbit-length", "1e5"], "--k-min", "k_min"),
+    (["freq", "--map", "quadratic", "--param", "1.9", "--alpha", "1"],
+     "--orbit-length", "orbit_length"),
+    (["zeta", "--map", "quadratic", "--param", "1.9", "--z", "0.1"], "--max-period", "max_period"),
+    (["nest", "--map", "quadratic", "--param", "1.9"], "--max-depth", "max_depth"),
+    (["measure", "--map", "quadratic", "--param", "1.9", "--samples", "1e5"], "--bins", "bins"),
+    (["measure", "--map", "quadratic", "--param", "1.9", "--bins", "8"], "--samples", "samples"),
+    (["measure", "--map", "quadratic", "--param", "1.9", "--samples", "1e5"], "--seed", "seed"),
+    (["gaps", "--map", "quadratic", "--param", "1.9"], "--nest-level", "nest_level"),
+    (["gaps", "--map", "quadratic", "--param", "1.9"], "--max-generation", "max_generation"),
+    (["verify", "zeta", "--map", "quadratic", "--param", "1.9"], "--bins", "density_bins"),
+    (["verify", "zeta", "--map", "quadratic", "--param", "1.9"], "--max-depth", "nest_max_depth"),
+    (["verify", "zeta", "--map", "quadratic", "--param", "1.9"], "--nest-level", "gap_nest_level"),
+    (["verify", "zeta", "--map", "quadratic", "--param", "1.9"], "--max-generation",
+     "gap_max_generation"),
+    (["verify", "zeta", "--map", "quadratic", "--param", "1.9"], "--max-period", "zeta_max_period"),
+    (["sweep", "--tag", "zeta", "--map", "quadratic", "--params", "1.9"],
+     "--parallelism", "parallelism"),
+]
+
+
+@pytest.mark.parametrize("argv, option, dest", _COUNT_OPTIONS,
+                         ids=[f"{a[0]}{o}" for a, o, _ in _COUNT_OPTIONS])
+def test_cli_integer_options_share_one_count_parser(capsys, argv, option, dest):
+    parser = build_parser()
+    # an integer literal keeps every digit; a float literal must be integral
+    for text, value in (("2", 2), ("2e0", 2), ("1e2", 100), ("-1", -1),
+                        ("12345678901234567891", 12345678901234567891)):
+        assert getattr(parser.parse_args(argv + [f"{option}={text}"]), dest) == value
+    for text in ("7.9", "0.5", "100000.9", "1.5", "inf", "nan", "1e400", "", "two"):
+        assert main(argv + [f"{option}={text}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: argument {option}: " + (
+            f"invalid _count value: {text!r}\n" if text in ("", "two") else
+            f"expected a finite integer such as 12 or 1e6, got {text!r}\n")
+
+
+def test_cli_measure_bins_in_float_notation(capsys):
+    argv = ["measure", "--map", "logistic", "--param", "3.9", "--samples", "1e5"]
+    assert main(argv + ["--bins", "1e2"]) == 0
+    by_float = capsys.readouterr().out
+    assert main(argv + ["--bins", "100"]) == 0
+    assert capsys.readouterr().out == by_float
+    assert len(by_float.splitlines()) == 101
+
+
+def test_cli_verify_zeta_rejects_an_empty_z_list(capsys):
+    # with no z value the report would pass with no row
+    assert main(["verify", "zeta", "--map", "quadratic", "--param", "2.0",
+                 "--max-period", "4", "--z", ","]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _strict_loads(captured.err) == {"error": "ValueError",
+                                           "message": "zeta_z_values must be nonempty"}
+
+
+# Count strings of the CLI property: integral, integral in float notation,
+# fractional, negative, not a number, empty and overflowing.  Every one
+# keeps a run cheap: lengths and prefixes of at most 10^3 symbols, periods
+# and depths of at most 3 (the larger ones are rejected).
+_COUNT_TEXTS = st.sampled_from(["3", "1e3", "7.9", "-1", "nan", "", "1e400"])
+
+
+@st.composite
+def _cli_argvs(draw):
+    """An argument vector of a command that starts no process pool (no
+    sweep): a map, then each option of the command, given or left out."""
+    family, param = draw(st.sampled_from([
+        ("quadratic", "1.9"), ("quadratic", "2.0"), ("logistic", "3.9"),
+        ("sine", "3.9"), ("sine", "4.0"), ("logistic", "nan")]))
+    command = draw(st.sampled_from(
+        ["kneading", "itinerary", "freq", "periodic", "zeta", "nest", "measure",
+         "gaps", "verify"]))
+    argv = [command] + (["zeta"] if command == "verify" else [])
+    argv += ["--map", family, "--param", param]
+    counts = {
+        "kneading": ["--length"],
+        "itinerary": ["--length"],
+        "freq": ["--orbit-length", "--max-power", "--k-min", "--seed"],
+        "zeta": ["--max-period"],
+        "nest": ["--max-depth", "--max-iterates"],
+        "measure": ["--bins", "--seed"],
+        "gaps": ["--nest-level", "--max-generation", "--bins", "--seed"],
+        "verify": ["--max-period", "--seed"],
+    }.get(command, [])
+    # the default period (12) and depth (6) cost more than a drawn one
+    required = {"--length", "--orbit-length", "--max-period", "--max-depth"}
+    for option in counts:
+        if option in required or draw(st.booleans()):
+            argv += [option, draw(_COUNT_TEXTS)]
+    if command == "itinerary":
+        argv += ["--x0", draw(st.sampled_from(["0.3", "-0.5", "2", "nan"]))]
+    elif command == "freq":
+        argv += ["--alpha", draw(st.sampled_from(["1", "10", "0", "", "1c"]))]
+        argv += draw(st.sampled_from([[], ["--from-critical"], ["--from-random"]]))
+    elif command == "periodic":
+        argv += ["--word", draw(st.sampled_from(["1", "10", "100", "11", "c", ""]))]
+    elif command == "zeta":
+        argv += ["--z", draw(st.sampled_from(["0.25", "2", "nan", ""]))]
+    elif command in ("measure", "gaps"):
+        argv += ["--samples", "1e5"] + (["--format", "json"] if command == "measure" else [])
+    elif command == "verify":
+        argv += ["--z", draw(st.sampled_from(["0.25", "0.25,0.5", ",", "nan"]))]
+    return argv
+
+
+@settings(max_examples=120, deadline=None)
+@given(_cli_argvs())
+def test_cli_exit_code_and_output_over_argument_vectors(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 1:
+        assert out.getvalue() == "", argv
+    else:
+        _strict_loads(out.getvalue())
 
 
 @pytest.mark.parametrize("argv", [

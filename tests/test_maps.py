@@ -4,6 +4,7 @@ import pickle
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import mpmath as mp
@@ -17,7 +18,8 @@ from kneadlab import (EmptyCylinder, NonContraction, NotSelfMap, OutOfDomain,
 from kneadlab.maps import (CHUNK, FAMILIES, LEFT, MATH, NUMPY, RIGHT,
                            branch_inverse, branch_preimage_arrays,
                            branch_range, mpmath_namespace, orbit_array,
-                           orbit_fill, seeded_start, word_pullback)
+                           orbit_fill, python_fill, seeded_start,
+                           word_pullback)
 from kneadlab.orbits import lyndon_words
 
 
@@ -299,26 +301,30 @@ def test_family_bindings_agree(family, p):
                 (0.0, 1.0), 0.5)],
     ids=["quadratic", "logistic", "sine", "custom"])
 def test_fill_matches_the_bound_step(m):
-    # the inline loops of the family records (the generic loop for the
-    # custom map) against x = f(x), over one full chunk and a partial one
+    # the walk orbit_chunks runs (a compiled fill where the kernel builds,
+    # python_fill over f for the custom map) and python_fill itself against
+    # x = f(x), over one full chunk and a partial one
     starts = (m.critical_point, *m.domain, seeded_start(m, 3), seeded_start(m, 4))
-    for x0 in starts:
-        got = np.empty(CHUNK + 1234)
-        x_end = m.family.fill(got[:CHUNK], x0, m.parameter)
-        x_end = m.family.fill(got[CHUNK:], x_end, m.parameter)
-        expect = np.empty(len(got))
-        x = x0
-        for i in range(len(expect)):
-            expect[i] = x
-            x = m._f(x)
-        assert np.array_equal(got, expect)
-        assert x_end == x
+    for fill, arg in (orbit_fill(m), (python_fill, m._f)):
+        for x0 in starts:
+            got = np.empty(CHUNK + 1234)
+            x_end = fill(got[:CHUNK], x0, arg)
+            x_end = fill(got[CHUNK:], x_end, arg)
+            expect = np.empty(len(got))
+            x = x0
+            for i in range(len(expect)):
+                expect[i] = x
+                x = m._f(x)
+            assert np.array_equal(got, expect)
+            assert x_end == x
+    if m.family_tag == "custom":
+        assert orbit_fill(m) == (python_fill, m._f)
 
 
 # --- the compiled fills of _kernel.c --------------------------------------
 
-def _compiled_twin(reference):
-    twin = maps.compiled(reference)
+def _compiled_twin(name, family=None):
+    twin = maps.compiled(name, family)
     if twin is None:
         pytest.skip("the compiled kernel cannot be built with this Python")
     return twin
@@ -328,11 +334,13 @@ def _compiled_twin(reference):
     ("quadratic", 2.0), ("logistic", 4.0), ("sine", math.nextafter(4.0, 0.0)),
     ("quadratic", 1.9), ("logistic", 3.9), ("sine", 3.9)])
 def test_compiled_fill_gives_the_bits_of_the_python_fill(family, p):
-    # chained full chunks and a partial one, and the period-sized buffers
-    # of the polish (lengths 0, 1 and 2), from the same starts
+    # against python_fill over the map's f (the x = f(x) chain): chained
+    # full chunks and a partial one, and the period-sized buffers of the
+    # polish (lengths 0, 1 and 2), from the same starts
     record = FAMILIES[family]
-    compiled = _compiled_twin(record.fill)
+    compiled = _compiled_twin("fill", record)
     m = record.make(p)
+    assert orbit_fill(m) == (compiled, p)
     for x0 in (m.critical_point, *m.domain, seeded_start(m, 3), seeded_start(m, 4)):
         for sizes in ((CHUNK, CHUNK, CHUNK, 1234), (0, 1, 2, 1, 0, 2)):
             got, want = np.empty(sum(sizes)), np.empty(sum(sizes))
@@ -340,7 +348,7 @@ def test_compiled_fill_gives_the_bits_of_the_python_fill(family, p):
             pos = 0
             for k in sizes:
                 x_got = compiled(got[pos:pos + k], x_got, p)
-                x_want = record.fill(want[pos:pos + k], x_want, p)
+                x_want = python_fill(want[pos:pos + k], x_want, m._f)
                 assert type(x_got) is float
                 assert x_got.hex() == x_want.hex()
                 pos += k
@@ -350,7 +358,7 @@ def test_compiled_fill_gives_the_bits_of_the_python_fill(family, p):
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_compiled_fill_refuses_buffers_it_cannot_write(family):
     record = FAMILIES[family]
-    compiled = _compiled_twin(record.fill)
+    compiled = _compiled_twin("fill", record)
     frozen = np.full(4, 0.25)
     frozen.flags.writeable = False
     for buf, error in ((np.full(4, 0.25, dtype=np.float32), TypeError),
@@ -363,10 +371,27 @@ def test_compiled_fill_refuses_buffers_it_cannot_write(family):
         assert bytes(memoryview(buf)) == before
     with pytest.raises(TypeError):
         compiled(np.empty(4), 0.3)
-    # a strided buffer is written where the Python fill writes it
+    # a strided buffer is written where python_fill writes it
     got, want = np.zeros(9), np.zeros(9)
-    assert compiled(got[::2], 0.3, 1.9) == record.fill(want[::2], 0.3, 1.9)
+    assert compiled(got[::2], 0.3, 1.9) == python_fill(want[::2], 0.3, record.make(1.9)._f)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_compiled_twins_belong_to_the_built_in_records_only():
+    _compiled_twin("histogram")
+    custom = make_custom(lambda x: 3.8 * x * (1.0 - x), lambda x: 3.8 - 7.6 * x,
+                         (0.0, 1.0), 0.5)
+    assert maps.compiled("fill", custom.family) is None
+    assert maps.compiled("abs_df", maps.SINE) is None
+    for name, record in FAMILIES.items():
+        assert maps.compiled("fill", record) is maps._compiled[f"{name}_fill"]
+        # a copy of the record, with the same name, or one whose bind was
+        # replaced, walks its own f
+        for other in (replace(record), replace(record, bind=record.bind)):
+            assert maps.compiled("fill", other) is None
+            assert maps.compiled("abs_df", other) is None
+            m = replace(record.make(1.9), family=other)
+            assert orbit_fill(m) == (python_fill, m._f)
 
 
 # --- the compiled tallies of _kernel.c: histogram and |Df| -----------------
@@ -403,7 +428,7 @@ def _histogram_cases(bins, rng):
 
 @pytest.mark.parametrize("bins", [1, 7, 256, 512, 10 ** 6])
 def test_compiled_histogram_counts_as_numpy_histogram(bins):
-    histogram = _compiled_twin(maps.numpy_histogram)
+    histogram = _compiled_twin("histogram")
     rng = np.random.default_rng(bins)
     for edges, pts in _histogram_cases(bins, rng):
         got, want = np.zeros(bins, dtype=np.int64), np.zeros(bins, dtype=np.int64)
@@ -419,7 +444,7 @@ def test_compiled_histogram_counts_as_numpy_histogram(bins):
     ("quadratic", 2.0), ("quadratic", 1.9), ("logistic", 4.0), ("logistic", 3.9)])
 def test_compiled_abs_df_gives_the_bits_of_the_numpy_df(family, p):
     record = FAMILIES[family]
-    abs_df = _compiled_twin(record.bind)
+    abs_df = _compiled_twin("abs_df", record)
     m = record.make(p)
     c, tol = m.critical_point, maps.TIE_TOLERANCE
     df = record.bind(NUMPY, p)[1]
@@ -444,7 +469,7 @@ def test_compiled_abs_df_gives_the_bits_of_the_numpy_df(family, p):
 
 
 def test_compiled_tallies_refuse_buffers_they_cannot_use():
-    histogram = _compiled_twin(maps.numpy_histogram)
+    histogram = _compiled_twin("histogram")
     pts, edges = np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 5)
     frozen = np.zeros(4, dtype=np.int64)
     frozen.flags.writeable = False
@@ -463,7 +488,7 @@ def test_compiled_tallies_refuse_buffers_they_cannot_use():
             histogram(*args)
         assert [bytes(memoryview(a)) for a in args] == before
     for name in ("quadratic", "logistic"):
-        abs_df = _compiled_twin(FAMILIES[name].bind)
+        abs_df = _compiled_twin("abs_df", FAMILIES[name])
         frozen = np.zeros(9)
         frozen.flags.writeable = False
         for buf, out, error in ((pts, np.zeros(9, dtype=np.float32), TypeError),
@@ -511,14 +536,17 @@ def test_failed_kernel_build_falls_back_to_the_same_bits(monkeypatch, tmp_path):
                         _kernel_copy(tmp_path, Path(maps.KERNEL_SOURCE).read_bytes() + b"\n"))
     monkeypatch.setattr(maps, "_compiler", lambda: [str(tmp_path / "no-such-cc")])
     monkeypatch.setattr(maps, "_compiled", None)
-    assert all(orbit_fill(record) is record.fill for record in FAMILIES.values())
-    assert maps.compiled(maps.numpy_histogram) is None
+    for name, record in FAMILIES.items():
+        m = record.make(1.9)
+        assert orbit_fill(m) == (python_fill, m._f)
+        assert maps.compiled("abs_df", record) is None
+    assert maps.compiled("histogram") is None
     assert list((tmp_path / "__pycache__").iterdir()) == []
     assert _walks() == want
 
 
 def test_kernel_build_is_cached_under_a_hash_of_its_source(monkeypatch, tmp_path):
-    _compiled_twin(maps.QUADRATIC.fill)
+    _compiled_twin("fill", maps.QUADRATIC)
     compiler = maps._compiler
     source = Path(maps.KERNEL_SOURCE).read_bytes()
     monkeypatch.setattr(maps, "KERNEL_SOURCE", _kernel_copy(tmp_path))
@@ -531,7 +559,8 @@ def test_kernel_build_is_cached_under_a_hash_of_its_source(monkeypatch, tmp_path
     second = maps._load_kernel()
     assert list(cache.iterdir()) == [built]
     assert second.__doc__ == first.__doc__
-    assert second.logistic_fill(np.empty(3), 0.3, 3.9) == maps._logistic_fill(np.empty(3), 0.3, 3.9)
+    assert second.logistic_fill(np.empty(3), 0.3, 3.9) == \
+        python_fill(np.empty(3), 0.3, make_logistic(3.9)._f)
     # an edited source is built under a new name, and its module is loaded
     doc = b'"The orbit walks and seeded-pass tallies of the built-in map families, compiled.", -1'
     assert doc in source
@@ -544,7 +573,7 @@ def test_kernel_build_is_cached_under_a_hash_of_its_source(monkeypatch, tmp_path
 
 
 def test_read_only_package_builds_the_kernel_in_a_temporary_directory(monkeypatch, tmp_path):
-    _compiled_twin(maps.QUADRATIC.fill)
+    _compiled_twin("fill", maps.QUADRATIC)
     monkeypatch.setattr(maps, "KERNEL_SOURCE", _kernel_copy(tmp_path))
     cache = str(tmp_path / "__pycache__")
     access = maps.os.access
@@ -553,7 +582,8 @@ def test_read_only_package_builds_the_kernel_in_a_temporary_directory(monkeypatc
     mkdtemp = tempfile.mkdtemp
     monkeypatch.setattr(tempfile, "mkdtemp", lambda **kw: made.append(mkdtemp(**kw)) or made[-1])
     kernel = maps._load_kernel()
-    assert kernel.quadratic_fill(np.empty(3), 0.3, 1.9) == maps._quadratic_fill(np.empty(3), 0.3, 1.9)
+    assert kernel.quadratic_fill(np.empty(3), 0.3, 1.9) == \
+        python_fill(np.empty(3), 0.3, make_quadratic(1.9)._f)
     assert list((tmp_path / "__pycache__").iterdir()) == []
     # the per-process directory is removed once the module is loaded
     assert len(made) == 1 and not Path(made[0]).exists()

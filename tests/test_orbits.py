@@ -1,7 +1,6 @@
 import cmath
 import math
 import os
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from kneadlab import (ContainsCriticalSymbol, DivergentInput, EmptyCylinder,
                       SymbolWord, ZetaTruncation, enumerate_periodic, evaluate,
                       find_periodic, formula_exponent_estimate, make_custom,
                       make_logistic, make_map, make_quadratic)
-from kneadlab import maps
+from kneadlab import maps, orbits
 from kneadlab.orbits import lyndon_words
 
 
@@ -308,28 +307,33 @@ def test_enumerate_custom_map_runs_serially():
     assert parallel.failures == serial.failures
 
 
-def _evaluate_chain_fill(m):
+def _evaluate_chain_fill(buf, x, m):
     """The forward walk find_periodic took through maps.evaluate before
-    it went through the family's fill: x, evaluate(x), ... into buf."""
-    def fill(buf, x, p):
-        for i in range(len(buf)):
-            buf[i] = x
-            x = evaluate(m, x)
-        return x
-    return fill
+    it went through the map's fill: x, evaluate(m, x), ... into buf."""
+    for i in range(len(buf)):
+        buf[i] = x
+        x = evaluate(m, x)
+    return x
 
 
 @pytest.mark.parametrize("family,p", [("quadratic", 1.9), ("quadratic", 2.0),
                                       ("logistic", 3.9), ("sine", 3.9)])
-def test_find_periodic_fill_walk_matches_the_evaluate_chain(family, p):
-    # the same map with the evaluate chain as its fill runs the polish,
-    # the points and the residual as find_periodic did through evaluate
+def test_find_periodic_fill_walk_matches_the_evaluate_chain(family, p, monkeypatch):
+    # find_periodic with the evaluate chain as the orbit walk of its polish
+    # and of its forward walk gives the points and the residual it gave
+    # through evaluate
     m = make_map(family, p)
-    ref = replace(m, family=replace(m.family, fill=_evaluate_chain_fill(m)))
+
+    def find_through_evaluate(w):
+        with monkeypatch.context() as patch:
+            for module in (orbits, maps):
+                patch.setattr(module, "orbit_fill", lambda m: (_evaluate_chain_fill, m))
+            return find_periodic(m, w)
+
     found = 0
     for w in lyndon_words(10):
         try:
-            want = find_periodic(ref, w)
+            want = find_through_evaluate(w)
         except (EmptyCylinder, NonContraction) as e:
             with pytest.raises(type(e)):
                 find_periodic(m, w)

@@ -387,7 +387,8 @@ def test_compiled_twins_belong_to_the_built_in_records_only():
         assert maps.compiled("fill", record) is maps._compiled[f"{name}_fill"]
         # a copy of the record, with the same name, or one whose bind was
         # replaced, walks its own f
-        for other in (replace(record), replace(record, bind=record.bind)):
+        wrapped = replace(record, bind=lambda ns, p, bind=record.bind: bind(ns, p))
+        for other in (replace(record), wrapped):
             assert maps.compiled("fill", other) is None
             assert maps.compiled("abs_df", other) is None
             m = replace(record.make(1.9), family=other)

@@ -294,7 +294,7 @@ def _seeded_outputs():
 
 def test_seeded_pass_without_the_kernel_gives_the_same_bytes(monkeypatch):
     # with the compiled walk, histogram and |Df| where the kernel builds;
-    # then with the numpy references and the Python fills
+    # then with the numpy references and python_fill over each map's f
     want = _seeded_outputs()
     monkeypatch.setattr(maps, "_compiled", {})
     assert _seeded_outputs() == want

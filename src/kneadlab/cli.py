@@ -52,13 +52,22 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
+def _float(text: str) -> float:
+    """float(text); a string that is not a number gets a message of its own,
+    as argparse's would name the type function."""
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+
+
 def _count(text: str) -> int:
     """An integer option: an integer literal, read with every digit, or a
     float literal with an integral value such as 1e7."""
     try:
         return int(text)
     except ValueError:
-        value = float(text)  # not a number: argparse's "invalid _count value"
+        value = _float(text)
     if not (math.isfinite(value) and value.is_integer()):
         raise argparse.ArgumentTypeError(
             f"expected a finite integer such as 12 or 1e6, got {text!r}")
@@ -70,7 +79,7 @@ def _words(text: str) -> tuple[str, ...]:
 
 
 def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(z) for z in text.split(",") if z)
+    return tuple(_float(z) for z in text.split(",") if z)
 
 
 def _add_map_args(p):
@@ -235,22 +244,32 @@ def _run(args) -> int:
                              f"{MAX_LENGTH}")
     if getattr(args, "max_power", 0) > MAX_POWER:
         raise ValueError(f"--max-power {args.max_power} exceeds the cap {MAX_POWER}")
+    if cmd == "verify":
+        report = run_verify(_config_from_args(args), args.tag)
+        _emit(report.to_json(), args.out)
+        return _exit_code([report])
+
+    if cmd == "sweep":
+        params = [float(p) for p in args.params.split(",") if p]
+        reports = sweep(_config_from_args(args), args.tag, params,
+                        parallelism=args.parallelism)
+        _emit(strict_json([r.to_dict() for r in reports]), args.out)
+        return _exit_code(reports)
+
+    m = make_map(args.map, args.param)
     if cmd == "kneading":
-        m = make_map(args.map, args.param)
         word = kneading_sequence(m, args.length)
         _emit_json({"map": args.map, "parameter": args.param,
                     "length": args.length, "kneading": str(word)}, args)
         return 0
 
     if cmd == "itinerary":
-        m = make_map(args.map, args.param)
         word = itinerary(m, args.x0, args.length)
         _emit_json({"map": args.map, "parameter": args.param, "x0": args.x0,
                     "itinerary": str(word)}, args)
         return 0
 
     if cmd == "freq":
-        m = make_map(args.map, args.param)
         pattern = SymbolWord.from_string(args.alpha)
         if args.from_critical:
             stream = SymbolStream.kneading(m)
@@ -274,7 +293,6 @@ def _run(args) -> int:
         return 0
 
     if cmd == "periodic":
-        m = make_map(args.map, args.param)
         orbit = find_periodic(m, SymbolWord.from_string(args.word))
         _emit_json({"word": str(orbit.word),
                     "points": list(orbit.points),
@@ -285,7 +303,6 @@ def _run(args) -> int:
         return 0
 
     if cmd == "zeta":
-        m = make_map(args.map, args.param)
         enum = enumerate_periodic(m, args.max_period)
         ev = ZetaTruncation(enum.orbits, args.max_period).evaluate(args.z)
         _emit_json({"z": args.z, "max_period": args.max_period,
@@ -298,7 +315,6 @@ def _run(args) -> int:
         return 0
 
     if cmd == "nest":
-        m = make_map(args.map, args.param)
         report = build_nest(m, args.max_depth, args.max_iterates,
                             extended_precision=args.extended_precision)
         _emit_json({
@@ -318,7 +334,6 @@ def _run(args) -> int:
         return 0
 
     if cmd == "measure":
-        m = make_map(args.map, args.param)
         density = estimate_density(m, args.samples, args.bins, args.seed)
         if args.format == "json":
             _emit_json({"bin_edges": density.bin_edges.tolist(),
@@ -334,7 +349,6 @@ def _run(args) -> int:
         return 0
 
     if cmd == "gaps":
-        m = make_map(args.map, args.param)
         gaps = gap_family(m, args.nest_level, args.max_generation,
                           max_iterates=args.max_iterates)
         density = estimate_density(m, args.samples, args.bins, args.seed)
@@ -353,19 +367,6 @@ def _run(args) -> int:
                     "gaps_below_bin_resolution": rep.gaps_below_bin_resolution,
                     "uncovered_mass_warning": rep.uncovered_mass_warning}, args)
         return 0
-
-    if cmd == "verify":
-        config = _config_from_args(args)
-        report = run_verify(config, args.tag)
-        _emit(report.to_json(), args.out)
-        return _exit_code([report])
-
-    if cmd == "sweep":
-        params = [float(p) for p in args.params.split(",") if p]
-        config = _config_from_args(args)
-        reports = sweep(config, args.tag, params, parallelism=args.parallelism)
-        _emit(strict_json([r.to_dict() for r in reports]), args.out)
-        return _exit_code(reports)
 
     raise _CliError(f"unknown command {cmd}")
 

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import __version__
 from .errors import EmptyCylinder, KneadlabError, UncoveredMass
-from .maps import (DEFAULT_BURN_IN, derivative, make_logistic, make_map,
-                   make_sine, seeded_start)
+from .maps import (DEFAULT_BURN_IN, UnimodalMap, derivative, make_logistic,
+                   make_map, make_sine, seeded_start)
 from .measure import (MAX_BINS, MAX_GENERATION, estimate_density, gap_family,
                       lyapunov_birkhoff, regularized_density_report,
                       verify_critical_typicality, verify_lyapunov_equality)
@@ -27,9 +27,6 @@ from .nest import MAX_DEPTH, build_nest, nest_lyapunov
 from .orbits import (ZetaTruncation, enumerate_periodic, find_periodic,
                      formula_exponent_estimate)
 from .symbolic import SymbolStream, SymbolWord
-
-VERIFY_TAGS = ("theorem-a", "theorem-b", "theorem-c", "lyap-equality",
-               "nest-lyapunov", "conjugacy", "zeta")
 
 # acceptance bounds of the verify reports
 TOLERANCE_RATIO = 0.10
@@ -67,7 +64,8 @@ class ExperimentConfig:
     conjugacy_max_period: int = 4
     extended_precision: bool = False
 
-    def validate(self) -> None:
+    def validate(self) -> UnimodalMap:
+        """Check every field; return the map the config names."""
         for name in ("orbit_length_iterates", "density_samples", "density_bins",
                      "nest_max_iterates", "zeta_max_period",
                      "conjugacy_max_period"):
@@ -92,7 +90,7 @@ class ExperimentConfig:
         for w in self.words:
             if not w or set(w) - {"0", "1"}:
                 raise ValueError(f"word {w!r} must be nonempty over 0 and 1")
-        make_map(self.map_family, self.map_parameter)  # family + range check
+        return make_map(self.map_family, self.map_parameter)  # family + range check
 
 
 @dataclass
@@ -117,19 +115,7 @@ class VerificationReport:
         return self.verdict == "pass"
 
     def to_dict(self) -> dict:
-        return {
-            "theorem_tag": self.theorem_tag,
-            "verdict": self.verdict,
-            "passed": self.passed,
-            "discrepancy": self.discrepancy,
-            "tolerance": self.tolerance,
-            "inputs": self.inputs,
-            "measured": self.measured,
-            "predicted": self.predicted,
-            "failures": self.failures,
-            "annotations": self.annotations,
-            "provenance": self.provenance,
-        }
+        return {**vars(self), "passed": self.passed}
 
     def to_json(self) -> str:
         return strict_json(self.to_dict())
@@ -153,12 +139,6 @@ def strict_json(obj) -> str:
     return json.dumps(_sanitize(obj), sort_keys=True, indent=2, allow_nan=False)
 
 
-def _provenance(config: ExperimentConfig) -> dict:
-    return {"version": f"kneadlab-{__version__}",
-            "seed": config.seed,
-            "extended_precision": config.extended_precision}
-
-
 def _report(config, tag, passed, discrepancy, tolerance, measured, predicted,
             failures=None, annotations=None) -> VerificationReport:
     """passed=None means the run had no target to pass or fail against."""
@@ -177,7 +157,8 @@ def _report(config, tag, passed, discrepancy, tolerance, measured, predicted,
         predicted=predicted,
         failures=failures or [],
         annotations=annotations or [],
-        provenance=_provenance(config),
+        provenance={"version": f"kneadlab-{__version__}", "seed": config.seed,
+                    "extended_precision": config.extended_precision},
     )
 
 
@@ -185,8 +166,7 @@ def _report(config, tag, passed, discrepancy, tolerance, measured, predicted,
 # per-theorem drivers
 # ---------------------------------------------------------------------------
 
-def _run_theorem_a(config: ExperimentConfig) -> VerificationReport:
-    m = make_map(config.map_family, config.map_parameter)
+def _run_theorem_a(config: ExperimentConfig, m: UnimodalMap) -> VerificationReport:
     n = config.orbit_length_iterates
     if config.stream_kind == "critical":
         prefix = SymbolStream.kneading(m).take(n)
@@ -255,11 +235,10 @@ def _run_theorem_a(config: ExperimentConfig) -> VerificationReport:
                    failures, annotations)
 
 
-def _run_theorem_b(config: ExperimentConfig) -> VerificationReport:
-    m = make_map(config.map_family, config.map_parameter)
+def _run_theorem_b(config: ExperimentConfig, m: UnimodalMap) -> VerificationReport:
     words = [SymbolWord.from_string(t) for t in config.words]
     table = verify_critical_typicality(m, words, config.density_samples,
-                                       config.seed)
+                                       config.seed, bin_count=config.density_bins)
     rows = {r.word: {"average_critical": r.average_critical,
                      "average_typical": r.average_typical,
                      "mu_hat": r.mu_hat,
@@ -271,9 +250,8 @@ def _run_theorem_b(config: ExperimentConfig) -> VerificationReport:
                    {"mu_hat": {r.word: r.mu_hat for r in table.rows}})
 
 
-def _run_theorem_c(config: ExperimentConfig) -> VerificationReport:
+def _run_theorem_c(config: ExperimentConfig, m: UnimodalMap) -> VerificationReport:
     import warnings as _w
-    m = make_map(config.map_family, config.map_parameter)
     density = estimate_density(m, config.density_samples, config.density_bins,
                                config.seed)
     nest_report = build_nest(m, config.gap_nest_level, config.nest_max_iterates,
@@ -314,8 +292,7 @@ def _run_theorem_c(config: ExperimentConfig) -> VerificationReport:
                    annotations=annotations)
 
 
-def _run_lyap_equality(config: ExperimentConfig) -> VerificationReport:
-    m = make_map(config.map_family, config.map_parameter)
+def _run_lyap_equality(config: ExperimentConfig, m: UnimodalMap) -> VerificationReport:
     rec = verify_lyapunov_equality(m, config.density_samples, config.seed,
                                    config.density_bins)
     measured = {
@@ -341,8 +318,7 @@ def _run_lyap_equality(config: ExperimentConfig) -> VerificationReport:
                    annotations=annotations)
 
 
-def _run_nest_lyapunov(config: ExperimentConfig) -> VerificationReport:
-    m = make_map(config.map_family, config.map_parameter)
+def _run_nest_lyapunov(config: ExperimentConfig, m: UnimodalMap) -> VerificationReport:
     report = build_nest(m, config.nest_max_depth, config.nest_max_iterates,
                         extended_precision=config.extended_precision)
     seq = nest_lyapunov(report)
@@ -364,16 +340,27 @@ def _run_nest_lyapunov(config: ExperimentConfig) -> VerificationReport:
                    {"limit": lam.value})
 
 
-def _run_conjugacy(config: ExperimentConfig) -> VerificationReport:
+# h(x) = sin^2(pi x / 2) carries the sine map g_a to the logistic map f_a, so
+# the two families at one parameter form the conjugate pair of the check
+_CONJUGATE = {"logistic": make_sine, "sine": make_logistic}
+
+
+def _run_conjugacy(config: ExperimentConfig, m: UnimodalMap) -> VerificationReport:
+    if m.family_tag not in _CONJUGATE:
+        return _report(config, "conjugacy", None, None, TOLERANCE_CONJUGACY, {}, {},
+                       annotations=[f"no conjugate pair for the {m.family_tag} family; "
+                                    f"the check pairs the logistic and sine maps "
+                                    f"at one parameter"])
     a = config.map_parameter
-    fa = make_logistic(a)
-    ga = make_sine(a)
+    other = _CONJUGATE[m.family_tag](a)
+    fa, ga = (m, other) if m.family_tag == "logistic" else (other, m)
     ea = enumerate_periodic(fa, config.conjugacy_max_period)
     eb = enumerate_periodic(ga, config.conjugacy_max_period)
     by_word_a = {str(o.word): o for o in ea.orbits}
     by_word_b = {str(o.word): o for o in eb.orbits}
     rows = {}
     worst = 0.0
+    compared = False
     failures = []
     for w, oa in by_word_a.items():
         ob = by_word_b.get(w)
@@ -389,6 +376,7 @@ def _run_conjugacy(config: ExperimentConfig) -> VerificationReport:
                    "relative_difference": rel,
                    "interior": interior}
         if interior and ob.is_interior(ga):
+            compared = True
             worst = max(worst, rel)
     d_fa0 = derivative(fa, 0.0)
     d_ga0 = derivative(ga, 0.0)
@@ -398,6 +386,13 @@ def _run_conjugacy(config: ExperimentConfig) -> VerificationReport:
     predicted = {"endpoint_logistic": a, "endpoint_sine": math.sqrt(a)}
     passed = (not failures and worst <= TOLERANCE_CONJUGACY
               and endpoint_err <= 1e-12)
+    if passed and not compared:
+        return _report(config, "conjugacy", None, None, TOLERANCE_CONJUGACY,
+                       measured, predicted,
+                       annotations=[f"no interior orbit of period at most "
+                                    f"{config.conjugacy_max_period} to compare; boundary "
+                                    f"orbits are excluded, as the conjugacy is "
+                                    f"singular at 0"])
     return _report(config, "conjugacy", passed, worst,
                    TOLERANCE_CONJUGACY, measured, predicted, failures)
 
@@ -407,15 +402,13 @@ def _chebyshev_zeta_closed_form(z: float) -> float:
     return (1.0 - z / 2.0) / ((1.0 - z) * (1.0 - z / 4.0))
 
 
-def _run_zeta(config: ExperimentConfig) -> VerificationReport:
-    m = make_map(config.map_family, config.map_parameter)
+def _run_zeta(config: ExperimentConfig, m: UnimodalMap) -> VerificationReport:
     enum = enumerate_periodic(m, config.zeta_max_period)
     zt = ZetaTruncation(enum.orbits, config.zeta_max_period)
     rows = {}
     predicted = {}
     worst = 0.0
-    chebyshev = (config.map_family == "quadratic"
-                 and config.map_parameter == 2.0)
+    chebyshev = m.family_tag == "quadratic" and m.parameter == 2.0
     annotations = []
     for z in config.zeta_z_values:
         ev = zt.evaluate(z)
@@ -449,6 +442,7 @@ _DISPATCH = {
     "conjugacy": _run_conjugacy,
     "zeta": _run_zeta,
 }
+VERIFY_TAGS = tuple(_DISPATCH)
 
 
 def run_verify(config: ExperimentConfig, theorem_tag: str) -> VerificationReport:
@@ -457,9 +451,9 @@ def run_verify(config: ExperimentConfig, theorem_tag: str) -> VerificationReport
     if theorem_tag not in _DISPATCH:
         raise ValueError(f"unknown theorem tag {theorem_tag!r}; "
                          f"choose from {VERIFY_TAGS}")
-    config.validate()
+    m = config.validate()
     try:
-        return _DISPATCH[theorem_tag](config)
+        return _DISPATCH[theorem_tag](config, m)
     except KneadlabError as e:
         return _report(config, theorem_tag, False, None, math.nan, {}, {},
                        failures=[{"stage": "run", "error": type(e).__name__,

@@ -250,7 +250,7 @@ def _visit_fraction(m: UnimodalMap, x0: float, n: int, intervals) -> list[float]
 
 
 def verify_critical_typicality(m: UnimodalMap, observables: Sequence[SymbolWord],
-                               n: int, seed) -> TypicalityTable:
+                               n: int, seed, bin_count: int = 512) -> TypicalityTable:
     """Cylinder-indicator time averages along the critical orbit vs a
     seeded typical orbit vs the density estimate.
 
@@ -260,7 +260,7 @@ def verify_critical_typicality(m: UnimodalMap, observables: Sequence[SymbolWord]
     if n < 10 ** 6:
         raise ValueError("n >= 1e6 required")
     cyls = [cylinder(m, w).interval for w in observables]
-    density, _, typ = _seeded_pass(m, n, 512, seed, intervals=cyls)
+    density, _, typ = _seeded_pass(m, n, bin_count, seed, intervals=cyls)
     crit = _visit_fraction(m, m.critical_point, n, cyls)
     # an empty cylinder (None) measures as the empty interval [0, 0]
     spans = np.array([iv or (0.0, 0.0) for iv in cyls], dtype=float).reshape(-1, 2)

@@ -13,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kneadlab
-from kneadlab import cli
+from kneadlab import cli, harness
 from kneadlab.cli import (MAX_LENGTH, MAX_POWER, _config_from_args,
                           build_parser, main)
-from kneadlab.harness import (ExperimentConfig, VerificationReport, run_verify,
-                              sweep)
+from kneadlab.harness import (VERIFY_TAGS, ExperimentConfig, VerificationReport,
+                              run_verify, sweep)
+from kneadlab.maps import make_map
 
 
 # --- config ------------------------------------------------------------
@@ -128,6 +129,57 @@ def test_conjugacy_verify():
     assert rep.measured["endpoint_logistic"] == pytest.approx(3.3, abs=1e-13)
     assert rep.measured["endpoint_sine"] == pytest.approx(math.sqrt(3.3),
                                                           abs=1e-13)
+
+
+@pytest.mark.parametrize("family, param, annotation", [
+    ("quadratic", "1.9", "no conjugate pair for the quadratic family"),
+    ("quadratic", "2.0", "no conjugate pair for the quadratic family"),
+    ("logistic", "0.5", "no interior orbit of period at most 4 to compare"),
+    ("logistic", "1.5", "no interior orbit of period at most 4 to compare"),
+])
+def test_cli_conjugacy_without_an_interior_comparison_has_no_target(
+        capsys, family, param, annotation):
+    # the quadratic family has no partner, and below a = 2 the only orbit of
+    # period at most 4 that the search finds is the boundary fixed point
+    assert main(["verify", "conjugacy", "--map", family, "--param", param]) == 3
+    rep = _strict_loads(capsys.readouterr().out)
+    assert (rep["verdict"], rep["passed"], rep["discrepancy"]) == ("no_target", False, None)
+    assert rep["inputs"]["map_family"] == family
+    assert [a[:len(annotation)] for a in rep["annotations"]] == [annotation]
+    assert all(not row["interior"] for row in rep["measured"].get("rows", {}).values())
+
+
+def test_conjugacy_pairs_the_named_map_with_its_partner():
+    # either map of the pair gives the same report, apart from its inputs
+    logistic, sine = (run_verify(ExperimentConfig(map_family=fam, map_parameter=3.9),
+                                 "conjugacy").to_dict() for fam in ("logistic", "sine"))
+    assert logistic["passed"] and logistic["measured"]["rows"]
+    assert logistic["inputs"].pop("map_family") == "logistic"
+    assert sine["inputs"].pop("map_family") == "sine"
+    assert sine == logistic
+
+
+def test_theorem_b_reads_the_bin_count():
+    cfg = ExperimentConfig(map_family="quadratic", map_parameter=1.9, words=("1", "10"))
+    default = run_verify(cfg, "theorem-b")
+    # the bits of the 512-bin default, as before the bin count was read
+    assert default.predicted == {"mu_hat": {"1": 0.7221900000000001,
+                                            "10": 0.27778741078584834}}
+    assert default.discrepancy == 0.0003725892141516751
+    coarse = run_verify(replace(cfg, density_bins=64), "theorem-b")
+    assert coarse.predicted["mu_hat"] != default.predicted["mu_hat"]
+    assert coarse.inputs == default.inputs
+
+
+def test_run_verify_builds_one_map(monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "make_map", lambda *a: calls.append(a) or make_map(*a))
+    cfg = ExperimentConfig(map_family="logistic", map_parameter=3.9,
+                           orbit_length_iterates=10 ** 5, zeta_max_period=4)
+    for tag in VERIFY_TAGS:
+        calls.clear()
+        run_verify(cfg, tag)
+        assert calls == [("logistic", 3.9)], tag
 
 
 def test_zeta_verify_q2():
@@ -541,9 +593,20 @@ def test_cli_integer_options_share_one_count_parser(capsys, argv, option, dest):
         assert main(argv + [f"{option}={text}"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
+        # the message names no type function
         assert captured.err == f"error: argument {option}: " + (
-            f"invalid _count value: {text!r}\n" if text in ("", "two") else
+            f"expected a number, got {text!r}\n" if text in ("", "two") else
             f"expected a finite integer such as 12 or 1e6, got {text!r}\n")
+
+
+def test_cli_z_list_that_is_not_numbers_names_no_private_function(capsys):
+    for z in ("abc", "0.25,abc"):
+        assert main(["verify", "zeta", "--map", "quadratic", "--param", "2.0",
+                     "--max-period", "4", "--z", z]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: argument --z: expected a number, got 'abc'\n"
+        assert "_floats" not in captured.err and "_count" not in captured.err
 
 
 def test_cli_measure_bins_in_float_notation(capsys):
@@ -655,6 +718,39 @@ def test_cli_length_cap(capsys, monkeypatch, argv):
     assert main(argv + ["--length", str(MAX_LENGTH)]) == 0
     capsys.readouterr()
     assert calls == [MAX_LENGTH]
+
+
+# each command that reads a map, with cheap options
+_MAP_COMMANDS = [
+    ["kneading", "--length", "8"],
+    ["itinerary", "--x0", "0.3", "--length", "8"],
+    ["freq", "--alpha", "1", "--orbit-length", "1e4"],
+    ["periodic", "--word", "10"],
+    ["zeta", "--max-period", "3", "--z", "0.25"],
+    ["nest", "--max-depth", "2"],
+    ["measure", "--samples", "1e5", "--bins", "8"],
+    ["gaps", "--max-generation", "2", "--samples", "1e5", "--bins", "8"],
+]
+
+
+@pytest.mark.parametrize("argv", _MAP_COMMANDS, ids=[a[0] for a in _MAP_COMMANDS])
+def test_cli_map_command_builds_one_map(capsys, monkeypatch, argv):
+    calls = []
+    monkeypatch.setattr(cli, "make_map", lambda *a: calls.append(a) or make_map(*a))
+    assert main([argv[0], "--map", "logistic", "--param", "3.9", *argv[1:]]) == 0
+    capsys.readouterr()
+    assert calls == [("logistic", 3.9)]
+
+
+def test_cli_verify_builds_its_map_in_the_config_check(capsys, monkeypatch):
+    calls = []
+    for module in (cli, harness):
+        monkeypatch.setattr(module, "make_map",
+                            lambda *a, name=module.__name__: calls.append(name) or make_map(*a))
+    assert main(["verify", "zeta", "--map", "logistic", "--param", "3.9",
+                 "--max-period", "3"]) == 3
+    capsys.readouterr()
+    assert calls == ["kneadlab.harness"]
 
 
 class _Reached(Exception):

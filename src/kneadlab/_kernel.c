@@ -1,21 +1,29 @@
-/* The orbit walks of the built-in map families and the per-chunk tallies
- * of the seeded pass, compiled.
+/* The orbit walks of the built-in map families, compiled, with the tallies
+ * of the seeded pass taken as they step.
  *
- * Each fill(buf, x, p) writes x, f(x), f^2(x), ... into the float64
- * buffer buf and returns the next iterate, with the same IEEE operations
- * in the same order as the family's float f (its bind in maps.py), so it
- * gives the bits of maps.python_fill over that f.  That needs
- * -ffp-contract=off: a fused multiply-add rounds once where the Python
- * loop rounds twice.
- * histogram and the abs_df functions are the compiled twins of
- * maps.numpy_histogram and of the numpy |Df| and critical-hit test of
- * measure._BirkhoffSums, with the same counts and bits.
+ * <family>_walk(buf, x, p) writes x, f(x), f^2(x), ... into the float64
+ * buffer buf and returns the next iterate, with the IEEE operations of the
+ * family's float f (its bind in maps.py) in their order, so it gives the
+ * bits of maps.python_fill over that f; that needs -ffp-contract=off, for
+ * a fused multiply-add rounds once where the Python loop rounds twice.
+ * <family>_walk(buf, x, p, tally) also takes the tallies that the
+ * maps.Tally tally asks for, with the counts and bits of Tally.numpy_add,
+ * in the loop iteration that writes each point: the step is a chain of
+ * dependent operations whose latency leaves the core's other units idle,
+ * and the tallies, which no later step reads, run in that shadow.
  * maps.py builds this file on first use; see _load_kernel there.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
 #include <string.h>
+
+/* Inlined at every call, so that its constant arguments fold away */
+#if defined(__GNUC__)
+#define INLINE static inline __attribute__((always_inline))
+#else
+#define INLINE static inline
+#endif
 
 /* Exports obj as a 1-d buffer of float64 (or of int64 when integer is
  * set), writable when writable is set.  Returns 0, or -1 with an
@@ -41,215 +49,207 @@ get_vector(PyObject *obj, Py_buffer *view, int integer, int writable, const char
     return 0;
 }
 
-/* Converts the n Python numbers args[0..n-1] to out[0..n-1].  Returns 0,
- * or -1 with an exception set. */
+/* Converts the Python number obj (or the attribute name of obj, when name
+ * is set) to *out.  Returns 0, or -1 with an exception set. */
 static int
-get_doubles(PyObject *const *args, int n, double *out)
+get_double(PyObject *obj, const char *name, double *out)
 {
-    for (int j = 0; j < n; j++) {
-        out[j] = PyFloat_AsDouble(args[j]);
-        if (out[j] == -1.0 && PyErr_Occurred())
-            return -1;
-    }
-    return 0;
-}
-
-/* The i-th item of a 1-d view of 8-byte items, strides allowed */
-#define ITEM(type, view, i) (*(type *)((char *)(view).buf + (i) * (view).strides[0]))
-
-/* Parses (buf, x, p) and exports buf as a writable 1-d float64 buffer.
- * Returns 0, or -1 with an exception set and buf left unwritten. */
-static int
-fill_args(PyObject *const *args, Py_ssize_t nargs, Py_buffer *view,
-          double *x, double *p)
-{
-    if (nargs != 3) {
-        PyErr_Format(PyExc_TypeError, "fill expects (buf, x, p), got %zd arguments",
-                     nargs);
+    PyObject *v = name ? PyObject_GetAttrString(obj, name) : Py_NewRef(obj);
+    if (v == NULL)
         return -1;
-    }
-    double xp[2];
-    if (get_doubles(args + 1, 2, xp) < 0)
-        return -1;
-    *x = xp[0];
-    *p = xp[1];
-    return get_vector(args[0], view, 0, 1, "fill buffer");
+    *out = PyFloat_AsDouble(v);
+    Py_DECREF(v);
+    return *out == -1.0 && PyErr_Occurred() ? -1 : 0;
 }
 
-static PyObject *
-quadratic_fill(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    Py_buffer view;
-    double x, tau;
-    if (fill_args(args, nargs, &view, &x, &tau) < 0)
-        return NULL;
-    const double tm1 = tau - 1.0;
-    char *out = view.buf;
-    for (Py_ssize_t i = 0; i < view.shape[0]; i++, out += view.strides[0]) {
-        *(double *)out = x;
-        x = tm1 - tau * x * x;
-    }
-    PyBuffer_Release(&view);
-    return PyFloat_FromDouble(x);
-}
+/* The tallies of one walk: views of the tally's edges, counts and df (obj
+ * NULL for each it does not ask for), the c and tol of its hit test, and
+ * whether a point lay within tol of c. */
+typedef struct {
+    Py_buffer edges, counts, df;
+    double c, tol;
+    int hit;
+} Tallies;
 
-static PyObject *
-logistic_fill(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    Py_buffer view;
-    double x, a;
-    if (fill_args(args, nargs, &view, &x, &a) < 0)
-        return NULL;
-    char *out = view.buf;
-    for (Py_ssize_t i = 0; i < view.shape[0]; i++, out += view.strides[0]) {
-        *(double *)out = x;
-        x = a * x * (1.0 - x);
-    }
-    PyBuffer_Release(&view);
-    return PyFloat_FromDouble(x);
-}
-
-static PyObject *
-sine_fill(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    Py_buffer view;
-    double x, a;
-    if (fill_args(args, nargs, &view, &x, &a) < 0)
-        return NULL;
-    /* Py_MATH_PI is math.pi; sin, asin and sqrt are the libm functions
-     * that math.sin, math.asin and math.sqrt call; for a finite u the
-     * clamp gives the min(1, max(-1, u)) of the Python f */
-    const double pi = Py_MATH_PI;
-    const double s = sqrt(a) / 2.0;
-    const double k = 2.0 / pi;
-    char *out = view.buf;
-    for (Py_ssize_t i = 0; i < view.shape[0]; i++, out += view.strides[0]) {
-        *(double *)out = x;
-        double u = s * sin(pi * x);
-        if (u > 1.0)
-            u = 1.0;
-        else if (u < -1.0)
-            u = -1.0;
-        x = k * asin(u);
-    }
-    PyBuffer_Release(&view);
-    return PyFloat_FromDouble(x);
-}
-
-/* histogram(buf, edges, counts) adds to counts[i] the points x of buf
- * with edges[i] <= x < edges[i + 1], the last bin closed, as
- * np.histogram(buf, bins=edges) counts them for non-decreasing edges:
- * points outside the edges, infinities and NaN count nowhere.  The bin
- * is guessed from (x - edges[0]) * scale, then corrected against the
- * edges themselves, so the guess decides only how long that takes. */
-static PyObject *
-histogram(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+static void
+release_tallies(Tallies *t)
 {
     /* a view that was never exported has obj NULL, and releases as a no-op */
-    Py_buffer buf = {0}, edges = {0}, counts = {0};
-    PyObject *result = NULL;
-    if (nargs != 3) {
-        PyErr_Format(PyExc_TypeError,
-                     "histogram expects (buf, edges, counts), got %zd arguments", nargs);
-        return NULL;
+    PyBuffer_Release(&t->edges);
+    PyBuffer_Release(&t->counts);
+    PyBuffer_Release(&t->df);
+}
+
+/* Reads what tally asks for into t: counts (int64, with float64 edges one
+ * longer) unless it is None, and df (float64, at least n long, with the
+ * floats c and tol) unless it is None.  Returns 0, or -1 with an
+ * exception set and nothing exported. */
+static int
+get_tallies(PyObject *tally, Py_ssize_t n, Tallies *t)
+{
+    memset(t, 0, sizeof *t);
+    static const char *names[] = {"edges", "counts", "df"};
+    Py_buffer *views[] = {&t->edges, &t->counts, &t->df};
+    for (int j = 0; j < 3; j++) {
+        PyObject *v = PyObject_GetAttrString(tally, names[j]);
+        if (v == NULL)
+            goto fail;
+        int refused = v != Py_None && get_vector(v, views[j], j == 1, j > 0, names[j]) < 0;
+        Py_DECREF(v);
+        if (refused)
+            goto fail;
     }
-    if (get_vector(args[0], &buf, 0, 0, "histogram points") < 0
-            || get_vector(args[1], &edges, 0, 0, "histogram edges") < 0
-            || get_vector(args[2], &counts, 1, 1, "histogram counts") < 0)
-        goto done;
-    const Py_ssize_t nb = counts.shape[0];
-    if (nb < 1 || edges.shape[0] != nb + 1) {
+    if (t->counts.obj != NULL && (t->edges.obj == NULL || t->counts.shape[0] < 1
+                                  || t->edges.shape[0] != t->counts.shape[0] + 1)) {
         PyErr_SetString(PyExc_TypeError,
-                        "histogram needs len(edges) == len(counts) + 1 >= 2");
-        goto done;
+                        "a histogram needs len(edges) == len(counts) + 1 >= 2");
+        goto fail;
     }
-    const double lo = ITEM(double, edges, 0), hi = ITEM(double, edges, nb);
-    const double scale = (double)nb / (hi - lo);
-    for (Py_ssize_t k = 0; k < buf.shape[0]; k++) {
-        const double x = ITEM(double, buf, k);
-        if (!(x >= lo && x <= hi))
-            continue;
-        const double t = (x - lo) * scale;
-        Py_ssize_t i = t < (double)nb ? (Py_ssize_t)t : nb - 1;
-        while (i > 0 && x < ITEM(double, edges, i))
-            i--;
-        while (i < nb - 1 && x >= ITEM(double, edges, i + 1))
-            i++;
-        ITEM(int64_t, counts, i)++;
+    if (t->df.obj != NULL) {
+        if (t->df.shape[0] < n) {
+            PyErr_SetString(PyExc_TypeError, "the tally's df is shorter than the walk");
+            goto fail;
+        }
+        if (get_double(tally, "c", &t->c) < 0 || get_double(tally, "tol", &t->tol) < 0)
+            goto fail;
     }
-    result = Py_NewRef(Py_None);
-done:
-    PyBuffer_Release(&buf);
-    PyBuffer_Release(&edges);
-    PyBuffer_Release(&counts);
-    return result;
+    return 0;
+fail:
+    release_tallies(t);
+    return -1;
 }
 
-/* abs_df(buf, out, p, c, tol) of the quadratic or the logistic family
- * writes |Df(x)| for the points x of buf into out, a buffer of the same
- * length, with the operations of the family's NUMPY df in maps.py in
- * their order, and returns whether some |x - c| <= tol.  out is left
- * unwritten when the arguments are refused. */
-static PyObject *
-abs_df(PyObject *const *args, Py_ssize_t nargs, int logistic)
+enum family { QUADRATIC, LOGISTIC, SINE };
+
+/* f(x) of the family, from the constants k of its walk; with d set, also
+ * *d = |Df(x)|, with the operations of the family's NUMPY df in their
+ * order.  Py_MATH_PI is math.pi; sin, asin and sqrt are the libm functions
+ * that math.sin, math.asin and math.sqrt call, and the sine |Df| has the
+ * bits of the NUMPY df where numpy's float64 sin and cos give libm's bits,
+ * which tests/test_maps.py checks; for a finite u the clamp gives the
+ * min(1, max(-1, u)) of the Python f. */
+static inline double
+step(enum family family, const double *k, double x, double *d)
 {
-    Py_buffer buf = {0}, out = {0};
-    PyObject *result = NULL;
-    double pct[3];
-    if (nargs != 5) {
-        PyErr_Format(PyExc_TypeError,
-                     "abs_df expects (buf, out, p, c, tol), got %zd arguments", nargs);
-        return NULL;
+    switch (family) {
+    case QUADRATIC:  /* k = {tau, tau - 1, -2 tau}; Df = -2.0 * tau * x */
+        if (d)
+            *d = fabs(k[2] * x);
+        return k[1] - k[0] * x * x;
+    case LOGISTIC:  /* k = {a} */
+        if (d)
+            *d = fabs(k[0] * (1.0 - 2.0 * x));
+        return k[0] * x * (1.0 - x);
+    default: {  /* k = {s, 2 / pi, 2 s}; Df = 2.0 * s * cos / sqrt(...) */
+        const double u = k[0] * sin(Py_MATH_PI * x);
+        if (d) {
+            const double v = 1.0 - u * u;
+            *d = fabs(k[2] * cos(Py_MATH_PI * x) / sqrt(v < 1e-300 ? 1e-300 : v));
+        }
+        return k[1] * asin(u > 1.0 ? 1.0 : u < -1.0 ? -1.0 : u);
     }
-    if (get_doubles(args + 2, 3, pct) < 0)
-        return NULL;
-    const double p = pct[0], c = pct[1], tol = pct[2];
-    if (get_vector(args[0], &buf, 0, 0, "abs_df points") < 0
-            || get_vector(args[1], &out, 0, 1, "abs_df output") < 0)
-        goto done;
-    if (out.shape[0] != buf.shape[0]) {
-        PyErr_SetString(PyExc_TypeError, "abs_df output must have the length of its points");
-        goto done;
     }
-    const double k = -2.0 * p;  /* the quadratic df: -2.0 * tau * x */
+}
+
+/* Walks buf from x and takes the tallies of t (none when t is NULL).  The
+ * histogram adds to counts[i] the points x with edges[i] <= x < edges[i +
+ * 1], the last bin closed, as np.histogram(buf, bins=edges) counts them for
+ * non-decreasing edges: points outside the edges count nowhere.  The bin is
+ * guessed from (x - edges[0]) * scale, then corrected against the edges
+ * themselves, so the guess decides only how long that takes.  Each call has a constant
+ * family and t, or NULL, so the switch of step and the tallies not asked
+ * for cost nothing.  Every field that the loop reads is copied to a local
+ * first: a store into a buffer could alias it, and the compiler would
+ * reload it on every point. */
+INLINE double
+walk_loop(enum family family, const double *k, Py_buffer *buf, double x, Tallies *t)
+{
+    char *out = buf->buf, *df = t && t->df.obj ? t->df.buf : NULL;
+    const Py_ssize_t nb = t && t->counts.obj ? t->counts.shape[0] : 0;
+    char *edges = nb ? t->edges.buf : NULL, *counts = nb ? t->counts.buf : NULL;
+    const Py_ssize_t n = buf->shape[0], s_out = buf->strides[0];
+    const Py_ssize_t s_df = df ? t->df.strides[0] : 0;
+    const Py_ssize_t s_e = nb ? t->edges.strides[0] : 0, s_c = nb ? t->counts.strides[0] : 0;
+    const double lo = nb ? *(double *)edges : 0.0;
+    const double hi = nb ? *(double *)(edges + nb * s_e) : 0.0;
+    const double scale = nb ? (double)nb / (hi - lo) : 0.0;
+    const double c = df ? t->c : 0.0, tol = df ? t->tol : 0.0;
     int hit = 0;
-    for (Py_ssize_t i = 0; i < buf.shape[0]; i++) {
-        const double x = ITEM(double, buf, i);
-        ITEM(double, out, i) = logistic ? fabs(p * (1.0 - 2.0 * x)) : fabs(k * x);
-        hit |= fabs(x - c) <= tol;
+    for (Py_ssize_t j = 0; j < n; j++) {
+        *(double *)(out + j * s_out) = x;
+        const double y = step(family, k, x, df ? (double *)(df + j * s_df) : NULL);
+        if (df)
+            hit |= fabs(x - c) <= tol;
+        if (nb && x >= lo && x <= hi) {
+            const double r = (x - lo) * scale;
+            Py_ssize_t i = r < (double)nb ? (Py_ssize_t)r : nb - 1;
+            while (i > 0 && x < *(double *)(edges + i * s_e))
+                i--;
+            while (i < nb - 1 && x >= *(double *)(edges + (i + 1) * s_e))
+                i++;
+            (*(int64_t *)(counts + i * s_c))++;
+        }
+        x = y;
     }
-    result = PyBool_FromLong(hit);
-done:
+    if (t)
+        t->hit = hit;
+    return x;
+}
+
+/* walk(buf, x, p[, tally]) of the family: buf and the tally's buffers are
+ * left unwritten when the arguments are refused.  Inlined into each
+ * family's method, so family is a constant. */
+INLINE PyObject *
+walk(PyObject *const *args, Py_ssize_t nargs, enum family family)
+{
+    Py_buffer buf;
+    Tallies t;
+    double x, p;
+    if (nargs != 3 && nargs != 4) {
+        PyErr_Format(PyExc_TypeError, "walk expects (buf, x, p[, tally]), got %zd arguments",
+                     nargs);
+        return NULL;
+    }
+    if (get_double(args[1], NULL, &x) < 0 || get_double(args[2], NULL, &p) < 0
+            || get_vector(args[0], &buf, 0, 1, "walk buffer") < 0)
+        return NULL;
+    PyObject *tally = nargs == 4 && args[3] != Py_None ? args[3] : NULL;
+    Tallies *tp = tally != NULL ? &t : NULL;
+    if (tp != NULL && get_tallies(tally, buf.shape[0], tp) < 0) {
+        PyBuffer_Release(&buf);
+        return NULL;
+    }
+    /* the constants k of step: {tau, tau - 1, -2 tau} (quadratic), {a}
+     * (logistic) or {s, 2 / pi, 2 s} with s = sqrt(a) / 2 (sine) */
+    const double s = sqrt(p) / 2.0;
+    const double k[] = {family == SINE ? s : p, family == SINE ? 2.0 / Py_MATH_PI : p - 1.0,
+                        family == SINE ? 2.0 * s : -2.0 * p};
+    x = tp ? walk_loop(family, k, &buf, x, tp) : walk_loop(family, k, &buf, x, NULL);
     PyBuffer_Release(&buf);
-    PyBuffer_Release(&out);
-    return result;
+    if (tp != NULL) {
+        release_tallies(tp);
+        if (t.hit && PyObject_SetAttrString(tally, "hit", Py_True) < 0)
+            return NULL;
+    }
+    return PyFloat_FromDouble(x);
 }
 
-static PyObject *
-quadratic_abs_df(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    return abs_df(args, nargs, 0);
-}
+/* quadratic_walk, logistic_walk and sine_walk */
+#define WALK_METHOD(name, family)                                              \
+    static PyObject *                                                          \
+    name##_walk(PyObject *module, PyObject *const *args, Py_ssize_t nargs)     \
+    {                                                                          \
+        return walk(args, nargs, family);                                      \
+    }
+WALK_METHOD(quadratic, QUADRATIC)
+WALK_METHOD(logistic, LOGISTIC)
+WALK_METHOD(sine, SINE)
 
-static PyObject *
-logistic_abs_df(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    return abs_df(args, nargs, 1);
-}
-
+#define WALK_DOC "(buf, x, p[, tally]): the family's orbit walk of maps.py, compiled."
 static PyMethodDef kernel_methods[] = {
-    {"quadratic_fill", (PyCFunction)(void (*)(void))quadratic_fill, METH_FASTCALL,
-     "quadratic_fill(buf, x, tau): the quadratic orbit walk of maps.py, compiled."},
-    {"logistic_fill", (PyCFunction)(void (*)(void))logistic_fill, METH_FASTCALL,
-     "logistic_fill(buf, x, a): the logistic orbit walk of maps.py, compiled."},
-    {"sine_fill", (PyCFunction)(void (*)(void))sine_fill, METH_FASTCALL,
-     "sine_fill(buf, x, a): the sine orbit walk of maps.py, compiled."},
-    {"histogram", (PyCFunction)(void (*)(void))histogram, METH_FASTCALL,
-     "histogram(buf, edges, counts): numpy_histogram of maps.py, compiled."},
-    {"quadratic_abs_df", (PyCFunction)(void (*)(void))quadratic_abs_df, METH_FASTCALL,
-     "quadratic_abs_df(buf, out, tau, c, tol): |Df| into out; whether |x - c| <= tol."},
-    {"logistic_abs_df", (PyCFunction)(void (*)(void))logistic_abs_df, METH_FASTCALL,
-     "logistic_abs_df(buf, out, a, c, tol): |Df| into out; whether |x - c| <= tol."},
+    {"quadratic_walk", (PyCFunction)(void (*)(void))quadratic_walk, METH_FASTCALL, WALK_DOC},
+    {"logistic_walk", (PyCFunction)(void (*)(void))logistic_walk, METH_FASTCALL, WALK_DOC},
+    {"sine_walk", (PyCFunction)(void (*)(void))sine_walk, METH_FASTCALL, WALK_DOC},
     {NULL, NULL, 0, NULL}
 };
 

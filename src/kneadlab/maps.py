@@ -1,8 +1,8 @@
 """Unimodal interval maps: built-in families, orbit iteration, derivatives.
 
-Every value here is immutable after construction and every operation is a
-pure function of its inputs, so maps and orbit segments can be shared freely
-between concurrent workers.
+Every value here but a Tally (one walk's running counts) is immutable after
+construction and every operation is a pure function of its inputs, so maps
+and orbit segments can be shared freely between concurrent workers.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ class MapFamily:
     bind(ns, p) returns (f, Df, left inverse, right inverse), evaluated with
     the functions of ns: MATH for floats (the map's own functions), NUMPY
     for arrays, mpmath_namespace() for the extended-precision nest.  Float
-    orbits are walked by orbit_fill(m): the family's compiled fill from
+    orbits are walked by orbit_fill(m): the family's compiled walk from
     _kernel.c when that builds, else python_fill over the map's own f.
     """
 
@@ -153,12 +153,12 @@ class MapFamily:
 # 510 ns against 604 ns with an attribute lookup per call), and takes the
 # constants of f and the inverses from ns.num once (a 120-bit logistic f:
 # 4.6 us against 9.9 us: mpmath converts a float operand every time).  Per
-# point of a 65,536-point buffer, best of 21 or 41 calls: the compiled fills
-# 5 ns (quadratic, logistic) and 65 ns (sine: libm's sin and asin),
-# python_fill 100, 91 and 427 ns (a memoryview saves 20 ns against numpy
-# item assignment); the compiled histogram 3.3-6.3 ns against np.histogram's
-# 5.8-9.5 ns, and the compiled |Df| of _BirkhoffSums.add 3.0-6.5 ns against
-# 4.2-25 ns in numpy.
+# point of a 65,536-point buffer, best of 41 calls: the compiled walks 4.8,
+# 3.8 and 57 ns (quadratic, logistic, sine: libm's sin and asin), 5.4, 5.2
+# and 62 ns with the 512-bin histogram and |Df| taken in the same loop, where
+# a fill and two passes took 9.3, 8.5 and 110 ns; python_fill 100, 91 and
+# 427 ns (a memoryview saves 20 ns against numpy item assignment), and its
+# numpy tallies 15-70 ns more.
 
 def _quadratic(ns, tau):
     """q_tau(x) = tau - 1 - tau*x^2 on [-1, 1], critical point 0."""
@@ -290,7 +290,7 @@ def make_map(family: str, parameter: float) -> UnimodalMap:
 
 
 # ---------------------------------------------------------------------------
-# the compiled fills and tallies: _kernel.c, built on the first orbit walk
+# the compiled walks: _kernel.c, built on the first orbit walk
 # ---------------------------------------------------------------------------
 
 KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
@@ -299,41 +299,61 @@ KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _compiled = None  # the kernel's names, once loaded ({} without a kernel)
 
 
-def numpy_histogram(buf, edges, counts) -> None:
-    """Adds the np.histogram(buf, bins=edges) counts of buf to the int64
-    counts: the reference of the compiled histogram."""
-    counts += np.histogram(buf, bins=edges)[0]
+class Tally:
+    """What a walk of orbit_chunks adds up over each chunk as it steps:
+    counts, the histogram of the points over edges (when edges is given);
+    with abs_df, df[:k], |Df| at each point of the last k-point chunk, and
+    hit, whether some point lay within tol of c.  Burn-in is not tallied.
+    The compiled walks of _kernel.c read and set these attributes by name."""
+
+    def __init__(self, m: UnimodalMap, edges=None, abs_df: bool = False):
+        self.edges = edges
+        self.counts = None if edges is None else np.zeros(len(edges) - 1, dtype=np.int64)
+        self.df = np.empty(CHUNK) if abs_df else None
+        self.c, self.tol = m.critical_point, TIE_TOLERANCE
+        self.hit = False
+        self._numpy_df = m.family.bind(NUMPY, m.parameter)[1] if abs_df else None
+
+    def numpy_add(self, buf: np.ndarray) -> None:
+        """Takes the tallies over buf with np.histogram and the NUMPY df:
+        the reference of the compiled walk's tallies."""
+        if self.counts is not None:
+            self.counts += np.histogram(buf, bins=self.edges)[0]
+        if self.df is not None:
+            np.abs(self._numpy_df(buf), out=self.df[:len(buf)])
+            self.hit = self.hit or bool(np.any(np.abs(buf - self.c) <= self.tol))
 
 
-def python_fill(buf, x, f):
+def python_fill(buf, x, f, tally: Optional[Tally] = None):
     """Writes x, f(x), f^2(x), ... into buf and returns the next iterate:
-    the float orbit walk of a map with no compiled fill, over its own f."""
+    the float orbit walk of a map with no compiled walk, over its own f.
+    A tally then takes its tallies over buf with numpy."""
     out = memoryview(buf)
     for i in range(len(out)):
         out[i] = x
         x = f(x)
+    if tally is not None:
+        tally.numpy_add(buf)
     return x
 
 
-def compiled(name: str, family: Optional[MapFamily] = None) -> Optional[Callable]:
-    """The compiled twin from _kernel.c, or None (no kernel, or no twin):
-    compiled("histogram") of numpy_histogram, compiled("fill", family) of
-    python_fill over the family's float f, compiled("abs_df", family) of
-    the NUMPY |Df| and hit test in measure._BirkhoffSums.  A record that is
-    not the built-in FAMILIES[family.name] itself has none."""
+def compiled(family: MapFamily) -> Optional[Callable]:
+    """The family's walk from _kernel.c, the compiled twin of python_fill
+    over its float f and of Tally.numpy_add; None without a kernel, and
+    for a record that is not the built-in FAMILIES[family.name] itself."""
     global _compiled
     if _compiled is None:
         kernel = _load_kernel()
         _compiled = {} if kernel is None else vars(kernel)
-    if family is not None and FAMILIES.get(family.name) is not family:
+    if FAMILIES.get(family.name) is not family:
         return None
-    return _compiled.get(name if family is None else f"{family.name}_{name}")
+    return _compiled.get(f"{family.name}_walk")
 
 
 def orbit_fill(m: UnimodalMap) -> tuple[Callable, object]:
-    """(fill, arg), the float orbit walk fill(buf, x, arg) of m: its
-    family's compiled fill and parameter, else python_fill and its f."""
-    fill = compiled("fill", m.family)
+    """(fill, arg), the float orbit walk fill(buf, x, arg[, tally]) of m:
+    its family's compiled walk and parameter, else python_fill and its f."""
+    fill = compiled(m.family)
     return (python_fill, m._f) if fill is None else (fill, m.parameter)
 
 
@@ -484,10 +504,12 @@ def orbit_array(m: UnimodalMap, x0: float, n: int, burn_in: int = 0) -> np.ndarr
     return out
 
 
-def orbit_chunks(m: UnimodalMap, x0: float, n: int, burn_in: int = 0):
+def orbit_chunks(m: UnimodalMap, x0: float, n: int, burn_in: int = 0, *,
+                 tally: Optional[Tally] = None):
     """Yield successive numpy buffers of orbit points (no domain checks in
     the hot loop; the self-map invariant is validated at construction and
-    start points by check_start at the public entry points).
+    start points by check_start at the public entry points).  A tally
+    takes its tallies over each chunk before the chunk is yielded.
 
     Every buffer but the last holds CHUNK points.  The chunk size matters
     for streams only (SymbolStream, the measure passes): it bounds their
@@ -497,6 +519,7 @@ def orbit_chunks(m: UnimodalMap, x0: float, n: int, burn_in: int = 0):
     into the buffer that the first chunk then overwrites.
     """
     fill, arg = orbit_fill(m)
+    tallies = () if tally is None else (tally,)
     x = float(x0)
     buf = np.empty(min(CHUNK, max(n, burn_in)))
     while burn_in > 0:
@@ -506,7 +529,7 @@ def orbit_chunks(m: UnimodalMap, x0: float, n: int, burn_in: int = 0):
     done = 0
     while done < n:
         k = min(CHUNK, n - done)
-        x = fill(buf[:k], x, arg)
+        x = fill(buf[:k], x, arg, *tallies)
         done += k
         yield buf[:k]
 

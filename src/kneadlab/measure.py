@@ -19,7 +19,7 @@ import numpy as np
 from . import maps
 from .errors import (CriticalNonReturn, DegenerateOrbit, PrecisionExhausted,
                      TooManyGaps, UncoveredMass)
-from .maps import (DEFAULT_BURN_IN, LEFT, NUMPY, RIGHT, UnimodalMap,
+from .maps import (DEFAULT_BURN_IN, LEFT, RIGHT, UnimodalMap,
                    branch_preimage_arrays, check_start, evaluate,
                    log_abs_derivative_array, orbit_chunks, seeded_start)
 from .nest import MAX_DEPTH, NestReport, build_nest
@@ -87,13 +87,15 @@ def _seeded_pass(m: UnimodalMap, n: int, bin_count: int, seed, *,
                  birkhoff: bool = False, intervals=()):
     """One walk of the seeded orbit through orbit_chunks: burn-in, then n
     points, the first RECURRENCE_PROBE of which go to the periodic-attractor
-    probe.  Each chunk feeds the histogram and, on request, the Birkhoff
-    chunk sums and the visit counts of intervals (None entries count
-    nothing).
+    probe.  The walk takes the histogram and, on request, |Df| for the
+    Birkhoff chunk sums into its Tally as it steps, one kernel call per
+    chunk; each chunk it yields feeds the visit counts of intervals (None
+    entries count nothing).
 
     Returns (density, LyapunovEstimate or None, visit fractions).  Raises
     DegenerateOrbit (with the detected cycle) when the orbit converges to a
-    periodic attractor.
+    periodic attractor, or when a chunk ends on an exact fixed point of the
+    float map (its last two points are equal), where it then stays.
     """
     if n < 10 ** 5:
         raise ValueError("sample_count >= 1e5 required")
@@ -101,7 +103,10 @@ def _seeded_pass(m: UnimodalMap, n: int, bin_count: int, seed, *,
         raise ValueError("bin_count >= 1 required")
     if bin_count > MAX_BINS:
         raise ValueError(f"bin_count <= {MAX_BINS} required")
-    chunks = orbit_chunks(m, seeded_start(m, seed), n, burn_in=DEFAULT_BURN_IN)
+    edges = np.linspace(m.domain[0], m.domain[1], bin_count + 1)
+    tally = maps.Tally(m, edges, abs_df=birkhoff)
+    chunks = orbit_chunks(m, seeded_start(m, seed), n, burn_in=DEFAULT_BURN_IN,
+                          tally=tally)
     first = next(chunks)  # n >= 1e5, so it holds the whole probe
     hit = _detect_periodic_attractor(m, first)
     if hit is not None:
@@ -109,21 +114,20 @@ def _seeded_pass(m: UnimodalMap, n: int, bin_count: int, seed, *,
         raise DegenerateOrbit(
             f"orbit converges to a periodic attractor of period {period}",
             period=period, cycle=cycle)
-    edges = np.linspace(m.domain[0], m.domain[1], bin_count + 1)
-    histogram = maps.compiled("histogram") or maps.numpy_histogram
-    tally = np.zeros(bin_count, dtype=np.int64)
-    sums = _BirkhoffSums(m) if birkhoff else None
+    sums = []
     counts = [0] * len(intervals)
     for buf in itertools.chain([first], chunks):
-        histogram(buf, edges, tally)
-        if sums is not None:
-            sums.add(buf)
+        if len(buf) > 1 and buf[-1] == buf[-2]:
+            raise DegenerateOrbit(f"orbit falls onto the fixed point {float(buf[-1])!r}",
+                                  period=1, cycle=buf[-1:])
+        if birkhoff:
+            sums.append(_birkhoff_sum(tally.df[:len(buf)]))
         _count_visits(buf, intervals, counts)
     # every count is below 2^53, so hist and its sum are exact
-    hist = tally.astype(float)
+    hist = tally.counts.astype(float)
     density = DensityEstimate(edges, hist / hist.sum(), n, seed,
                               m.family_tag, m.parameter, DEFAULT_BURN_IN)
-    lyap = sums.estimate(n) if sums is not None else None
+    lyap = LyapunovEstimate(math.fsum(sums) / n, tally.hit, n) if birkhoff else None
     return density, lyap, [k / n for k in counts]
 
 
@@ -149,43 +153,15 @@ def measure_of_intervals(density: DensityEstimate, los, his) -> np.ndarray:
     return np.maximum(np.interp(hi, e, c) - np.interp(lo, e, c), 0.0)
 
 
-class _BirkhoffSums:
-    """Per-chunk sums of ln|Df| and the critical-hit flag along an orbit.
-
-    |Df| and the hit test run in the compiled twin of the family's NUMPY df
-    where there is one (quadratic, logistic), into one reused buffer, else
-    through the NUMPY df bound once.  The log, the finiteness test and the
-    sum stay in numpy for every family: numpy's float64 log is its own
-    SIMD loop, not libm's, and differs from it in the last bit.
-    """
-
-    def __init__(self, m: UnimodalMap):
-        self.m = m
-        self.sums: list[float] = []
-        self.hit = False
-        self.abs_df = maps.compiled("abs_df", m.family)
-        if self.abs_df is None:
-            self.df = m.family.bind(NUMPY, m.parameter)[1]
-        else:
-            self.out = np.empty(maps.CHUNK)
-
-    def add(self, buf: np.ndarray) -> None:
-        m = self.m
-        c, tol = m.critical_point, maps.TIE_TOLERANCE
-        if self.abs_df is None:
-            d = np.abs(self.df(buf), dtype=float)
-            if not self.hit and np.any(np.abs(buf - c) <= tol):
-                self.hit = True
-        else:
-            d = self.out[:len(buf)]
-            if self.abs_df(buf, d, m.parameter, c, tol):
-                self.hit = True
-        with np.errstate(divide="ignore"):
-            np.log(d, out=d)
-        self.sums.append(float(np.sum(d)) if np.all(np.isfinite(d)) else -math.inf)
-
-    def estimate(self, n: int) -> LyapunovEstimate:
-        return LyapunovEstimate(math.fsum(self.sums) / n, self.hit, n)
+def _birkhoff_sum(d: np.ndarray) -> float:
+    """The sum of ln|Df| over one chunk, from the |Df| values d that the
+    walk of orbit_chunks left in its Tally (overwritten by their logs);
+    -inf if a log is not finite.  The log, the finiteness test and the sum
+    stay in numpy: numpy's float64 log is its own SIMD loop, not libm's,
+    and differs from it in the last bit."""
+    with np.errstate(divide="ignore"):
+        np.log(d, out=d)
+    return float(np.sum(d)) if np.all(np.isfinite(d)) else -math.inf
 
 
 def lyapunov_birkhoff(m: UnimodalMap, x0: float, n: int,
@@ -200,10 +176,10 @@ def lyapunov_birkhoff(m: UnimodalMap, x0: float, n: int,
     if n < 1:
         raise ValueError("n >= 1 required")
     x0 = check_start(m, x0)
-    sums = _BirkhoffSums(m)
-    for buf in orbit_chunks(m, x0, n, burn_in=burn_in):
-        sums.add(buf)
-    return sums.estimate(n)
+    tally = maps.Tally(m, abs_df=True)
+    sums = [_birkhoff_sum(tally.df[:len(buf)])
+            for buf in orbit_chunks(m, x0, n, burn_in=burn_in, tally=tally)]
+    return LyapunovEstimate(math.fsum(sums) / n, tally.hit, n)
 
 
 # ---------------------------------------------------------------------------

@@ -513,6 +513,19 @@ def test_cli_verify_exit_codes(capsys):
     capsys.readouterr()
 
 
+def test_cli_lyap_equality_of_an_orbit_on_an_exact_fixed_point_fails(capsys):
+    # the seeded orbit of seed 346 at q_2 reaches the fixed point -1 and
+    # stays there, so its density is degenerate and the report fails.  With
+    # the trapped tail averaged in it passed vacuously, side_typical 1.2302
+    # against side_integral 1.2287, where the exponent of q_2 is ln 2
+    assert main(["verify", "lyap-equality", "--map", "quadratic", "--param", "2.0",
+                 "--seed", "346"]) == 2
+    rep = _strict_loads(capsys.readouterr().out)
+    assert rep["verdict"] == "fail"
+    assert rep["measured"]["density_degenerate"] is True
+    assert rep["measured"]["side_integral"] == math.log(4.0)
+
+
 def test_cli_no_target_exit_code(capsys):
     assert main(["verify", "zeta", "--map", "logistic", "--param", "3.9",
                  "--max-period", "4"]) == 3

@@ -321,24 +321,29 @@ def test_fill_matches_the_bound_step(m):
         assert orbit_fill(m) == (python_fill, m._f)
 
 
-# --- the compiled fills of _kernel.c --------------------------------------
+# --- the compiled walks of _kernel.c --------------------------------------
 
-def _compiled_twin(name, family=None):
-    twin = maps.compiled(name, family)
-    if twin is None:
+def _compiled_walk(family):
+    walk = maps.compiled(family)
+    if walk is None:
         pytest.skip("the compiled kernel cannot be built with this Python")
-    return twin
+    return walk
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
 
 
 @pytest.mark.parametrize("family,p", [
     ("quadratic", 2.0), ("logistic", 4.0), ("sine", math.nextafter(4.0, 0.0)),
     ("quadratic", 1.9), ("logistic", 3.9), ("sine", 3.9)])
 def test_compiled_fill_gives_the_bits_of_the_python_fill(family, p):
-    # against python_fill over the map's f (the x = f(x) chain): chained
-    # full chunks and a partial one, and the period-sized buffers of the
-    # polish (lengths 0, 1 and 2), from the same starts
+    # the walk with no tally against python_fill over the map's f (the
+    # x = f(x) chain): chained full chunks and a partial one, and the
+    # period-sized buffers of the polish (lengths 0, 1 and 2), from the
+    # same starts
     record = FAMILIES[family]
-    compiled = _compiled_twin("fill", record)
+    compiled = _compiled_walk(record)
     m = record.make(p)
     assert orbit_fill(m) == (compiled, p)
     for x0 in (m.critical_point, *m.domain, seeded_start(m, 3), seeded_start(m, 4)):
@@ -352,13 +357,13 @@ def test_compiled_fill_gives_the_bits_of_the_python_fill(family, p):
                 assert type(x_got) is float
                 assert x_got.hex() == x_want.hex()
                 pos += k
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert _same_bits(got, want)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_compiled_fill_refuses_buffers_it_cannot_write(family):
     record = FAMILIES[family]
-    compiled = _compiled_twin("fill", record)
+    compiled = _compiled_walk(record)
     frozen = np.full(4, 0.25)
     frozen.flags.writeable = False
     for buf, error in ((np.full(4, 0.25, dtype=np.float32), TypeError),
@@ -369,140 +374,210 @@ def test_compiled_fill_refuses_buffers_it_cannot_write(family):
         with pytest.raises(error):
             compiled(buf, 0.3, 1.9)
         assert bytes(memoryview(buf)) == before
-    with pytest.raises(TypeError):
-        compiled(np.empty(4), 0.3)
-    # a strided buffer is written where python_fill writes it
+    for args in ((np.empty(4), 0.3), (np.empty(4), 0.3, 1.9, None, None)):
+        with pytest.raises(TypeError):
+            compiled(*args)
+    # a strided buffer is written where python_fill writes it; a tally of
+    # None takes no tallies
     got, want = np.zeros(9), np.zeros(9)
-    assert compiled(got[::2], 0.3, 1.9) == python_fill(want[::2], 0.3, record.make(1.9)._f)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert compiled(got[::2], 0.3, 1.9, None) == \
+        python_fill(want[::2], 0.3, record.make(1.9)._f)
+    assert _same_bits(got, want)
 
 
 def test_compiled_twins_belong_to_the_built_in_records_only():
-    _compiled_twin("histogram")
     custom = make_custom(lambda x: 3.8 * x * (1.0 - x), lambda x: 3.8 - 7.6 * x,
                          (0.0, 1.0), 0.5)
-    assert maps.compiled("fill", custom.family) is None
-    assert maps.compiled("abs_df", maps.SINE) is None
+    assert maps.compiled(custom.family) is None
     for name, record in FAMILIES.items():
-        assert maps.compiled("fill", record) is maps._compiled[f"{name}_fill"]
+        assert _compiled_walk(record) is maps._compiled[f"{name}_walk"]
         # a copy of the record, with the same name, or one whose bind was
         # replaced, walks its own f
         wrapped = replace(record, bind=lambda ns, p, bind=record.bind: bind(ns, p))
         for other in (replace(record), wrapped):
-            assert maps.compiled("fill", other) is None
-            assert maps.compiled("abs_df", other) is None
+            assert maps.compiled(other) is None
             m = replace(record.make(1.9), family=other)
             assert orbit_fill(m) == (python_fill, m._f)
 
 
-# --- the compiled tallies of _kernel.c: histogram and |Df| -----------------
+# --- the tallies the compiled walks take as they step ----------------------
 
-def _pieces(pts):
-    """pts cut into chunks of 0 and 1 points, a partial chunk and the rest."""
-    cuts = [0, 0, 1, 1 + len(pts) // 3, len(pts)]
-    return [pts[a:b] for a, b in zip(cuts, cuts[1:])]
+def _tally_twins(m, edges=None, abs_df=False, strided=False):
+    """Two fresh Tally records of m, for the compiled and the reference
+    walk; strided ones hold every other item of larger arrays."""
+    twins = []
+    for _ in range(2):
+        t = maps.Tally(m, edges, abs_df)
+        if strided:
+            for name in ("edges", "counts", "df"):
+                a = getattr(t, name)
+                if a is not None:
+                    wide = np.zeros(2 * len(a), dtype=a.dtype)
+                    wide[::2] = a
+                    setattr(t, name, wide[::2])
+        twins.append(t)
+    return twins
 
 
-def _histogram_cases(bins, rng):
-    """(edges, points) pairs: uniform edges on the families' domains and,
-    up to 512 bins, uneven edges with a repeated one (the bin guess walks
-    to its bin one edge at a time, so uneven edges cost up to the number of
-    bins per point); the points hold every edge, both float neighbours of
-    each (of every 64th edge at 10^6 bins, where np.histogram's reference
-    takes a second per 10^6 points), points beyond both ends, +-inf, NaN
-    and uniform draws, shuffled."""
-    cases = [np.linspace(0.0, 1.0, bins + 1)]
-    if bins <= 512:
-        cases.append(np.linspace(-1.0, 1.0, bins + 1))
-        uneven = np.sort(rng.uniform(-1.0, 1.0, bins + 1))
-        uneven[bins // 2] = uneven[bins // 2 + 1]
-        cases.append(uneven)
-    for edges in cases:
-        sides = edges if bins <= 512 else edges[::64]
-        pts = np.concatenate([
-            edges, np.nextafter(sides, -np.inf), np.nextafter(sides, np.inf),
-            [edges[0] - 0.5, edges[-1] + 0.5, -np.inf, np.inf, np.nan],
-            rng.uniform(edges[0], edges[-1], 4096)])
-        rng.shuffle(pts)
-        yield edges, pts
+def _walk_twins(m, x0, sizes, tallies, strided=False):
+    """Walks chunks of the given sizes from x0 with the compiled walk and
+    with python_fill, each with its own tally of tallies, and asserts after
+    each chunk that the points, the next iterate, the histogram counts,
+    the |Df| values and the hit flag have the same bits."""
+    sides = ((_compiled_walk(m.family), m.parameter), (python_fill, m._f))
+    xs = [x0, x0]
+    for k in sizes:
+        bufs = []
+        for j, ((walk, arg), tally) in enumerate(zip(sides, tallies)):
+            buf = np.full(2 * k, -7.0)[::2] if strided else np.full(k, -7.0)
+            xs[j] = walk(buf, xs[j], arg, tally)
+            bufs.append(buf)
+        got, want = tallies
+        assert type(xs[0]) is float and xs[0].hex() == xs[1].hex()
+        assert _same_bits(*bufs)
+        if want.counts is not None:
+            assert np.array_equal(got.counts, want.counts)
+        if want.df is not None:
+            assert _same_bits(got.df[:k], want.df[:k])
+            assert got.hit is want.hit
+    return bufs[0]
+
+
+@pytest.mark.parametrize("family,p", [
+    ("quadratic", 2.0), ("logistic", 4.0), ("sine", math.nextafter(4.0, 0.0)),
+    ("quadratic", 1.9), ("logistic", 3.9), ("sine", 3.9)])
+@pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
+def test_compiled_walk_tallies_as_the_python_walk(family, p, strided):
+    # chunk splits with a zero-length chunk, from starts that include c
+    # (a hit at the first point) and the domain's ends
+    m = FAMILIES[family].make(p)
+    edges = np.linspace(*m.domain, 257)
+    for x0 in (m.critical_point, *m.domain, seeded_start(m, 3)):
+        for tallies in (_tally_twins(m, edges, True, strided),
+                        _tally_twins(m, edges, False, strided),
+                        _tally_twins(m, None, True, strided)):
+            _walk_twins(m, x0, (CHUNK, 0, 1, 1234, 2), tallies, strided)
+            if tallies[1].counts is not None:
+                assert tallies[0].counts.sum() == CHUNK + 1237
 
 
 @pytest.mark.parametrize("bins", [1, 7, 256, 512, 10 ** 6])
 def test_compiled_histogram_counts_as_numpy_histogram(bins):
-    histogram = _compiled_twin("histogram")
+    # the walk's histogram against np.histogram over the same orbit: uniform
+    # edges on the domain and on its middle half (points beyond both
+    # ends); up to 512 bins also uneven edges with a repeated one (the bin
+    # guess walks to its bin one edge at a time, so uneven edges cost up to
+    # the number of bins per point), edges that are orbit points and edges
+    # one float above orbit points.  The quadratic and logistic orbits of
+    # +-inf and nan hold only infinities and nan, which count nowhere.
     rng = np.random.default_rng(bins)
-    for edges, pts in _histogram_cases(bins, rng):
-        got, want = np.zeros(bins, dtype=np.int64), np.zeros(bins, dtype=np.int64)
-        for piece in _pieces(pts):
-            histogram(piece, edges, got)
-            want += np.histogram(piece, bins=edges)[0]
-            assert np.array_equal(got, want)
-        # the closed last edge and the points off the edges
-        assert got.sum() == np.count_nonzero((pts >= edges[0]) & (pts <= edges[-1]))
+    for m in (make_quadratic(1.9), make_logistic(3.9), make_sine(3.9)):
+        l, r = m.domain
+        x0 = seeded_start(m, bins)
+        orbit = orbit_array(m, x0, 4096)
+        cases = [np.linspace(l, r, bins + 1), np.linspace(0.75 * l + 0.25 * r,
+                                                          0.25 * l + 0.75 * r, bins + 1)]
+        if bins <= 512:
+            uneven = np.sort(rng.uniform(l, r, bins + 1))
+            uneven[bins // 2] = uneven[bins // 2 + 1]
+            on_points = np.sort(rng.choice(orbit, bins + 1, replace=False))
+            cases += [uneven, on_points, np.nextafter(on_points, np.inf)]
+        starts = [x0] + ([-np.inf, np.inf, np.nan] if m.family_tag != "sine" else [])
+        for edges in cases:
+            for start in starts:
+                tallies = _tally_twins(m, edges)
+                pts = _walk_twins(m, start, (0, 1, 1000, 3095), tallies)
+                got = tallies[0].counts
+                # the closed last edge and the points off the edges
+                if start == x0:
+                    assert got.sum() == np.count_nonzero((orbit >= edges[0]) & (orbit <= edges[-1]))
+                else:
+                    assert got.sum() == 0 and not np.isfinite(pts).any()
+
+
+def _near_points(m):
+    """Points near c (within tol, on tol and beyond it, then 1e-15 to
+    1e-1 away) and near both ends of the domain."""
+    c, tol = m.critical_point, maps.TIE_TOLERANCE
+    l, r = m.domain
+    steps = np.concatenate([np.arange(0.0, 64.0) * 2.0 ** -52, 10.0 ** -np.arange(1.0, 16.0),
+                            [tol, np.nextafter(tol, 1.0), np.nextafter(tol, 0.0)]])
+    pts = np.concatenate([c - steps, c + steps, l + steps, r - steps, [l, r, c - tol, c + tol]])
+    return np.unique(np.clip(pts, l, r))
 
 
 @pytest.mark.parametrize("family,p", [
-    ("quadratic", 2.0), ("quadratic", 1.9), ("logistic", 4.0), ("logistic", 3.9)])
+    ("quadratic", 2.0), ("quadratic", 1.9), ("logistic", 4.0), ("logistic", 3.9),
+    ("sine", 3.9), ("sine", math.nextafter(4.0, 0.0))])
 def test_compiled_abs_df_gives_the_bits_of_the_numpy_df(family, p):
     record = FAMILIES[family]
-    abs_df = _compiled_twin("abs_df", record)
+    walk = _compiled_walk(record)
     m = record.make(p)
     c, tol = m.critical_point, maps.TIE_TOLERANCE
     df = record.bind(NUMPY, p)[1]
-    near = np.array([c, c - tol, c + tol, np.nextafter(c - tol, -1.0), np.nextafter(c + tol, 2.0)])
-    orbit = orbit_array(m, seeded_start(m, 3), CHUNK + 77, burn_in=1000)
-    far = orbit[np.abs(orbit - c) > tol]
-    for pts in (far, np.concatenate([far, near, m.domain])):
-        for piece in _pieces(pts):
-            out = np.full(len(piece), np.nan)
-            hit = abs_df(piece, out, p, c, tol)
-            assert np.array_equal(out.view(np.int64), np.abs(df(piece)).view(np.int64))
-            assert hit is bool(np.any(np.abs(piece - c) <= tol))
-    # the hit test of each point near c by itself; at quadratic c = 0,
-    # |c +- tol - c| is tol itself
-    out = np.empty(1)
-    for x in near:
-        assert abs_df(near[near == x], out, p, c, tol) is bool(abs(x - c) <= tol)
-    # Df(c) = 0, so ln|Df| is -inf there
-    assert abs_df(np.array([c]), out, p, c, tol) is True
-    with np.errstate(divide="ignore"):
-        assert np.log(out)[0] == -np.inf
+    # the seeded orbit, 16 chunks and 10^6 points in all, against the NUMPY
+    # df of the points the walk wrote (its fill is checked above)
+    tally = maps.Tally(m, abs_df=True)
+    buf = np.empty(CHUNK)
+    x, hit = orbit_array(m, seeded_start(m, 3), 1, burn_in=1000)[0], False
+    for k in [CHUNK] * 15 + [10 ** 6 - 15 * CHUNK]:
+        x = walk(buf[:k], x, p, tally)
+        assert _same_bits(tally.df[:k], np.abs(df(buf[:k])))
+        hit = hit or bool(np.any(np.abs(buf[:k] - c) <= tol))
+    assert tally.hit is hit
+    # each point near c and the domain's ends by itself, as a one-point walk
+    for x in _near_points(m):
+        tallies = _tally_twins(m, abs_df=True)
+        _walk_twins(m, float(x), (1,), tallies)
+        assert tallies[0].hit is bool(abs(x - c) <= tol)
+    if family != "sine":
+        # Df(c) = 0, so ln|Df| is -inf there (sine's cos(pi c) is 6e-17)
+        tally = maps.Tally(m, abs_df=True)
+        walk(buf[:1], c, p, tally)
+        assert tally.hit is True and tally.df[0] == 0.0
 
 
 def test_compiled_tallies_refuse_buffers_they_cannot_use():
-    histogram = _compiled_twin("histogram")
-    pts, edges = np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 5)
-    frozen = np.zeros(4, dtype=np.int64)
-    frozen.flags.writeable = False
-    counts = np.zeros(4, dtype=np.int64)
-    for args, error in (((pts, edges, np.zeros(4)), TypeError),
-                        ((pts, edges, np.zeros(4, dtype=np.int32)), TypeError),
-                        ((pts, edges, np.zeros(3, dtype=np.int64)), TypeError),
-                        ((pts, edges, np.zeros(5, dtype=np.int64)), TypeError),
-                        ((pts, edges, np.zeros(0, dtype=np.int64)), TypeError),
-                        ((pts, edges, frozen), BufferError),
-                        ((pts.astype(np.float32), edges, counts), TypeError),
-                        ((pts, edges.astype(np.int64), counts), TypeError),
-                        ((pts, edges), TypeError)):
-        before = [bytes(memoryview(a)) for a in args]
-        with pytest.raises(error):
-            histogram(*args)
-        assert [bytes(memoryview(a)) for a in args] == before
-    for name in ("quadratic", "logistic"):
-        abs_df = _compiled_twin("abs_df", FAMILIES[name])
-        frozen = np.zeros(9)
-        frozen.flags.writeable = False
-        for buf, out, error in ((pts, np.zeros(9, dtype=np.float32), TypeError),
-                                (pts, np.zeros(8), TypeError),
-                                (pts, np.zeros(10), TypeError),
-                                (pts.astype(np.float32), np.zeros(9), TypeError),
-                                (pts, frozen, BufferError)):
-            before = bytes(memoryview(out))
+    # each refused tally leaves the walk's buffer and every tally buffer
+    # unwritten, and its hit flag unset
+    edges = np.linspace(0.0, 1.0, 5)
+    frozen_counts = np.zeros(4, dtype=np.int64)
+    frozen_counts.flags.writeable = False
+    frozen_df = np.zeros(16)
+    frozen_df.flags.writeable = False
+    refused = [({"counts": np.zeros(4)}, TypeError),
+               ({"counts": np.zeros(4, dtype=np.int32)}, TypeError),
+               ({"counts": np.zeros(3, dtype=np.int64)}, TypeError),
+               ({"counts": np.zeros(5, dtype=np.int64)}, TypeError),
+               ({"counts": np.zeros(0, dtype=np.int64), "edges": edges[:1]}, TypeError),
+               ({"counts": frozen_counts}, BufferError),
+               ({"edges": edges.astype(np.float32)}, TypeError),
+               ({"edges": edges.astype(np.int64)}, TypeError),
+               ({"edges": None}, TypeError),
+               ({"df": np.zeros(16, dtype=np.float32)}, TypeError),
+               ({"df": np.zeros(8)}, TypeError),
+               ({"df": np.zeros((4, 4))}, TypeError),
+               ({"df": frozen_df}, BufferError),
+               ({"c": "half"}, TypeError),
+               ({"tol": None}, TypeError)]
+    for name, record in FAMILIES.items():
+        walk = _compiled_walk(record)
+        m = record.make(1.9)
+        for change, error in refused + [({}, AttributeError)]:
+            tally = maps.Tally(m, edges, abs_df=True)
+            tally.df = np.zeros(16)
+            for attr, value in change.items():
+                setattr(tally, attr, value)
+            if not change:
+                del tally.df
+            buf = np.zeros(9)
+            arrays = [buf] + [a for a in (tally.counts, getattr(tally, "df", None))
+                              if isinstance(a, np.ndarray)]
+            before = [bytes(memoryview(a)) for a in arrays]
             with pytest.raises(error):
-                abs_df(buf, out, 1.9, 0.5, 1e-14)
-            assert bytes(memoryview(out)) == before
-        with pytest.raises(TypeError):
-            abs_df(pts, np.zeros(9), 1.9, 0.5)
+                walk(buf, m.critical_point, 1.9, tally)
+            assert [bytes(memoryview(a)) for a in arrays] == before
+            assert tally.hit is False
 
 
 def _kernel_copy(tmp_path, source=None):
@@ -540,14 +615,13 @@ def test_failed_kernel_build_falls_back_to_the_same_bits(monkeypatch, tmp_path):
     for name, record in FAMILIES.items():
         m = record.make(1.9)
         assert orbit_fill(m) == (python_fill, m._f)
-        assert maps.compiled("abs_df", record) is None
-    assert maps.compiled("histogram") is None
+        assert maps.compiled(record) is None
     assert list((tmp_path / "__pycache__").iterdir()) == []
     assert _walks() == want
 
 
 def test_kernel_build_is_cached_under_a_hash_of_its_source(monkeypatch, tmp_path):
-    _compiled_twin("fill", maps.QUADRATIC)
+    _compiled_walk(maps.QUADRATIC)
     compiler = maps._compiler
     source = Path(maps.KERNEL_SOURCE).read_bytes()
     monkeypatch.setattr(maps, "KERNEL_SOURCE", _kernel_copy(tmp_path))
@@ -560,7 +634,7 @@ def test_kernel_build_is_cached_under_a_hash_of_its_source(monkeypatch, tmp_path
     second = maps._load_kernel()
     assert list(cache.iterdir()) == [built]
     assert second.__doc__ == first.__doc__
-    assert second.logistic_fill(np.empty(3), 0.3, 3.9) == \
+    assert second.logistic_walk(np.empty(3), 0.3, 3.9) == \
         python_fill(np.empty(3), 0.3, make_logistic(3.9)._f)
     # an edited source is built under a new name, and its module is loaded
     doc = b'"The orbit walks and seeded-pass tallies of the built-in map families, compiled.", -1'
@@ -574,7 +648,7 @@ def test_kernel_build_is_cached_under_a_hash_of_its_source(monkeypatch, tmp_path
 
 
 def test_read_only_package_builds_the_kernel_in_a_temporary_directory(monkeypatch, tmp_path):
-    _compiled_twin("fill", maps.QUADRATIC)
+    _compiled_walk(maps.QUADRATIC)
     monkeypatch.setattr(maps, "KERNEL_SOURCE", _kernel_copy(tmp_path))
     cache = str(tmp_path / "__pycache__")
     access = maps.os.access
@@ -583,7 +657,7 @@ def test_read_only_package_builds_the_kernel_in_a_temporary_directory(monkeypatc
     mkdtemp = tempfile.mkdtemp
     monkeypatch.setattr(tempfile, "mkdtemp", lambda **kw: made.append(mkdtemp(**kw)) or made[-1])
     kernel = maps._load_kernel()
-    assert kernel.quadratic_fill(np.empty(3), 0.3, 1.9) == \
+    assert kernel.quadratic_walk(np.empty(3), 0.3, 1.9) == \
         python_fill(np.empty(3), 0.3, make_quadratic(1.9)._f)
     assert list((tmp_path / "__pycache__").iterdir()) == []
     # the per-process directory is removed once the module is loaded

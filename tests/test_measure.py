@@ -55,6 +55,27 @@ def test_density_degenerate_orbit():
     assert exc.value.cycle[0] == pytest.approx(-1 / 9, abs=1e-6)
 
 
+def test_density_orbit_that_falls_onto_an_exact_fixed_point(q2):
+    # the float orbit of seed 346 at q_2 passes 0 to within 2.4e-9, so it
+    # reaches the fixed point -1 exactly at its point 225,108 and stays
+    # there: a density of it put 0.5625 of its mass into bin 0
+    x = orbit_array(q2, seeded_start(q2, 346), 225_109, burn_in=DEFAULT_BURN_IN)
+    assert x[-1] == -1.0 and np.count_nonzero(x == -1.0) == 1
+    words = [W("1"), W("10")]
+    for run in (lambda: estimate_density(q2, 5 * 10 ** 5, 512, 346),
+                lambda: verify_critical_typicality(q2, words, 10 ** 6, 346)):
+        with pytest.raises(DegenerateOrbit, match="fixed point -1.0") as exc:
+            run()
+        assert exc.value.period == 1
+        assert exc.value.cycle == [-1.0]
+    # the lyap-equality record takes its degenerate branch: ln|Df(-1)| = ln 4
+    rec = verify_lyapunov_equality(q2, 10 ** 6, 346)
+    assert rec.density_degenerate and rec.singular_bins == ()
+    assert rec.side_integral == math.log(4.0)
+    typ = lyapunov_birkhoff(q2, seeded_start(q2, 346), 10 ** 6, burn_in=DEFAULT_BURN_IN)
+    assert rec.side_typical == typ.value
+
+
 def test_density_arcsine_small(q2):
     d = estimate_density(q2, 10 ** 6, 512, seed=7)
     e = d.bin_edges
@@ -276,9 +297,8 @@ def test_typicality_walks_the_seeded_orbit_once(family, p, monkeypatch):
 
 
 def _seeded_outputs():
-    """Densities and Birkhoff exponents (the critical orbit's hits c) of
-    each family, and the lyap-equality records of those with a compiled
-    |Df|, as bytes."""
+    """Densities and Birkhoff exponents (the critical orbit's hits c) and
+    the lyap-equality records of each family, as bytes."""
     out = []
     for family, p in FAMILY_PARAMS + [("quadratic", 2.0)]:
         m = make_map(family, p)
@@ -287,14 +307,13 @@ def _seeded_outputs():
                                (m.critical_point, 1000, 0)):
             est = lyapunov_birkhoff(m, x0, n, burn_in=burn_in)
             out.append((est.value.hex(), est.hit_critical))
-        if family != "sine":
-            out.append(repr(verify_lyapunov_equality(m, 10 ** 6, 3)))
+        out.append(repr(verify_lyapunov_equality(m, 10 ** 6, 3)))
     return out
 
 
 def test_seeded_pass_without_the_kernel_gives_the_same_bytes(monkeypatch):
-    # with the compiled walk, histogram and |Df| where the kernel builds;
-    # then with the numpy references and python_fill over each map's f
+    # with the compiled walks and their tallies where the kernel builds;
+    # then with python_fill over each map's f and Tally.numpy_add
     want = _seeded_outputs()
     monkeypatch.setattr(maps, "_compiled", {})
     assert _seeded_outputs() == want

@@ -351,7 +351,7 @@ def compiled(family: MapFamily) -> Optional[Callable]:
 
 
 def orbit_fill(m: UnimodalMap) -> tuple[Callable, object]:
-    """(fill, arg), the float orbit walk fill(buf, x, arg[, tally]) of m:
+    """(fill, arg), the float orbit walk fill(buf, x, arg, tally=None) of m:
     its family's compiled walk and parameter, else python_fill and its f."""
     fill = compiled(m.family)
     return (python_fill, m._f) if fill is None else (fill, m.parameter)
@@ -519,7 +519,6 @@ def orbit_chunks(m: UnimodalMap, x0: float, n: int, burn_in: int = 0, *,
     into the buffer that the first chunk then overwrites.
     """
     fill, arg = orbit_fill(m)
-    tallies = () if tally is None else (tally,)
     x = float(x0)
     buf = np.empty(min(CHUNK, max(n, burn_in)))
     while burn_in > 0:
@@ -529,7 +528,7 @@ def orbit_chunks(m: UnimodalMap, x0: float, n: int, burn_in: int = 0, *,
     done = 0
     while done < n:
         k = min(CHUNK, n - done)
-        x = fill(buf[:k], x, arg, *tallies)
+        x = fill(buf[:k], x, arg, tally)
         done += k
         yield buf[:k]
 

@@ -464,35 +464,60 @@ def test_compiled_walk_tallies_as_the_python_walk(family, p, strided):
 @pytest.mark.parametrize("bins", [1, 7, 256, 512, 10 ** 6])
 def test_compiled_histogram_counts_as_numpy_histogram(bins):
     # the walk's histogram against np.histogram over the same orbit: uniform
-    # edges on the domain and on its middle half (points beyond both
-    # ends); up to 512 bins also uneven edges with a repeated one (the bin
-    # guess walks to its bin one edge at a time, so uneven edges cost up to
-    # the number of bins per point), edges that are orbit points and edges
-    # one float above orbit points.  The quadratic and logistic orbits of
-    # +-inf and nan hold only infinities and nan, which count nowhere.
+    # edges on the domain, on its middle half (points beyond both ends) and
+    # on [-2^20, 2^20]; up to 512 bins also uneven edges with a repeated one
+    # (the bin guess walks to its bin one edge at a time, so uneven edges
+    # cost up to the number of bins per point), edges that are orbit points
+    # and edges one float below and above orbit points.  The quadratic and
+    # logistic orbit of r + (r - l) / 2 leaves the domain and reaches -inf
+    # within its 1000-point chunk; their orbits of +-inf and nan hold only
+    # infinities and nan, which count nowhere.
     rng = np.random.default_rng(bins)
     for m in (make_quadratic(1.9), make_logistic(3.9), make_sine(3.9)):
         l, r = m.domain
         x0 = seeded_start(m, bins)
         orbit = orbit_array(m, x0, 4096)
-        cases = [np.linspace(l, r, bins + 1), np.linspace(0.75 * l + 0.25 * r,
-                                                          0.25 * l + 0.75 * r, bins + 1)]
+        uniform = [np.linspace(l, r, bins + 1),
+                   np.linspace(0.75 * l + 0.25 * r, 0.25 * l + 0.75 * r, bins + 1),
+                   np.linspace(-2.0 ** 20, 2.0 ** 20, bins + 1)]
+        cases = list(uniform)
         if bins <= 512:
             uneven = np.sort(rng.uniform(l, r, bins + 1))
             uneven[bins // 2] = uneven[bins // 2 + 1]
             on_points = np.sort(rng.choice(orbit, bins + 1, replace=False))
-            cases += [uneven, on_points, np.nextafter(on_points, np.inf)]
-        starts = [x0] + ([-np.inf, np.inf, np.nan] if m.family_tag != "sine" else [])
+            cases += [uneven, on_points, np.nextafter(on_points, -np.inf),
+                      np.nextafter(on_points, np.inf)]
+        starts = [x0]
+        if m.family_tag != "sine":
+            starts += [r + (r - l) / 2, -np.inf, np.inf, np.nan]
+            escape = orbit_array(m, starts[1], 1001)[1:]
+            assert np.isfinite(escape).any() and np.isneginf(escape).any()
         for edges in cases:
             for start in starts:
                 tallies = _tally_twins(m, edges)
-                pts = _walk_twins(m, start, (0, 1, 1000, 3095), tallies)
-                got = tallies[0].counts
+                _walk_twins(m, start, (0, 1, 1000, 3095), tallies)
                 # the closed last edge and the points off the edges
-                if start == x0:
-                    assert got.sum() == np.count_nonzero((orbit >= edges[0]) & (orbit <= edges[-1]))
-                else:
-                    assert got.sum() == 0 and not np.isfinite(pts).any()
+                pts = orbit_array(m, start, 4096)
+                assert tallies[0].counts.sum() == \
+                    np.count_nonzero((pts >= edges[0]) & (pts <= edges[-1]))
+        # each uniform edge (every 64th at 10^6 bins), both of its float
+        # neighbours, points beyond both ends, +-inf and nan, each the one
+        # point of its own walk, against np.histogram of the same points;
+        # the edges, the points below them and the rest fill three tallies,
+        # so that a point of one kind put one bin off cannot hide behind a
+        # point of another kind put one bin off the other way
+        walk, buf = _compiled_walk(m.family), np.empty(1)
+        for edges in uniform:
+            sides = edges if bins <= 512 else edges[::64]
+            kinds = (sides, np.nextafter(sides, -np.inf),
+                     np.concatenate([np.nextafter(sides, np.inf),
+                                     [edges[0] - 0.5, edges[-1] + 0.5, -np.inf, np.inf, np.nan]]))
+            for pts in kinds:
+                tally = maps.Tally(m, edges)
+                for x in pts:
+                    walk(buf, float(x), m.parameter, tally)
+                    assert buf[0] == x or math.isnan(x)
+                assert np.array_equal(tally.counts, np.histogram(pts, bins=edges)[0])
 
 
 def _near_points(m):

@@ -307,9 +307,11 @@ def test_enumerate_custom_map_runs_serially():
     assert parallel.failures == serial.failures
 
 
-def _evaluate_chain_fill(buf, x, m):
+def _evaluate_chain_fill(buf, x, m, tally=None):
     """The forward walk find_periodic took through maps.evaluate before
-    it went through the map's fill: x, evaluate(m, x), ... into buf."""
+    it went through the map's fill: x, evaluate(m, x), ... into buf.  Its
+    walks take no tallies."""
+    assert tally is None
     for i in range(len(buf)):
         buf[i] = x
         x = evaluate(m, x)

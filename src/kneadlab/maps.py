@@ -312,7 +312,7 @@ class Tally:
         self.df = np.empty(CHUNK) if abs_df else None
         self.c, self.tol = m.critical_point, TIE_TOLERANCE
         self.hit = False
-        self._numpy_df = m.family.bind(NUMPY, m.parameter)[1] if abs_df else None
+        self._m, self._numpy_df = m, None  # bound on first use: a compiled walk needs none
 
     def numpy_add(self, buf: np.ndarray) -> None:
         """Takes the tallies over buf with np.histogram and the NUMPY df:
@@ -320,6 +320,8 @@ class Tally:
         if self.counts is not None:
             self.counts += np.histogram(buf, bins=self.edges)[0]
         if self.df is not None:
+            if self._numpy_df is None:
+                self._numpy_df = self._m.family.bind(NUMPY, self._m.parameter)[1]
             np.abs(self._numpy_df(buf), out=self.df[:len(buf)])
             self.hit = self.hit or bool(np.any(np.abs(buf - self.c) <= self.tol))
 

@@ -156,12 +156,15 @@ def measure_of_intervals(density: DensityEstimate, los, his) -> np.ndarray:
 def _birkhoff_sum(d: np.ndarray) -> float:
     """The sum of ln|Df| over one chunk, from the |Df| values d that the
     walk of orbit_chunks left in its Tally (overwritten by their logs);
-    -inf if a log is not finite.  The log, the finiteness test and the sum
-    stay in numpy: numpy's float64 log is its own SIMD loop, not libm's,
-    and differs from it in the last bit."""
-    with np.errstate(divide="ignore"):
+    -inf if a log is not finite.  A chunk holds at most maps.CHUNK logs, each
+    within +-745, so a sum of finite logs is finite, and a -inf, inf or nan
+    log makes the sum non-finite: one test of the sum tests every log.  The
+    log and the sum stay in numpy: numpy's float64 log is its own SIMD
+    loop, not libm's, and differs from it in the last bit."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # -inf + inf is nan
         np.log(d, out=d)
-    return float(np.sum(d)) if np.all(np.isfinite(d)) else -math.inf
+        s = float(np.sum(d))
+    return s if math.isfinite(s) else -math.inf
 
 
 def lyapunov_birkhoff(m: UnimodalMap, x0: float, n: int,

@@ -18,7 +18,11 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain, starmap
 from typing import Any, Callable, Optional
+
+import numpy as np
 
 from . import maps
 from .errors import NoReversingFixedPoint, PrecisionExhausted, TooShallow
@@ -28,6 +32,9 @@ WIDTH_FLOOR_DOUBLE = 1e-13
 WIDTH_FLOOR_EXTENDED = 1e-18
 DEFAULT_RENORM_SEARCH_PERIOD = 32
 MAX_DEPTH = 8
+# Points in the first block of the double-precision critical-orbit walk;
+# each next block is twice as long, up to maps.CHUNK.
+FIRST_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -68,7 +75,16 @@ class _Binding:
     mpmath binding of its family at 120 bits (constants such as sqrt(a)/2
     included; a custom map has none).  Every step of a nest runs inside
     `context`, so the extended nest does not follow mpmath's global
-    precision."""
+    precision.
+
+    power(n) is the function x -> f^n(x), and walk(x, n) yields the n-point
+    orbit x, f(x), ... in blocks (points, |Df| at each point, in double).
+    In double both are the map's own walk, maps.orbit_fill (the compiled
+    walk, or python_fill over f): power(n) is one call of it, whose
+    returned iterate has the bits of n calls of f, and walk takes blocks of
+    FIRST_BLOCK, 2 FIRST_BLOCK, ... maps.CHUNK points, with |Df| from one
+    maps.Tally per nest.  At 120 bits both step f one point at a time: a
+    block would run hundreds of 120-bit steps past the horizon."""
 
     f: Callable
     inv_left: Callable
@@ -81,12 +97,17 @@ class _Binding:
     bisect_stop: float  # the p bisection stops below this width; 0: at the last bit
     bits: int  # significand bits: 53 or 120
     context: Any  # nullcontext() or mpmath.workprec(bits)
+    power: Callable
+    walk: Callable
 
 
 def _bind(m: UnimodalMap, extended: bool) -> _Binding:
     if not extended:
+        fill, arg = maps.orbit_fill(m)
         return _Binding(m._f, m._inv_left, m._inv_right, float, m.critical_point,
-                        *m.domain, WIDTH_FLOOR_DOUBLE, 1e-14, 53, nullcontext())
+                        *m.domain, WIDTH_FLOOR_DOUBLE, 1e-14, 53, nullcontext(),
+                        partial(_fill_power, fill, arg),
+                        partial(_fill_walk, fill, arg, maps.Tally(m, abs_df=True)))
     import mpmath as mp
     bits = 120  # > 80-bit significand
     context = mp.workprec(bits)
@@ -95,7 +116,38 @@ def _bind(m: UnimodalMap, extended: bool) -> _Binding:
         f, _, inv_left, inv_right = m.family.bind(mpmath_namespace(), num(m.parameter))
         return _Binding(f, inv_left, inv_right, num, num(m.critical_point),
                         num(m.domain[0]), num(m.domain[1]),
-                        WIDTH_FLOOR_EXTENDED, 0.0, bits, context)
+                        WIDTH_FLOOR_EXTENDED, 0.0, bits, context,
+                        partial(_step_power, f), partial(_step_walk, f, m._df))
+
+
+def _fill_power(fill, arg, n: int):
+    buf = np.empty(n)
+    return lambda x: fill(buf, x, arg)
+
+
+def _fill_walk(fill, arg, tally, x, n: int):
+    k = FIRST_BLOCK
+    while n > 0:
+        k = min(k, n)
+        buf = np.empty(k)
+        x = fill(buf, x, arg, tally)
+        yield buf.tolist(), tally.df[:k].tolist()
+        n -= k
+        k = min(2 * k, maps.CHUNK)
+
+
+def _step_power(f, n: int):
+    def g(x):
+        for _ in range(n):
+            x = f(x)
+        return x
+    return g
+
+
+def _step_walk(f, df, x, n: int):
+    for _ in range(n):
+        yield (x,), (abs(df(float(x))),)
+        x = f(x)
 
 
 # ---------------------------------------------------------------------------
@@ -154,15 +206,11 @@ def find_restrictive_interval(m: UnimodalMap):
 
 def _reversing_fixed_point(ar: _Binding, m: UnimodalMap, period: int, T):
     """Fixed point p of g = f^period on its orientation reversing branch,
-    with Dg(p) <= -1, located by bisection."""
+    with Dg(p) <= -1, located by bisection.  g is ar.power(period): in
+    double, one call of the map's walk per evaluation."""
     f, c = ar.f, ar.c
     t_lo, t_hi = ar.num(T[0]), ar.num(T[1])
-
-    def g(x):
-        y = x
-        for _ in range(period):
-            y = f(y)
-        return y
+    g = ar.power(period)
 
     eps = (t_hi - t_lo) * 1e-9
     g_c = g(c)
@@ -183,15 +231,16 @@ def _reversing_fixed_point(ar: _Binding, m: UnimodalMap, period: int, T):
         raise NoReversingFixedPoint(
             f"no fixed point of f^{period} on the reversing branch")
     else:
+        rising, stop = glo > 0, ar.bisect_stop
         for _ in range(200):
             mid = (lo + hi) / 2
             if mid == lo or mid == hi:
                 break
-            if (g(mid) - mid > 0) == (glo > 0):
+            if (g(mid) - mid > 0) == rising:
                 lo = mid
             else:
                 hi = mid
-            if abs(hi - lo) < ar.bisect_stop:
+            if abs(hi - lo) < stop:
                 break
         p = (lo + hi) / 2
     dg = 1.0
@@ -209,7 +258,7 @@ def _reversing_fixed_point(ar: _Binding, m: UnimodalMap, period: int, T):
 # nest construction
 # ---------------------------------------------------------------------------
 
-def _critical_orbit(ar: _Binding, m: UnimodalMap, max_iterates: int):
+def _critical_orbit(ar: _Binding, max_iterates: int):
     """Yield x_t = f^t(c), t = 1, 2, ..., in the binding's precision, and
     return (termination, detail, H or None) at the horizon H, an exact
     repeat or max_iterates.  E_1 = 1, E_{t+1} = |Df(x_t)| E_t + 1 is the
@@ -217,17 +266,20 @@ def _critical_orbit(ar: _Binding, m: UnimodalMap, max_iterates: int):
     (Hammel, Yorke & Grebogi 1987); past H, the first t with E_t > 2^bits,
     the computed orbit need not shadow any true one.  An orbit that repeats
     a point (checked against the point at the last power of two, as in
-    Brent's cycle detection) visits nothing new afterwards."""
-    f, df = ar.f, m._df
+    Brent's cycle detection) visits nothing new afterwards.  The points and
+    their |Df| come from ar.walk: in double, blocks of the map's walk, whose
+    |Df| has the bits of abs(m._df(x))."""
     limit = 2.0 ** ar.bits
-    x, e = f(ar.c), 1.0  # x_1, E_1
-    mark, mark_t = x, 1
-    for t in range(1, max_iterates + 1):
+    pairs = chain.from_iterable(starmap(zip, ar.walk(ar.c, max_iterates + 1)))
+    next(pairs)  # x_0 = c
+    e, mark, mark_t = 1.0, None, 0  # E_1; x_1 becomes the first mark
+    for t, (x, d) in enumerate(pairs, 1):
         if e > limit:
             return ("PrecisionExhausted",
                     f"return time beyond the shadowing horizon at iterate {t}", t)
         if x == mark and t > mark_t:
             # the cycle starts at the first mu with x_mu == x_{mu+period}
+            f = ar.f
             period = t - mark_t
             a = b = f(ar.c)
             for _ in range(period):
@@ -237,11 +289,10 @@ def _critical_orbit(ar: _Binding, m: UnimodalMap, max_iterates: int):
                 a, b, mu = f(a), f(b), mu + 1
             what = f"fixed at {float(a)!r}" if period == 1 else f"periodic with period {period}"
             return ("CriticalNonReturn", f"critical orbit {what} from iterate {mu}", None)
-        if t == 2 * mark_t:
+        if t >= 2 * mark_t:
             mark, mark_t = x, t
         yield x
-        e = abs(df(float(x))) * e + 1.0
-        x = f(x)
+        e = d * e + 1.0
     return ("CriticalNonReturn", f"no return within {max_iterates} iterates", None)
 
 
@@ -264,7 +315,10 @@ def _pullback_level(ar: _Binding, I, sides):
             raise PrecisionExhausted(
                 f"critical-orbit point within tie tolerance of c at pullback step {k} of {steps}")
         bottom, inv = branches[side]
-        a, b = max(J[0], bottom), min(J[1], top)
+        # max(J[0], bottom) and min(J[1], top), as comparisons that return
+        # the same numbers without two builtin calls per step
+        a = bottom if bottom > J[0] else J[0]
+        b = top if top < J[1] else J[1]
         if a > b:
             raise PrecisionExhausted(
                 f"pullback interval left the branch range at step {k} of {steps}")
@@ -308,7 +362,7 @@ def build_nest(m: UnimodalMap, max_depth: int, max_iterates: int, *,
         I_prev = (c, c)
         # the newest level, appended once the next scan has counted its s_n
         interval, v, c_n = None, None, None
-        walk = _critical_orbit(ar, m, max_iterates)
+        walk = _critical_orbit(ar, max_iterates)
         sides = []  # the branch side of each walked point, None within tol of c
         x = next(walk)  # x_t, t = len(sides) + 1
         for n in range(max_depth + 1):

@@ -21,6 +21,7 @@ from kneadlab.maps import (CHUNK, FAMILIES, LEFT, MATH, NUMPY, RIGHT,
                            orbit_fill, python_fill, seeded_start,
                            word_pullback)
 from kneadlab.orbits import lyndon_words
+from nest_checks import REFERENCE_NESTS
 
 
 def logistic_sine_conjugacy(x):
@@ -560,6 +561,31 @@ def test_compiled_abs_df_gives_the_bits_of_the_numpy_df(family, p):
         tally = maps.Tally(m, abs_df=True)
         walk(buf[:1], c, p, tally)
         assert tally.hit is True and tally.df[0] == 0.0
+
+
+@pytest.mark.parametrize("kernel", [True, False], ids=["compiled", "python"])
+@pytest.mark.parametrize("family,p", [(f, p) for f, p, _ in REFERENCE_NESTS])
+def test_walk_abs_df_has_the_bits_of_the_float_df_on_the_critical_orbit(
+        monkeypatch, family, p, kernel):
+    # the double nest's E_{t+1} = |Df(x_t)| E_t + 1 reads |Df| off its
+    # walk's tally, and its horizon H, the first t with E_t > 2^53, depends
+    # on those bits: up to H they are the bits of the map's own float df
+    m = make_map(family, p)
+    if kernel:
+        _compiled_walk(m.family)
+    else:
+        monkeypatch.setattr(maps, "_compiled", {})
+    fill, arg = orbit_fill(m)
+    tally = maps.Tally(m, abs_df=True)
+    buf = np.empty(1024)
+    fill(buf, m.critical_point, arg, tally)
+    xs = buf.tolist()
+    e, t = 1.0, 1
+    while e <= 2.0 ** 53:
+        e = abs(m._df(xs[t])) * e + 1.0
+        t += 1
+    assert 50 < t < len(xs)
+    assert _same_bits(tally.df[:t], [abs(m._df(x)) for x in xs[:t]])
 
 
 def test_compiled_tallies_refuse_buffers_they_cannot_use():

@@ -177,6 +177,40 @@ def test_lyapunov_hit_critical_flag(q2):
     assert est.value == -math.inf
 
 
+def _two_pass_birkhoff_sum(d):
+    with np.errstate(divide="ignore"):
+        logs = np.log(d)
+    return float(np.sum(logs)) if np.all(np.isfinite(logs)) else -math.inf
+
+
+@pytest.mark.filterwarnings("error")  # a sum of -inf and inf logs must not warn
+@pytest.mark.parametrize("special", [None, 0.0, math.inf, math.nan],
+                         ids=["finite", "zero", "inf", "nan"])
+def test_birkhoff_chunk_sum_tests_the_logs_by_their_sum(special):
+    # one test of the sum against a finiteness test of every log: a full
+    # chunk of the extreme finite |Df| (logs near +-745 and 709), then the
+    # special value at the first, a middle and the last point, alone and
+    # with the other two
+    rng = np.random.default_rng(24)
+    tiny, huge = np.nextafter(0.0, 1.0), np.finfo(float).max
+    chunks = [np.full(maps.CHUNK, tiny), np.full(maps.CHUNK, huge),
+              np.exp(rng.uniform(-745.0, 709.0, maps.CHUNK)), np.ones(1), np.empty(0)]
+    if special is not None:
+        base = chunks[2]
+        for where in ([0], [maps.CHUNK // 2], [-1], [0, maps.CHUNK // 2, -1]):
+            d = base.copy()
+            d[where] = special
+            chunks.append(d)
+        mixed = base.copy()
+        mixed[:3] = (0.0, math.inf, math.nan)
+        chunks += [np.array([special]), mixed]
+    for d in chunks:
+        want = _two_pass_birkhoff_sum(d)
+        got = measure._birkhoff_sum(d.copy())
+        assert repr(got) == repr(want)
+        assert math.isfinite(got) == bool(np.all(np.isfinite(d) & (d > 0.0)))
+
+
 # --- critical typicality ------------------------------------------------------
 
 def test_typicality_q2_misiurewicz_failure(q2):

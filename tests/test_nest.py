@@ -328,29 +328,86 @@ def test_level_scans_stop_before_the_horizon():
 
 def test_the_nest_walks_the_critical_orbit_only_as_far_as_its_scans_ask(monkeypatch):
     # at the neutral parameter the computed critical orbit neither leaves
-    # 2^bits behind nor repeats exactly, yet every level returns at 2
-    calls = []
+    # 2^bits behind nor repeats exactly, yet every level returns at 2: the
+    # 120-bit walk steps one point at a time, the double one takes its
+    # first block of FIRST_BLOCK points and no more
+    walked = []
     bind = nest._bind
 
     def counting_bind(m, extended):
         ar = bind(m, extended)
 
-        def f(x):
-            calls.append(1)
-            return ar.f(x)
-        return dataclasses.replace(ar, f=f)
+        def walk(x, n):
+            for points, abs_df in ar.walk(x, n):
+                walked.append(len(points))
+                yield points, abs_df
+        return dataclasses.replace(ar, walk=walk)
 
     monkeypatch.setattr(nest, "_bind", counting_bind)
-    for extended in (False, True):
-        calls.clear()
+    for extended, most in ((False, nest.FIRST_BLOCK), (True, 10)):
+        walked.clear()
         rep = build_nest(make_quadratic(1.5), 4, 10 ** 6, extended_precision=extended)
         assert [lv.v_n for lv in rep.levels] == [2, 2, 2, 2, 2]
         assert rep.shadowing_horizon is None
-        assert len(calls) < 10 ** 3
+        assert sum(walked) <= most
 
 
-def _walk_to_the_end(ar, m):
-    walk = nest._critical_orbit(ar, m, 10 ** 6)
+# the reference maps, and quadratic 2.0 (the critical orbit is fixed at -1
+# from iterate 2), 1.75 (it settles on an attracting 4-cycle) and 1.5
+# (neutral: every level returns at 2)
+WALKED_NESTS = [(f, p) for f, p, _ in REFERENCE_NESTS] + [
+    ("quadratic", 2.0), ("quadratic", 1.75), ("quadratic", 1.5)]
+
+
+def _double_nests(family, p):
+    m = make_map(family, p)
+    return [repr(build_nest(m, depth, 10 ** 6)) for depth in (4, 6)]
+
+
+@pytest.mark.parametrize("family, p", WALKED_NESTS)
+def test_double_nest_is_the_same_with_and_without_the_kernel(monkeypatch, family, p):
+    # the compiled walk against python_fill over f, with the NUMPY |Df|
+    want = _double_nests(family, p)
+    monkeypatch.setattr(maps, "_compiled", {})
+    assert _double_nests(family, p) == want
+
+
+@pytest.mark.parametrize("first_block", [1, 2, 3])
+def test_double_nest_does_not_depend_on_the_walk_blocks(monkeypatch, first_block):
+    # blocks of 1, 2, 4, ..., of 2, 4, 8, ... and of 3, 6, 12, ... points
+    # put horizons, exact repeats and scan ends on block edges
+    want = [_double_nests(f, p) for f, p in WALKED_NESTS]
+    monkeypatch.setattr(nest, "FIRST_BLOCK", first_block)
+    assert [_double_nests(f, p) for f, p in WALKED_NESTS] == want
+
+
+def test_the_double_nest_calls_f_at_no_orbit_point(monkeypatch):
+    # the critical orbit and g = f^period come from the walk of the family
+    # record (compiled, or a walk over the uncounted f where no kernel
+    # builds); f itself gives only the ends of the branch ranges of each
+    # pullback (three per level) and the final Df^period product
+    plain = make_quadratic(1.9)
+    if maps.compiled(maps.QUADRATIC) is None:
+        monkeypatch.setattr(maps, "_compiled", {
+            "quadratic_walk": lambda buf, x, p, tally=None: maps.python_fill(
+                buf, x, plain._f, tally)})
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return plain._f(x)
+
+    m = dataclasses.replace(plain, _f=f)  # its unimodality check calls f
+    calls.clear()
+    rep = build_nest(m, 6, 10 ** 6)
+    assert rep == build_nest(plain, 6, 10 ** 6)
+    assert ([lv.v_n for lv in rep.levels], rep.renormalization_period) == ([3, 3, 8], 1)
+    assert rep.termination_detail == "return time beyond the shadowing horizon at iterate 90"
+    assert len(calls) == 3 * 3 + 1  # the pullbacks to I_1, I_2 and I_3, and Df^1
+
+
+def _walk_to_the_end(ar):
+    walk = nest._critical_orbit(ar, 10 ** 6)
     points = []
     while True:
         try:
@@ -366,7 +423,7 @@ def test_horizon_counts_the_amplified_rounding(q19):
         e = abs(q19._df(x)) * e + 1.0
         x = q19._f(x)
         t += 1
-    points, (end, detail, horizon) = _walk_to_the_end(nest._bind(q19, False), q19)
+    points, (end, detail, horizon) = _walk_to_the_end(nest._bind(q19, False))
     assert (len(points), end, horizon) == (t - 1, "PrecisionExhausted", t)
     assert detail == f"return time beyond the shadowing horizon at iterate {t}"
 
@@ -384,7 +441,7 @@ def test_exact_cycle_bounds_the_scan():
     m = make_quadratic(1.75)
     ar = nest._bind(m, True)
     with ar.context:
-        points, (end, detail, horizon) = _walk_to_the_end(ar, m)
+        points, (end, detail, horizon) = _walk_to_the_end(ar)
         first, x, t = {}, ar.f(ar.c), 1
         while x not in first:
             first[x] = t

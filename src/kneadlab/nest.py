@@ -33,8 +33,10 @@ WIDTH_FLOOR_EXTENDED = 1e-18
 DEFAULT_RENORM_SEARCH_PERIOD = 32
 MAX_DEPTH = 8
 # Points in the first block of the double-precision critical-orbit walk;
-# each next block is twice as long, up to maps.CHUNK.
-FIRST_BLOCK = 64
+# each next block is twice as long, up to maps.CHUNK.  At the chaotic
+# maps of the benchmark's pools the shadowing horizon of a double nest is
+# 55-117 points, so a nest there walks one block.
+FIRST_BLOCK = 128
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,19 @@
 /* The orbit walks of the built-in map families, compiled, with the tallies
  * of the seeded pass taken as they step.
  *
- * <family>_walk(buf, x, p) writes x, f(x), f^2(x), ... into the float64
- * buffer buf and returns the next iterate, with the IEEE operations of the
- * family's float f (its bind in maps.py) in their order, so it gives the
- * bits of maps.python_fill over that f; that needs -ffp-contract=off, for
- * a fused multiply-add rounds once where the Python loop rounds twice.
+ * <family>_walk(buf, x, p) writes x, f(x), f^2(x), ... into buf and
+ * returns the next iterate, with the IEEE operations of the family's float
+ * f (its bind in maps.py) in their order, so it gives the bits of
+ * maps.python_fill over that f; that needs -ffp-contract=off, for a fused
+ * multiply-add rounds once where the Python loop rounds twice.
  * <family>_walk(buf, x, p, tally) also takes the tallies that the
  * maps.Tally tally asks for, with the counts and bits of Tally.numpy_add,
  * in the loop iteration that writes each point: the step is a chain of
  * dependent operations whose latency leaves the core's other units idle,
- * and the tallies, which no later step reads, run in that shadow.
+ * and the tallies, which no later step reads, run in that shadow.  Every
+ * array, buf and the tally's edges, counts and df, is a 1-d C-contiguous
+ * float64 buffer, writable but for edges, as maps.py allocates them; the
+ * counts are whole floats, exact below 2^53.
  * maps.py builds this file on first use; see _load_kernel there.
  */
 #define PY_SSIZE_T_CLEAN
@@ -25,25 +28,18 @@
 #define INLINE static inline
 #endif
 
-/* Exports obj as a 1-d buffer of float64 (or of int64 when integer is
- * set), writable when writable is set.  Returns 0, or -1 with an
- * exception set and nothing exported. */
+/* Exports obj as a 1-d C-contiguous buffer of float64, writable when
+ * writable is set: the exporter refuses a strided or read-only array.
+ * Returns 0, or -1 with an exception set and nothing exported. */
 static int
-get_vector(PyObject *obj, Py_buffer *view, int integer, int writable, const char *what)
+get_vector(PyObject *obj, Py_buffer *view, int writable, const char *what)
 {
-    if (PyObject_GetBuffer(obj, view, PyBUF_RECORDS_RO) < 0)
+    int flags = PyBUF_C_CONTIGUOUS | PyBUF_FORMAT | (writable ? PyBUF_WRITABLE : 0);
+    if (PyObject_GetBuffer(obj, view, flags) < 0)
         return -1;
-    if (writable && view->readonly) {
+    if (view->ndim != 1 || strcmp(view->format, "d") != 0) {
         PyBuffer_Release(view);
-        PyErr_Format(PyExc_BufferError, "%s is read-only", what);
-        return -1;
-    }
-    const char *f = view->format;
-    if (view->ndim != 1 || view->itemsize != 8
-            || (integer ? strcmp(f, "l") != 0 && strcmp(f, "q") != 0 : strcmp(f, "d") != 0)) {
-        PyBuffer_Release(view);
-        PyErr_Format(PyExc_TypeError, "%s must be 1-d %s", what,
-                     integer ? "int64" : "float64");
+        PyErr_Format(PyExc_TypeError, "%s must be 1-d float64", what);
         return -1;
     }
     return 0;
@@ -80,10 +76,9 @@ release_tallies(Tallies *t)
     PyBuffer_Release(&t->df);
 }
 
-/* Reads what tally asks for into t: counts (int64, with float64 edges one
- * longer) unless it is None, and df (float64, at least n long, with the
- * floats c and tol) unless it is None.  Returns 0, or -1 with an
- * exception set and nothing exported. */
+/* Reads what tally asks for into t: counts (with edges one longer) unless
+ * it is None, and df (at least n long, with the floats c and tol) unless it
+ * is None.  Returns 0, or -1 with an exception set and nothing exported. */
 static int
 get_tallies(PyObject *tally, Py_ssize_t n, Tallies *t)
 {
@@ -94,7 +89,7 @@ get_tallies(PyObject *tally, Py_ssize_t n, Tallies *t)
         PyObject *v = PyObject_GetAttrString(tally, names[j]);
         if (v == NULL)
             goto fail;
-        int refused = v != Py_None && get_vector(v, views[j], j == 1, j > 0, names[j]) < 0;
+        int refused = v != Py_None && get_vector(v, views[j], j > 0, names[j]) < 0;
         Py_DECREF(v);
         if (refused)
             goto fail;
@@ -164,30 +159,27 @@ step(enum family family, const double *k, double x, double *d)
 INLINE double
 walk_loop(enum family family, const double *k, Py_buffer *buf, double x, Tallies *t)
 {
-    char *out = buf->buf, *df = t && t->df.obj ? t->df.buf : NULL;
-    const Py_ssize_t nb = t && t->counts.obj ? t->counts.shape[0] : 0;
-    char *edges = nb ? t->edges.buf : NULL, *counts = nb ? t->counts.buf : NULL;
-    const Py_ssize_t n = buf->shape[0], s_out = buf->strides[0];
-    const Py_ssize_t s_df = df ? t->df.strides[0] : 0;
-    const Py_ssize_t s_e = nb ? t->edges.strides[0] : 0, s_c = nb ? t->counts.strides[0] : 0;
-    const double lo = nb ? *(double *)edges : 0.0;
-    const double hi = nb ? *(double *)(edges + nb * s_e) : 0.0;
+    double *out = buf->buf, *df = t && t->df.obj ? t->df.buf : NULL;
+    const Py_ssize_t n = buf->shape[0], nb = t && t->counts.obj ? t->counts.shape[0] : 0;
+    const double *edges = nb ? t->edges.buf : NULL;
+    double *counts = nb ? t->counts.buf : NULL;
+    const double lo = nb ? edges[0] : 0.0, hi = nb ? edges[nb] : 0.0;
     const double scale = nb ? (double)nb / (hi - lo) : 0.0;
     const double c = df ? t->c : 0.0, tol = df ? t->tol : 0.0;
     int hit = 0;
     for (Py_ssize_t j = 0; j < n; j++) {
-        *(double *)(out + j * s_out) = x;
-        const double y = step(family, k, x, df ? (double *)(df + j * s_df) : NULL);
+        out[j] = x;
+        const double y = step(family, k, x, df ? df + j : NULL);
         if (df)
             hit |= fabs(x - c) <= tol;
         if (nb && x >= lo && x <= hi) {
             const double r = (x - lo) * scale;
             Py_ssize_t i = r < (double)nb ? (Py_ssize_t)r : nb - 1;
-            while (i > 0 && x < *(double *)(edges + i * s_e))
+            while (i > 0 && x < edges[i])
                 i--;
-            while (i < nb - 1 && x >= *(double *)(edges + (i + 1) * s_e))
+            while (i < nb - 1 && x >= edges[i + 1])
                 i++;
-            (*(int64_t *)(counts + i * s_c))++;
+            counts[i] += 1.0;
         }
         x = y;
     }
@@ -211,7 +203,7 @@ walk(PyObject *const *args, Py_ssize_t nargs, enum family family)
         return NULL;
     }
     if (get_double(args[1], NULL, &x) < 0 || get_double(args[2], NULL, &p) < 0
-            || get_vector(args[0], &buf, 0, 1, "walk buffer") < 0)
+            || get_vector(args[0], &buf, 1, "walk buffer") < 0)
         return NULL;
     PyObject *tally = nargs == 4 && args[3] != Py_None ? args[3] : NULL;
     Tallies *tp = tally != NULL ? &t : NULL;

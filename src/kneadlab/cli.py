@@ -153,7 +153,7 @@ def build_parser() -> _Parser:
     _add_map_args(p)
     p.add_argument("--nest-level", type=_count, default=1)
     p.add_argument("--max-generation", type=_count, default=14)
-    p.add_argument("--p", default="1,2,4", help="comma-separated L^p exponents")
+    p.add_argument("--p", type=_floats, default="1,2,4", help="comma-separated L^p exponents")
     p.add_argument("--samples", type=_count, default=10 ** 6)
     p.add_argument("--bins", type=_count, default=512)
     p.add_argument("--max-iterates", type=_count, default=10 ** 6)
@@ -352,16 +352,15 @@ def _run(args) -> int:
         gaps = gap_family(m, args.nest_level, args.max_generation,
                           max_iterates=args.max_iterates)
         density = estimate_density(m, args.samples, args.bins, args.seed)
-        p_list = [float(p) for p in args.p.split(",") if p]
         import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            rep = regularized_density_report(gaps, density, p_list)
+            rep = regularized_density_report(gaps, density, args.p)
         _emit_json({"nest_level": args.nest_level,
                     "max_generation": args.max_generation,
                     "gap_count": len(gaps),
                     "base_interval": list(gaps.base_interval),
-                    "lp_norms": {repr(p): rep.lp_norms[p] for p in p_list},
+                    "lp_norms": {repr(p): rep.lp_norms[p] for p in args.p},
                     "slope": rep.slope,
                     "coverage": rep.coverage,
                     "gaps_below_bin_resolution": rep.gaps_below_bin_resolution,

@@ -90,6 +90,11 @@ class ExperimentConfig:
         for w in self.words:
             if not w or set(w) - {"0", "1"}:
                 raise ValueError(f"word {w!r} must be nonempty over 0 and 1")
+        # the zeta series diverges for |z| >= 1 at every map; the bound
+        # that depends on the map (its least expansion rate) is a run failure
+        for z in self.zeta_z_values:
+            if not abs(z) < 1.0:
+                raise ValueError(f"zeta z value {z!r} must be finite with |z| < 1")
         return make_map(self.map_family, self.map_parameter)  # family + range check
 
 

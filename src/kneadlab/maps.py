@@ -26,6 +26,11 @@ DOMAIN_SLACK = 1e-12
 DEFAULT_BURN_IN = 1000
 # Points per orbit_chunks buffer.
 CHUNK = 1 << 16
+# Points per branch where construction samples a map's monotonicity.
+MONOTONE_SAMPLES = 33
+# Most steps of a custom map's bisection inverse, which also stops once no
+# float lies strictly between the bracket's ends.
+BISECT_STEPS = 110
 
 LEFT = 0
 RIGHT = 1
@@ -81,7 +86,7 @@ class OrbitSegment:
         return len(self.points)
 
 
-def _validate_unimodal(m: UnimodalMap, samples: int = 33) -> None:
+def _validate_unimodal(m: UnimodalMap) -> None:
     l, r = m.domain
     for x in (l, r):
         y = m._f(x)
@@ -97,7 +102,7 @@ def _validate_unimodal(m: UnimodalMap, samples: int = 33) -> None:
         raise ValueError("derivative at the critical point must vanish")
     c = m.critical_point
     for a, b, sign in ((l, c, 1.0), (c, r, -1.0)):
-        xs = np.linspace(a, b, samples)
+        xs = np.linspace(a, b, MONOTONE_SAMPLES)
         ys = np.array([m._f(float(x)) for x in xs])
         if np.any(sign * np.diff(ys) <= 0.0):
             raise ValueError("sampled monotonicity check failed on a branch")
@@ -153,12 +158,11 @@ class MapFamily:
 # 510 ns against 604 ns with an attribute lookup per call), and takes the
 # constants of f and the inverses from ns.num once (a 120-bit logistic f:
 # 4.6 us against 9.9 us: mpmath converts a float operand every time).  Per
-# point of a 65,536-point buffer, best of 41 calls: the compiled walks 4.8,
-# 3.8 and 57 ns (quadratic, logistic, sine: libm's sin and asin), 5.4, 5.2
-# and 62 ns with the 512-bin histogram and |Df| taken in the same loop, where
-# a fill and two passes took 9.3, 8.5 and 110 ns; python_fill 100, 91 and
-# 427 ns (a memoryview saves 20 ns against numpy item assignment), and its
-# numpy tallies 15-70 ns more.
+# point of a 65,536-point buffer, best of 401 calls: the compiled walks 4.6,
+# 3.5 and 56 ns (quadratic, logistic, sine: libm's sin and asin), 4.7, 3.8
+# and 59 ns with the 512-bin histogram and |Df| taken in the same loop;
+# python_fill 100, 91 and 427 ns (a memoryview saves 20 ns against numpy
+# item assignment), and its numpy tallies 15-70 ns more.
 
 def _quadratic(ns, tau):
     """q_tau(x) = tau - 1 - tau*x^2 on [-1, 1], critical point 0."""
@@ -301,14 +305,16 @@ _compiled = None  # the kernel's names, once loaded ({} without a kernel)
 
 class Tally:
     """What a walk of orbit_chunks adds up over each chunk as it steps:
-    counts, the histogram of the points over edges (when edges is given);
-    with abs_df, df[:k], |Df| at each point of the last k-point chunk, and
-    hit, whether some point lay within tol of c.  Burn-in is not tallied.
-    The compiled walks of _kernel.c read and set these attributes by name."""
+    counts, the histogram of the points over edges (when edges is given),
+    in float64, exact below 2^53 points; with abs_df, df[:k], |Df| at each
+    point of the last k-point chunk, and hit, whether some point lay within
+    tol of c.  Burn-in is not tallied.  The compiled walks of _kernel.c read
+    and set these attributes by name, and take edges, counts and df only as
+    1-d C-contiguous float64 arrays."""
 
     def __init__(self, m: UnimodalMap, edges=None, abs_df: bool = False):
         self.edges = edges
-        self.counts = None if edges is None else np.zeros(len(edges) - 1, dtype=np.int64)
+        self.counts = None if edges is None else np.zeros(len(edges) - 1)
         self.df = np.empty(CHUNK) if abs_df else None
         self.c, self.tol = m.critical_point, TIE_TOLERANCE
         self.hit = False
@@ -339,24 +345,20 @@ def python_fill(buf, x, f, tally: Optional[Tally] = None):
     return x
 
 
-def compiled(family: MapFamily) -> Optional[Callable]:
-    """The family's walk from _kernel.c, the compiled twin of python_fill
-    over its float f and of Tally.numpy_add; None without a kernel, and
-    for a record that is not the built-in FAMILIES[family.name] itself."""
+def orbit_fill(m: UnimodalMap) -> tuple[Callable, object]:
+    """(fill, arg), the float orbit walk fill(buf, x, arg, tally=None) of m:
+    its family's walk from _kernel.c, the compiled twin of python_fill over
+    its float f and of Tally.numpy_add, and its parameter; else, without a
+    kernel or for a record that is not the built-in FAMILIES[name] itself,
+    python_fill and its f."""
     global _compiled
     if _compiled is None:
         kernel = _load_kernel()
         _compiled = {} if kernel is None else vars(kernel)
-    if FAMILIES.get(family.name) is not family:
-        return None
-    return _compiled.get(f"{family.name}_walk")
-
-
-def orbit_fill(m: UnimodalMap) -> tuple[Callable, object]:
-    """(fill, arg), the float orbit walk fill(buf, x, arg, tally=None) of m:
-    its family's compiled walk and parameter, else python_fill and its f."""
-    fill = compiled(m.family)
-    return (python_fill, m._f) if fill is None else (fill, m.parameter)
+    fill = _compiled.get(f"{m.family.name}_walk")
+    if fill is None or FAMILIES.get(m.family.name) is not m.family:
+        return python_fill, m._f
+    return fill, m.parameter
 
 
 def _compiler() -> list[str]:
@@ -550,8 +552,8 @@ def branch_range(m: UnimodalMap, side: int) -> tuple[float, float]:
     return (m._f(m.domain[side != LEFT]), m.critical_value)
 
 
-def _bisect_monotone(f, y, lo, hi, increasing, iters=110):
-    for _ in range(iters):
+def _bisect_monotone(f, y, lo, hi, increasing):
+    for _ in range(BISECT_STEPS):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break

@@ -123,8 +123,8 @@ def _seeded_pass(m: UnimodalMap, n: int, bin_count: int, seed, *,
         if birkhoff:
             sums.append(_birkhoff_sum(tally.df[:len(buf)]))
         _count_visits(buf, intervals, counts)
-    # every count is below 2^53, so hist and its sum are exact
-    hist = tally.counts.astype(float)
+    # every count is below 2^53, so the float counts and their sum are exact
+    hist = tally.counts
     density = DensityEstimate(edges, hist / hist.sum(), n, seed,
                               m.family_tag, m.parameter, DEFAULT_BURN_IN)
     lyap = LyapunovEstimate(math.fsum(sums) / n, tally.hit, n) if birkhoff else None
@@ -433,10 +433,15 @@ def regularized_density_report(gaps: GapFamily, density: DensityEstimate,
     ln mu_hat vs ln|gap| fit slope (the Main-Estimate-style diagnostic).
 
     Gaps narrower than a histogram bin are under-resolved by construction;
-    they are counted and flagged, no correction is applied.
+    they are counted and flagged, no correction is applied.  An exponent p
+    that is not finite and positive, which has no L^p norm, raises
+    ValueError.
     """
     if (gaps.family_tag, gaps.parameter) != (density.family_tag, density.parameter):
         raise ValueError("gaps and density must come from the same map")
+    for p in p_list:
+        if not (math.isfinite(p) and p > 0.0):
+            raise ValueError(f"L^p exponent p = {p!r} must be finite and positive")
     w = gaps.widths
     mu = measure_of_intervals(density, gaps.gap_lo, gaps.gap_hi)
     with np.errstate(divide="ignore", invalid="ignore"):

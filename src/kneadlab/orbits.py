@@ -24,6 +24,10 @@ CYLINDER_WIDTH_TOL = 1e-13
 EMPTY_WIDTH_TOL = 1e-15
 MAX_POWERS = 60
 POLISH_STEPS = 200
+# Evenly spaced points at which _bracket_scan looks for a sign change.
+BRACKET_POINTS = 65
+# An orbit point this close to an end of the domain is not interior.
+INTERIOR_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -44,9 +48,9 @@ class PeriodicOrbit:
     def exponent(self) -> float:
         return self.exponent_sign * math.exp(self.exponent_log_abs)
 
-    def is_interior(self, m: UnimodalMap, slack: float = 1e-9) -> bool:
+    def is_interior(self, m: UnimodalMap) -> bool:
         l, r = m.domain
-        return all(l + slack < x < r - slack for x in self.points)
+        return all(l + INTERIOR_SLACK < x < r - INTERIOR_SLACK for x in self.points)
 
 
 @dataclass
@@ -64,12 +68,13 @@ class EnumerationResult:
 
 
 def lyndon_words(max_len: int):
-    """Binary Lyndon words of length <= max_len (Duval's algorithm).
+    """Binary Lyndon words of length <= max_len (Duval's algorithm); none
+    for max_len < 1.
 
     These are exactly the lexicographically-least rotations of irreducible
     necklaces, so each periodic orbit is attempted once.
     """
-    w = [-1]
+    w = [-1] if max_len >= 1 else []
     while w:
         w[-1] += 1
         yield SymbolWord(tuple(w))
@@ -80,13 +85,14 @@ def lyndon_words(max_len: int):
             w.pop()
 
 
-def _bracket_scan(g, lo, hi, points=65):
-    """A sign-change bracket inside [lo, hi], preferring the middle."""
-    xs = np.linspace(lo, hi, points)
+def _bracket_scan(g, lo, hi):
+    """A sign-change bracket inside [lo, hi], preferring the middle of
+    BRACKET_POINTS evenly spaced points."""
+    xs = np.linspace(lo, hi, BRACKET_POINTS)
     vals = [g(float(x)) for x in xs]
-    mid = (points - 1) // 2
+    mid = (BRACKET_POINTS - 1) // 2
     best = None
-    for i in range(points - 1):
+    for i in range(BRACKET_POINTS - 1):
         if vals[i] == 0.0:
             return (float(xs[i]), float(xs[i]), 0.0, 0.0)
         if vals[i] * vals[i + 1] < 0.0:
@@ -257,8 +263,8 @@ def enumerate_periodic(m: UnimodalMap, max_period: int,
     pool of at most one process per word and CPU and merge in word order.
     The workers rebuild the map with make_map: a custom map runs serially.
     """
-    if max_period > 20:
-        raise ValueError("max_period <= 20 required")
+    if not 1 <= max_period <= 20:
+        raise ValueError("1 <= max_period <= 20 required")
     words = [str(w) for w in lyndon_words(max_period)]
     workers = min(workers, len(words), os.cpu_count() or 1)
     if workers > 1 and m.family_tag in FAMILIES:

@@ -317,9 +317,24 @@ def test_cli_rejects_the_sine_tent_parameter(capsys):
         "message": "sine family requires 0.0 < parameter <= 3.9999999999999996"}
 
 
-def test_cli_verify_zeta_non_finite_z_is_not_a_pass(capsys):
+@pytest.mark.parametrize("z", ["nan", "inf", "1.5", "-1", "0.25,1"])
+def test_cli_verify_zeta_rejects_a_z_outside_the_unit_disc(capsys, z):
+    # the zeta series diverges there at every map: the config is refused
     assert main(["verify", "zeta", "--map", "quadratic", "--param", "2.0",
-                 "--max-period", "4", "--z", "nan"]) == 2
+                 "--max-period", "4", "--z", z]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    bad = float(z.split(",")[-1])
+    assert _strict_loads(captured.err) == {
+        "error": "ValueError", "message": f"zeta z value {bad!r} must be finite with |z| < 1"}
+
+
+def test_cli_verify_zeta_beyond_the_least_expansion_rate_fails(capsys):
+    # logistic 3.5 has an orbit of period 4 with |Df^4| = 0.03, so its least
+    # expansion rate is 0.42: z = 0.5 lies in the unit disc but the bound
+    # that depends on the map refuses it, and the run fails
+    assert main(["verify", "zeta", "--map", "logistic", "--param", "3.5",
+                 "--max-period", "4", "--z", "0.5"]) == 2
     report = json.loads(capsys.readouterr().out)
     assert report["verdict"] == "fail"
     assert report["failures"][0]["error"] == "DivergentInput"
@@ -461,7 +476,14 @@ def test_cli_bins_are_capped(capsys, monkeypatch, tmp_path, argv, message):
      "gap_max_generation must be in 0..26: theorem-c also builds "
      "generation gap_max_generation + 4 <= 30"),
     (["verify", "nest-lyapunov", "--max-depth", "-1"], "nest_max_depth must be in 0..8"),
-    (["zeta", "--max-period", "0", "--z", "0.1"], "max_period >= 1 required"),
+    (["zeta", "--max-period", "0", "--z", "0.1"], "1 <= max_period <= 20 required"),
+    (["zeta", "--max-period", "-3", "--z", "0.1"], "1 <= max_period <= 20 required"),
+    (["gaps", "--max-generation", "6", "--samples", "1e5", "--p", "0"],
+     "L^p exponent p = 0.0 must be finite and positive"),
+    (["gaps", "--max-generation", "6", "--samples", "1e5", "--p", "1,-1"],
+     "L^p exponent p = -1.0 must be finite and positive"),
+    (["gaps", "--max-generation", "6", "--samples", "1e5", "--p", "nan"],
+     "L^p exponent p = nan must be finite and positive"),
 ])
 def test_cli_rejects_out_of_range_sizes(capsys, argv, message):
     assert main(argv + ["--map", "quadratic", "--param", "1.9"]) == 1
@@ -612,13 +634,16 @@ def test_cli_integer_options_share_one_count_parser(capsys, argv, option, dest):
             f"expected a finite integer such as 12 or 1e6, got {text!r}\n")
 
 
-def test_cli_z_list_that_is_not_numbers_names_no_private_function(capsys):
-    for z in ("abc", "0.25,abc"):
-        assert main(["verify", "zeta", "--map", "quadratic", "--param", "2.0",
-                     "--max-period", "4", "--z", z]) == 1
+@pytest.mark.parametrize("command, option", [
+    (["verify", "zeta", "--max-period", "4"], "--z"),
+    (["gaps", "--max-generation", "6", "--samples", "1e5"], "--p")])
+def test_cli_number_list_that_is_not_numbers_names_no_private_function(capsys, command,
+                                                                       option):
+    for text in ("abc", "0.25,abc"):
+        assert main(command + ["--map", "quadratic", "--param", "2.0", option, text]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: argument --z: expected a number, got 'abc'\n"
+        assert captured.err == f"error: argument {option}: expected a number, got 'abc'\n"
         assert "_floats" not in captured.err and "_count" not in captured.err
 
 
@@ -684,8 +709,11 @@ def _cli_argvs(draw):
         argv += ["--word", draw(st.sampled_from(["1", "10", "100", "11", "c", ""]))]
     elif command == "zeta":
         argv += ["--z", draw(st.sampled_from(["0.25", "2", "nan", ""]))]
-    elif command in ("measure", "gaps"):
-        argv += ["--samples", "1e5"] + (["--format", "json"] if command == "measure" else [])
+    elif command == "measure":
+        argv += ["--samples", "1e5", "--format", "json"]
+    elif command == "gaps":
+        argv += ["--samples", "1e5", "--p",
+                 draw(st.sampled_from(["1,2,4", "0", "-1", "nan", "abc"]))]
     elif command == "verify":
         argv += ["--z", draw(st.sampled_from(["0.25", "0.25,0.5", ",", "nan"]))]
     return argv

@@ -324,9 +324,9 @@ def test_fill_matches_the_bound_step(m):
 
 # --- the compiled walks of _kernel.c --------------------------------------
 
-def _compiled_walk(family):
-    walk = maps.compiled(family)
-    if walk is None:
+def _compiled_walk(m):
+    walk = orbit_fill(m)[0]
+    if walk is python_fill:
         pytest.skip("the compiled kernel cannot be built with this Python")
     return walk
 
@@ -343,9 +343,8 @@ def test_compiled_fill_gives_the_bits_of_the_python_fill(family, p):
     # x = f(x) chain): chained full chunks and a partial one, and the
     # period-sized buffers of the polish (lengths 0, 1 and 2), from the
     # same starts
-    record = FAMILIES[family]
-    compiled = _compiled_walk(record)
-    m = record.make(p)
+    m = FAMILIES[family].make(p)
+    compiled = _compiled_walk(m)
     assert orbit_fill(m) == (compiled, p)
     for x0 in (m.critical_point, *m.domain, seeded_start(m, 3), seeded_start(m, 4)):
         for sizes in ((CHUNK, CHUNK, CHUNK, 1234), (0, 1, 2, 1, 0, 2)):
@@ -363,74 +362,65 @@ def test_compiled_fill_gives_the_bits_of_the_python_fill(family, p):
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_compiled_fill_refuses_buffers_it_cannot_write(family):
-    record = FAMILIES[family]
-    compiled = _compiled_walk(record)
+    # the walk takes a 1-d C-contiguous writable float64 buffer only; numpy
+    # refuses to export a strided or read-only array as one
+    m = FAMILIES[family].make(1.9)
+    compiled = _compiled_walk(m)
     frozen = np.full(4, 0.25)
     frozen.flags.writeable = False
+    wide = np.full(8, 0.25)
     for buf, error in ((np.full(4, 0.25, dtype=np.float32), TypeError),
+                       (np.full(4, 1, dtype=np.int64), TypeError),
                        (np.full((2, 2), 0.25), TypeError),
                        (bytearray(32), TypeError),
-                       (frozen, BufferError)):
-        before = bytes(memoryview(buf))
+                       (wide[::2], ValueError),
+                       (frozen, ValueError)):
+        before = bytes(memoryview(wide)), bytes(memoryview(buf))
         with pytest.raises(error):
             compiled(buf, 0.3, 1.9)
-        assert bytes(memoryview(buf)) == before
+        assert (bytes(memoryview(wide)), bytes(memoryview(buf))) == before
     for args in ((np.empty(4), 0.3), (np.empty(4), 0.3, 1.9, None, None)):
         with pytest.raises(TypeError):
             compiled(*args)
-    # a strided buffer is written where python_fill writes it; a tally of
-    # None takes no tallies
-    got, want = np.zeros(9), np.zeros(9)
-    assert compiled(got[::2], 0.3, 1.9, None) == \
-        python_fill(want[::2], 0.3, record.make(1.9)._f)
+    # a tally of None takes no tallies
+    got, want = np.zeros(4), np.zeros(4)
+    assert compiled(got, 0.3, 1.9, None) == python_fill(want, 0.3, m._f)
     assert _same_bits(got, want)
 
 
 def test_compiled_twins_belong_to_the_built_in_records_only():
     custom = make_custom(lambda x: 3.8 * x * (1.0 - x), lambda x: 3.8 - 7.6 * x,
                          (0.0, 1.0), 0.5)
-    assert maps.compiled(custom.family) is None
+    assert orbit_fill(custom) == (python_fill, custom._f)
     for name, record in FAMILIES.items():
-        assert _compiled_walk(record) is maps._compiled[f"{name}_walk"]
+        assert _compiled_walk(record.make(1.9)) is maps._compiled[f"{name}_walk"]
         # a copy of the record, with the same name, or one whose bind was
         # replaced, walks its own f
         wrapped = replace(record, bind=lambda ns, p, bind=record.bind: bind(ns, p))
         for other in (replace(record), wrapped):
-            assert maps.compiled(other) is None
             m = replace(record.make(1.9), family=other)
             assert orbit_fill(m) == (python_fill, m._f)
 
 
 # --- the tallies the compiled walks take as they step ----------------------
 
-def _tally_twins(m, edges=None, abs_df=False, strided=False):
+def _tally_twins(m, edges=None, abs_df=False):
     """Two fresh Tally records of m, for the compiled and the reference
-    walk; strided ones hold every other item of larger arrays."""
-    twins = []
-    for _ in range(2):
-        t = maps.Tally(m, edges, abs_df)
-        if strided:
-            for name in ("edges", "counts", "df"):
-                a = getattr(t, name)
-                if a is not None:
-                    wide = np.zeros(2 * len(a), dtype=a.dtype)
-                    wide[::2] = a
-                    setattr(t, name, wide[::2])
-        twins.append(t)
-    return twins
+    walk."""
+    return [maps.Tally(m, edges, abs_df) for _ in range(2)]
 
 
-def _walk_twins(m, x0, sizes, tallies, strided=False):
+def _walk_twins(m, x0, sizes, tallies):
     """Walks chunks of the given sizes from x0 with the compiled walk and
     with python_fill, each with its own tally of tallies, and asserts after
     each chunk that the points, the next iterate, the histogram counts,
     the |Df| values and the hit flag have the same bits."""
-    sides = ((_compiled_walk(m.family), m.parameter), (python_fill, m._f))
+    sides = ((_compiled_walk(m), m.parameter), (python_fill, m._f))
     xs = [x0, x0]
     for k in sizes:
         bufs = []
         for j, ((walk, arg), tally) in enumerate(zip(sides, tallies)):
-            buf = np.full(2 * k, -7.0)[::2] if strided else np.full(k, -7.0)
+            buf = np.full(k, -7.0)
             xs[j] = walk(buf, xs[j], arg, tally)
             bufs.append(buf)
         got, want = tallies
@@ -447,17 +437,15 @@ def _walk_twins(m, x0, sizes, tallies, strided=False):
 @pytest.mark.parametrize("family,p", [
     ("quadratic", 2.0), ("logistic", 4.0), ("sine", math.nextafter(4.0, 0.0)),
     ("quadratic", 1.9), ("logistic", 3.9), ("sine", 3.9)])
-@pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
-def test_compiled_walk_tallies_as_the_python_walk(family, p, strided):
+def test_compiled_walk_tallies_as_the_python_walk(family, p):
     # chunk splits with a zero-length chunk, from starts that include c
     # (a hit at the first point) and the domain's ends
     m = FAMILIES[family].make(p)
     edges = np.linspace(*m.domain, 257)
     for x0 in (m.critical_point, *m.domain, seeded_start(m, 3)):
-        for tallies in (_tally_twins(m, edges, True, strided),
-                        _tally_twins(m, edges, False, strided),
-                        _tally_twins(m, None, True, strided)):
-            _walk_twins(m, x0, (CHUNK, 0, 1, 1234, 2), tallies, strided)
+        for tallies in (_tally_twins(m, edges, True), _tally_twins(m, edges, False),
+                        _tally_twins(m, None, True)):
+            _walk_twins(m, x0, (CHUNK, 0, 1, 1234, 2), tallies)
             if tallies[1].counts is not None:
                 assert tallies[0].counts.sum() == CHUNK + 1237
 
@@ -507,7 +495,7 @@ def test_compiled_histogram_counts_as_numpy_histogram(bins):
         # the edges, the points below them and the rest fill three tallies,
         # so that a point of one kind put one bin off cannot hide behind a
         # point of another kind put one bin off the other way
-        walk, buf = _compiled_walk(m.family), np.empty(1)
+        walk, buf = _compiled_walk(m), np.empty(1)
         for edges in uniform:
             sides = edges if bins <= 512 else edges[::64]
             kinds = (sides, np.nextafter(sides, -np.inf),
@@ -537,8 +525,8 @@ def _near_points(m):
     ("sine", 3.9), ("sine", math.nextafter(4.0, 0.0))])
 def test_compiled_abs_df_gives_the_bits_of_the_numpy_df(family, p):
     record = FAMILIES[family]
-    walk = _compiled_walk(record)
     m = record.make(p)
+    walk = _compiled_walk(m)
     c, tol = m.critical_point, maps.TIE_TOLERANCE
     df = record.bind(NUMPY, p)[1]
     # the seeded orbit, 16 chunks and 10^6 points in all, against the NUMPY
@@ -572,7 +560,7 @@ def test_walk_abs_df_has_the_bits_of_the_float_df_on_the_critical_orbit(
     # on those bits: up to H they are the bits of the map's own float df
     m = make_map(family, p)
     if kernel:
-        _compiled_walk(m.family)
+        _compiled_walk(m)
     else:
         monkeypatch.setattr(maps, "_compiled", {})
     fill, arg = orbit_fill(m)
@@ -590,30 +578,35 @@ def test_walk_abs_df_has_the_bits_of_the_float_df_on_the_critical_orbit(
 
 def test_compiled_tallies_refuse_buffers_they_cannot_use():
     # each refused tally leaves the walk's buffer and every tally buffer
-    # unwritten, and its hit flag unset
+    # unwritten, and its hit flag unset; numpy refuses to export a strided
+    # array, or a read-only one as writable
     edges = np.linspace(0.0, 1.0, 5)
-    frozen_counts = np.zeros(4, dtype=np.int64)
+    frozen_counts = np.zeros(4)
     frozen_counts.flags.writeable = False
     frozen_df = np.zeros(16)
     frozen_df.flags.writeable = False
-    refused = [({"counts": np.zeros(4)}, TypeError),
+    refused = [({"counts": np.zeros(4, dtype=np.int64)}, TypeError),
+               ({"counts": np.zeros(4, dtype=np.float32)}, TypeError),
                ({"counts": np.zeros(4, dtype=np.int32)}, TypeError),
-               ({"counts": np.zeros(3, dtype=np.int64)}, TypeError),
-               ({"counts": np.zeros(5, dtype=np.int64)}, TypeError),
-               ({"counts": np.zeros(0, dtype=np.int64), "edges": edges[:1]}, TypeError),
-               ({"counts": frozen_counts}, BufferError),
+               ({"counts": np.zeros(3)}, TypeError),
+               ({"counts": np.zeros(5)}, TypeError),
+               ({"counts": np.zeros(0), "edges": edges[:1]}, TypeError),
+               ({"counts": np.zeros(8)[::2]}, ValueError),
+               ({"counts": frozen_counts}, ValueError),
                ({"edges": edges.astype(np.float32)}, TypeError),
                ({"edges": edges.astype(np.int64)}, TypeError),
+               ({"edges": np.linspace(0.0, 1.0, 9)[::2]}, ValueError),
                ({"edges": None}, TypeError),
                ({"df": np.zeros(16, dtype=np.float32)}, TypeError),
                ({"df": np.zeros(8)}, TypeError),
                ({"df": np.zeros((4, 4))}, TypeError),
-               ({"df": frozen_df}, BufferError),
+               ({"df": np.zeros(32)[::2]}, ValueError),
+               ({"df": frozen_df}, ValueError),
                ({"c": "half"}, TypeError),
                ({"tol": None}, TypeError)]
     for name, record in FAMILIES.items():
-        walk = _compiled_walk(record)
         m = record.make(1.9)
+        walk = _compiled_walk(m)
         for change, error in refused + [({}, AttributeError)]:
             tally = maps.Tally(m, edges, abs_df=True)
             tally.df = np.zeros(16)
@@ -622,7 +615,9 @@ def test_compiled_tallies_refuse_buffers_they_cannot_use():
             if not change:
                 del tally.df
             buf = np.zeros(9)
-            arrays = [buf] + [a for a in (tally.counts, getattr(tally, "df", None))
+            # a strided view is checked through the array it views
+            arrays = [buf] + [a if a.base is None else a.base
+                              for a in (tally.counts, getattr(tally, "df", None))
                               if isinstance(a, np.ndarray)]
             before = [bytes(memoryview(a)) for a in arrays]
             with pytest.raises(error):
@@ -666,13 +661,12 @@ def test_failed_kernel_build_falls_back_to_the_same_bits(monkeypatch, tmp_path):
     for name, record in FAMILIES.items():
         m = record.make(1.9)
         assert orbit_fill(m) == (python_fill, m._f)
-        assert maps.compiled(record) is None
     assert list((tmp_path / "__pycache__").iterdir()) == []
     assert _walks() == want
 
 
 def test_kernel_build_is_cached_under_a_hash_of_its_source(monkeypatch, tmp_path):
-    _compiled_walk(maps.QUADRATIC)
+    _compiled_walk(make_quadratic(1.9))
     compiler = maps._compiler
     source = Path(maps.KERNEL_SOURCE).read_bytes()
     monkeypatch.setattr(maps, "KERNEL_SOURCE", _kernel_copy(tmp_path))
@@ -699,7 +693,7 @@ def test_kernel_build_is_cached_under_a_hash_of_its_source(monkeypatch, tmp_path
 
 
 def test_read_only_package_builds_the_kernel_in_a_temporary_directory(monkeypatch, tmp_path):
-    _compiled_walk(maps.QUADRATIC)
+    _compiled_walk(make_quadratic(1.9))
     monkeypatch.setattr(maps, "KERNEL_SOURCE", _kernel_copy(tmp_path))
     cache = str(tmp_path / "__pycache__")
     access = maps.os.access

@@ -473,6 +473,14 @@ def test_regularized_report_map_mismatch(q19, q2):
         regularized_density_report(gaps, d, [1.0])
 
 
+@pytest.mark.parametrize("p", [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_regularized_report_rejects_an_exponent_with_no_lp_norm(q19, p):
+    d = estimate_density(q19, 10 ** 5, 128, seed=6)
+    gaps = gap_family(q19, 1, 6)
+    with pytest.raises(ValueError, match="must be finite and positive"):
+        regularized_density_report(gaps, d, [1.0, p])
+
+
 # --- module invariants -------------------------------------------------------
 
 def test_birkhoff_frequency_bridge(q19):

@@ -387,7 +387,7 @@ def test_the_double_nest_calls_f_at_no_orbit_point(monkeypatch):
     # builds); f itself gives only the ends of the branch ranges of each
     # pullback (three per level) and the final Df^period product
     plain = make_quadratic(1.9)
-    if maps.compiled(maps.QUADRATIC) is None:
+    if maps.orbit_fill(plain)[0] is maps.python_fill:
         monkeypatch.setattr(maps, "_compiled", {
             "quadratic_walk": lambda buf, x, p, tally=None: maps.python_fill(
                 buf, x, plain._f, tally)})

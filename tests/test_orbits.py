@@ -141,6 +141,15 @@ def test_enumerate_rejects_large_period(q2):
         enumerate_periodic(q2, 21)
 
 
+@pytest.mark.parametrize("max_period", [0, -3])
+def test_enumerate_rejects_a_period_below_one(q2, max_period):
+    # no word is shorter than one symbol, so there is no orbit to find and
+    # the fixed orbits of words 0 and 1 must not come back
+    assert list(lyndon_words(max_period)) == []
+    with pytest.raises(ValueError, match=r"1 <= max_period <= 20 required"):
+        enumerate_periodic(q2, max_period)
+
+
 @pytest.mark.parametrize("m", [make_quadratic(1.9), make_logistic(3.9)])
 def test_sign_law(m):
     enum = enumerate_periodic(m, 6)

@@ -11,7 +11,7 @@ from .errors import (ContainsCriticalSymbol, CriticalNonReturn,
                      KneadlabError, NoOrbitPredicted, NonContraction,
                      NoReversingFixedPoint, NotSelfMap, OutOfDomain,
                      PrecisionExhausted, PrefixTooShort, TooManyGaps,
-                     TooShallow, UncoveredMass)
+                     TooShallow)
 from .maps import (OrbitSegment, UnimodalMap, derivative, evaluate,
                    iterate_orbit, make_custom, make_logistic, make_map,
                    make_quadratic, make_sine, seeded_start)

@@ -352,10 +352,7 @@ def _run(args) -> int:
         gaps = gap_family(m, args.nest_level, args.max_generation,
                           max_iterates=args.max_iterates)
         density = estimate_density(m, args.samples, args.bins, args.seed)
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rep = regularized_density_report(gaps, density, args.p)
+        rep = regularized_density_report(gaps, density, args.p)
         _emit_json({"nest_level": args.nest_level,
                     "max_generation": args.max_generation,
                     "gap_count": len(gaps),

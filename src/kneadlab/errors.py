@@ -81,7 +81,3 @@ class DegenerateOrbit(KneadlabError):
 
 class TooManyGaps(KneadlabError):
     pass
-
-
-class UncoveredMass(UserWarning):
-    """Warning: enumerated gaps cover less than the required share of mass."""

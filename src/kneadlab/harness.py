@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .errors import EmptyCylinder, KneadlabError, UncoveredMass
+from .errors import EmptyCylinder, KneadlabError
 from .maps import (DEFAULT_BURN_IN, UnimodalMap, derivative, make_logistic,
                    make_map, make_sine, seeded_start)
 from .measure import (MAX_BINS, MAX_GENERATION, estimate_density, gap_family,
@@ -250,13 +250,20 @@ def _run_theorem_b(config: ExperimentConfig, m: UnimodalMap) -> VerificationRepo
                      "discrepancy": r.discrepancy_critical}
             for r in table.rows}
     disc = table.max_discrepancy
-    return _report(config, "theorem-b", disc <= TOLERANCE_TYPICALITY,
-                   disc, TOLERANCE_TYPICALITY, {"rows": rows},
-                   {"mu_hat": {r.word: r.mu_hat for r in table.rows}})
+    passed = disc <= TOLERANCE_TYPICALITY
+    annotations = []
+    if not passed and table.critical_fixed_point is not None:
+        annotations.append(
+            f"the critical orbit falls onto the fixed point "
+            f"{table.critical_fixed_point!r} and stays there, so its time "
+            f"averages are those of the fixed point; Misiurewicz-type "
+            f"degeneration of the critical orbit")
+    return _report(config, "theorem-b", passed, disc, TOLERANCE_TYPICALITY,
+                   {"rows": rows}, {"mu_hat": {r.word: r.mu_hat for r in table.rows}},
+                   annotations=annotations)
 
 
 def _run_theorem_c(config: ExperimentConfig, m: UnimodalMap) -> VerificationReport:
-    import warnings as _w
     density = estimate_density(m, config.density_samples, config.density_bins,
                                config.seed)
     nest_report = build_nest(m, config.gap_nest_level, config.nest_max_iterates,
@@ -267,9 +274,7 @@ def _run_theorem_c(config: ExperimentConfig, m: UnimodalMap) -> VerificationRepo
     annotations = []
     for g in (g1, g2):
         gaps = gap_family(m, config.gap_nest_level, g, nest_report=nest_report)
-        with _w.catch_warnings():
-            _w.simplefilter("ignore", UncoveredMass)
-            rep = regularized_density_report(gaps, density, LP_EXPONENTS)
+        rep = regularized_density_report(gaps, density, LP_EXPONENTS)
         if rep.uncovered_mass_warning:
             annotations.append(
                 f"generation {g}: gaps cover only {rep.coverage:.3f} of the mass")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import maps
 from .errors import (CriticalNonReturn, DegenerateOrbit, PrecisionExhausted,
-                     TooManyGaps, UncoveredMass)
+                     TooManyGaps)
 from .maps import (DEFAULT_BURN_IN, LEFT, RIGHT, UnimodalMap,
                    branch_preimage_arrays, check_start, evaluate,
                    log_abs_derivative_array, orbit_chunks, seeded_start)
@@ -64,6 +63,7 @@ class LyapunovEstimate:
     value: float
     hit_critical: bool
     iterates: int
+    fixed_point: Optional[float] = None  # the exact fixed point the orbit falls onto
 
 
 def _detect_periodic_attractor(m: UnimodalMap, w: np.ndarray):
@@ -83,19 +83,43 @@ def _detect_periodic_attractor(m: UnimodalMap, w: np.ndarray):
     return None
 
 
+def _walk(chunks, n: int, df=None, intervals=()):
+    """The one loop over the chunks of an n-point orbit walk: it sums
+    ln|Df| from df, the |Df| buffer of the walk's Tally (if given), counts
+    the visits to each interval (None entries count nothing) and notes the
+    first chunk that ends on an exact fixed point of the float map (its
+    last two points are equal).
+
+    Returns (the mean of ln|Df|, or None without |Df|; the visit fractions;
+    that fixed point, or None).
+    """
+    sums = []
+    counts = [0] * len(intervals)
+    fixed = None
+    for buf in chunks:
+        if fixed is None and len(buf) > 1 and buf[-1] == buf[-2]:
+            fixed = float(buf[-1])
+        if df is not None:
+            sums.append(_birkhoff_sum(df[:len(buf)]))
+        for i, iv in enumerate(intervals):
+            if iv is not None:
+                counts[i] += int(np.count_nonzero((buf >= iv[0]) & (buf <= iv[1])))
+    mean = None if df is None else math.fsum(sums) / n
+    return mean, [k / n for k in counts], fixed
+
+
 def _seeded_pass(m: UnimodalMap, n: int, bin_count: int, seed, *,
                  birkhoff: bool = False, intervals=()):
     """One walk of the seeded orbit through orbit_chunks: burn-in, then n
     points, the first RECURRENCE_PROBE of which go to the periodic-attractor
-    probe.  The walk takes the histogram and, on request, |Df| for the
-    Birkhoff chunk sums into its Tally as it steps, one kernel call per
-    chunk; each chunk it yields feeds the visit counts of intervals (None
-    entries count nothing).
+    probe.  The walk takes the histogram and, with birkhoff, |Df| into its
+    Tally as it steps, one kernel call per chunk, and _walk reads each chunk.
 
-    Returns (density, LyapunovEstimate or None, visit fractions).  Raises
-    DegenerateOrbit (with the detected cycle) when the orbit converges to a
-    periodic attractor, or when a chunk ends on an exact fixed point of the
-    float map (its last two points are equal), where it then stays.
+    Returns (density, LyapunovEstimate or None, visit fractions, the
+    probe's (period, cycle) or None).  Raises DegenerateOrbit (with the
+    detected cycle) when the probe finds a periodic attractor, unless the
+    Birkhoff sum was asked for, which the walk then goes on to take; and
+    when the orbit falls onto an exact fixed point with no attractor found.
     """
     if n < 10 ** 5:
         raise ValueError("sample_count >= 1e5 required")
@@ -108,27 +132,22 @@ def _seeded_pass(m: UnimodalMap, n: int, bin_count: int, seed, *,
     chunks = orbit_chunks(m, seeded_start(m, seed), n, burn_in=DEFAULT_BURN_IN,
                           tally=tally)
     first = next(chunks)  # n >= 1e5, so it holds the whole probe
-    hit = _detect_periodic_attractor(m, first)
-    if hit is not None:
-        period, cycle = hit
+    attractor = _detect_periodic_attractor(m, first)
+    if attractor is not None and not birkhoff:
+        period, cycle = attractor
         raise DegenerateOrbit(
             f"orbit converges to a periodic attractor of period {period}",
             period=period, cycle=cycle)
-    sums = []
-    counts = [0] * len(intervals)
-    for buf in itertools.chain([first], chunks):
-        if len(buf) > 1 and buf[-1] == buf[-2]:
-            raise DegenerateOrbit(f"orbit falls onto the fixed point {float(buf[-1])!r}",
-                                  period=1, cycle=buf[-1:])
-        if birkhoff:
-            sums.append(_birkhoff_sum(tally.df[:len(buf)]))
-        _count_visits(buf, intervals, counts)
+    value, visits, fixed = _walk(itertools.chain([first], chunks), n, tally.df, intervals)
+    if fixed is not None and attractor is None:
+        raise DegenerateOrbit(f"orbit falls onto the fixed point {fixed!r}",
+                              period=1, cycle=[fixed])
     # every count is below 2^53, so the float counts and their sum are exact
     hist = tally.counts
     density = DensityEstimate(edges, hist / hist.sum(), n, seed,
                               m.family_tag, m.parameter, DEFAULT_BURN_IN)
-    lyap = LyapunovEstimate(math.fsum(sums) / n, tally.hit, n) if birkhoff else None
-    return density, lyap, [k / n for k in counts]
+    lyap = LyapunovEstimate(value, tally.hit, n, fixed) if birkhoff else None
+    return density, lyap, visits, attractor
 
 
 def estimate_density(m: UnimodalMap, sample_count: int, bin_count: int,
@@ -170,7 +189,8 @@ def _birkhoff_sum(d: np.ndarray) -> float:
 def lyapunov_birkhoff(m: UnimodalMap, x0: float, n: int,
                       burn_in: int = 0) -> LyapunovEstimate:
     """(1/n) sum of ln|Df| along the orbit: math.fsum of the per-chunk sums,
-    -inf if a chunk has a non-finite log.
+    -inf if a chunk has a non-finite log.  An orbit that falls onto an exact
+    fixed point averages its trapped tail in, and fixed_point names it.
 
     When the orbit comes within tie tolerance of the critical point the
     estimate is still reported, flagged with hit_critical.  A start point
@@ -180,9 +200,8 @@ def lyapunov_birkhoff(m: UnimodalMap, x0: float, n: int,
         raise ValueError("n >= 1 required")
     x0 = check_start(m, x0)
     tally = maps.Tally(m, abs_df=True)
-    sums = [_birkhoff_sum(tally.df[:len(buf)])
-            for buf in orbit_chunks(m, x0, n, burn_in=burn_in, tally=tally)]
-    return LyapunovEstimate(math.fsum(sums) / n, tally.hit, n)
+    value, _, fixed = _walk(orbit_chunks(m, x0, n, burn_in=burn_in, tally=tally), n, tally.df)
+    return LyapunovEstimate(value, tally.hit, n, fixed)
 
 
 # ---------------------------------------------------------------------------
@@ -207,25 +226,12 @@ class TypicalityTable:
     rows: tuple[TypicalityRow, ...]
     iterates: int
     seed: object
+    # the exact fixed point the critical orbit falls onto, if any
+    critical_fixed_point: Optional[float] = None
 
     @property
     def max_discrepancy(self) -> float:
         return max((r.discrepancy_critical for r in self.rows), default=0.0)
-
-
-def _count_visits(buf: np.ndarray, intervals, counts: list[int]) -> None:
-    for i, iv in enumerate(intervals):
-        if iv is None:
-            continue
-        lo, hi = iv
-        counts[i] += int(np.count_nonzero((buf >= lo) & (buf <= hi)))
-
-
-def _visit_fraction(m: UnimodalMap, x0: float, n: int, intervals) -> list[float]:
-    counts = [0] * len(intervals)
-    for buf in orbit_chunks(m, x0, n):
-        _count_visits(buf, intervals, counts)
-    return [k / n for k in counts]
 
 
 def verify_critical_typicality(m: UnimodalMap, observables: Sequence[SymbolWord],
@@ -239,15 +245,15 @@ def verify_critical_typicality(m: UnimodalMap, observables: Sequence[SymbolWord]
     if n < 10 ** 6:
         raise ValueError("n >= 1e6 required")
     cyls = [cylinder(m, w).interval for w in observables]
-    density, _, typ = _seeded_pass(m, n, bin_count, seed, intervals=cyls)
-    crit = _visit_fraction(m, m.critical_point, n, cyls)
+    density, _, typ, _ = _seeded_pass(m, n, bin_count, seed, intervals=cyls)
+    _, crit, fixed = _walk(orbit_chunks(m, m.critical_point, n), n, intervals=cyls)
     # an empty cylinder (None) measures as the empty interval [0, 0]
     spans = np.array([iv or (0.0, 0.0) for iv in cyls], dtype=float).reshape(-1, 2)
     mu = measure_of_intervals(density, spans[:, 0], spans[:, 1])
     rows = tuple(
         TypicalityRow(str(w), iv, crit[i], typ[i], float(mu[i]))
         for i, (w, iv) in enumerate(zip(observables, cyls)))
-    return TypicalityTable(rows, n, seed)
+    return TypicalityTable(rows, n, seed, fixed)
 
 
 # ---------------------------------------------------------------------------
@@ -292,30 +298,26 @@ def _integral_log_deriv(m: UnimodalMap, density: DensityEstimate):
             avg_log_dist = (phi(v) - phi(u)) / (v - u)
             logd[i] = math.log(kappa) + avg_log_dist
             singular.append(int(i))
-    terms = mass * logd
-    finite = np.isfinite(terms) | (mass == 0.0)
-    total = float(np.sum(np.where(mass > 0.0, terms, 0.0)))
-    return total, tuple(singular), bool(np.all(finite))
+    total = float(np.sum(np.where(mass > 0.0, mass * logd, 0.0)))
+    return total, tuple(singular)
 
 
 def verify_lyapunov_equality(m: UnimodalMap, n: int, seed,
                              bin_count: int = 512) -> LyapunovEqualityRecord:
     """Compare Birkhoff exponents (critical value and seeded typical point)
-    with the density-weighted integral of ln|Df|."""
+    with the density-weighted integral of ln|Df|, or at a periodic
+    attractor with the exponent of the probe's cycle (density_degenerate).
+    A seeded orbit that falls onto an exact fixed point raises
+    DegenerateOrbit."""
     if n < 10 ** 6:
         raise ValueError("n >= 1e6 required")
     crit = lyapunov_birkhoff(m, evaluate(m, m.critical_point), n)
-    degenerate = False
-    singular: tuple[int, ...] = ()
-    try:
-        density, typ, _ = _seeded_pass(m, n, bin_count, seed, birkhoff=True)
-        integral, singular, _ = _integral_log_deriv(m, density)
-    except DegenerateOrbit as exc:
-        degenerate = True
-        typ = lyapunov_birkhoff(m, seeded_start(m, seed), n,
-                                burn_in=DEFAULT_BURN_IN)
-        logs = log_abs_derivative_array(m, np.asarray(exc.cycle))
-        integral = float(np.mean(logs))
+    density, typ, _, attractor = _seeded_pass(m, n, bin_count, seed, birkhoff=True)
+    if attractor is None:
+        integral, singular = _integral_log_deriv(m, density)
+    else:
+        integral = float(np.mean(log_abs_derivative_array(m, attractor[1])))
+        singular = ()
     return LyapunovEqualityRecord(
         side_critical_value=crit.value,
         side_typical=typ.value,
@@ -323,7 +325,7 @@ def verify_lyapunov_equality(m: UnimodalMap, n: int, seed,
         difference=typ.value - integral,
         difference_critical=crit.value - integral,
         hit_critical=crit.hit_critical or typ.hit_critical,
-        density_degenerate=degenerate,
+        density_degenerate=attractor is not None,
         singular_bins=singular,
         iterates=n,
         seed=seed,
@@ -424,7 +426,7 @@ class RegularizedDensityReport:
     slope_gap_count: int
     coverage: float
     gaps_below_bin_resolution: int
-    uncovered_mass_warning: bool
+    uncovered_mass_warning: bool  # coverage < 0.95
 
 
 def regularized_density_report(gaps: GapFamily, density: DensityEstimate,
@@ -450,11 +452,6 @@ def regularized_density_report(gaps: GapFamily, density: DensityEstimate,
     for p in p_list:
         norms[p] = float(np.sum(w * reg ** p) ** (1.0 / p))
     coverage = float(mu.sum())
-    warn = coverage < 0.95
-    if warn:
-        warnings.warn(
-            f"enumerated gaps cover only {coverage:.3f} of the mass",
-            UncoveredMass)
     pos = (mu > 0) & (w > 0)
     if pos.sum() >= 2:
         x = np.log(w[pos])
@@ -465,4 +462,4 @@ def regularized_density_report(gaps: GapFamily, density: DensityEstimate,
         slope = math.nan
     below = int(np.count_nonzero(w < density.bin_width))
     return RegularizedDensityReport(reg, mu, norms, slope, int(pos.sum()),
-                                    coverage, below, warn)
+                                    coverage, below, coverage < 0.95)

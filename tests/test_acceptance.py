@@ -13,13 +13,12 @@ stated tolerances.
 
 import math
 import time
-import warnings
 
 import numpy as np
 import pytest
 
 from kneadlab import (NoOrbitPredicted, SymbolStream, SymbolWord,
-                      ZetaTruncation, UncoveredMass, build_nest, cylinder,
+                      ZetaTruncation, build_nest, cylinder,
                       enumerate_periodic, estimate_density, find_periodic,
                       formula_exponent_estimate, gap_family, itinerary,
                       make_quadratic, regularized_density_report,
@@ -238,10 +237,7 @@ def test_criterion_8_theorem_c_desk_form(screened_taus_20):
         slope = None
         for gen in (14, 18):
             gaps = gap_family(m, level, gen, nest_report=nest_rep)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UncoveredMass)
-                rep = regularized_density_report(gaps, density,
-                                                 [1.0, 2.0, 4.0])
+            rep = regularized_density_report(gaps, density, [1.0, 2.0, 4.0])
             norms[gen] = rep.lp_norms
             slope = rep.slope
         finite = all(math.isfinite(norms[g][p]) and norms[g][p] > 0

@@ -537,15 +537,62 @@ def test_cli_verify_exit_codes(capsys):
 
 def test_cli_lyap_equality_of_an_orbit_on_an_exact_fixed_point_fails(capsys):
     # the seeded orbit of seed 346 at q_2 reaches the fixed point -1 and
-    # stays there, so its density is degenerate and the report fails.  With
-    # the trapped tail averaged in it passed vacuously, side_typical 1.2302
-    # against side_integral 1.2287, where the exponent of q_2 is ln 2
+    # stays there, so the run fails as degenerate, as theorem-b's does.
+    # With the trapped tail averaged in it reported side_typical 1.2302,
+    # where the exponent of q_2 is ln 2
     assert main(["verify", "lyap-equality", "--map", "quadratic", "--param", "2.0",
                  "--seed", "346"]) == 2
     rep = _strict_loads(capsys.readouterr().out)
     assert rep["verdict"] == "fail"
-    assert rep["measured"]["density_degenerate"] is True
-    assert rep["measured"]["side_integral"] == math.log(4.0)
+    assert rep["measured"] == {}
+    assert rep["failures"] == [{"stage": "run", "error": "DegenerateOrbit",
+                                "message": "orbit falls onto the fixed point -1.0"}]
+
+
+@pytest.mark.parametrize("family,p,point", [("quadratic", "2.0", "-1.0"),
+                                            ("logistic", "4.0", "0.0")])
+def test_cli_theorem_b_names_the_fixed_point_the_critical_orbit_falls_onto(
+        capsys, family, p, point):
+    # the critical orbits 0 -> 1 -> -1 -> -1 and 1/2 -> 1 -> 0 -> 0 are
+    # exact in floats, so the critical visits are those of the fixed point
+    assert main(["verify", "theorem-b", "--map", family, "--param", p]) == 2
+    rep = _strict_loads(capsys.readouterr().out)
+    assert rep["verdict"] == "fail" and rep["failures"] == []
+    assert rep["discrepancy"] == pytest.approx(0.5, abs=0.002)
+    # every point but the critical value 1 lies in the cylinder of word 0
+    assert rep["measured"]["rows"]["0"]["average_critical"] == 0.999999
+    assert rep["annotations"] == [
+        f"the critical orbit falls onto the fixed point {point} and stays there, so "
+        f"its time averages are those of the fixed point; Misiurewicz-type "
+        f"degeneration of the critical orbit"]
+
+
+def test_theorem_a_rows_of_words_with_no_orbit():
+    # at q_1.9 no orbit of itinerary 100 or 110 exists: for 100 the formula
+    # predicts none either, for 110 the fit still reads a finite exponent
+    rep = run_verify(ExperimentConfig(map_parameter=1.9), "theorem-a")
+    assert rep.verdict == "pass"
+    rows = rep.measured["rows"]
+    for word in ("100", "110"):
+        assert rows[word]["orbit_exponent"] is None
+        assert rows[word]["orbit_status"] == "EmptyCylinder"
+        assert "ratio" not in rows[word]
+    assert rows["100"]["formula_status"] == "NoOrbitPredicted"
+    assert rows["110"]["formula_exponent"] == pytest.approx(4.868, abs=1e-3)
+    assert [f["word"] for f in rep.failures] == ["0", "100"]
+    assert rep.annotations[-1] == ("word 100: formula and orbit search agree "
+                                   "that no orbit exists in the attractor")
+
+
+def test_theorem_c_annotates_gaps_that_leave_mass_uncovered():
+    rep = run_verify(ExperimentConfig(map_parameter=1.9, gap_max_generation=2),
+                     "theorem-c")
+    assert rep.verdict == "fail" and rep.failures == []
+    coverage = rep.measured["coverage"]
+    assert coverage == {"2": pytest.approx(0.385, abs=5e-4),
+                        "6": pytest.approx(0.714, abs=5e-4)}
+    assert rep.annotations == ["generation 2: gaps cover only 0.385 of the mass",
+                               "generation 6: gaps cover only 0.714 of the mass"]
 
 
 def test_cli_no_target_exit_code(capsys):

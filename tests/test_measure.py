@@ -8,7 +8,7 @@ import pytest
 
 import kneadlab
 from kneadlab import (CriticalNonReturn, DegenerateOrbit, OutOfDomain,
-                      SymbolStream, SymbolWord, TooManyGaps, UncoveredMass,
+                      SymbolStream, SymbolWord, TooManyGaps,
                       build_nest, estimate_density, find_periodic,
                       find_restrictive_interval, gap_family, lyapunov_birkhoff,
                       make_custom, make_logistic, make_map, make_quadratic,
@@ -63,17 +63,18 @@ def test_density_orbit_that_falls_onto_an_exact_fixed_point(q2):
     assert x[-1] == -1.0 and np.count_nonzero(x == -1.0) == 1
     words = [W("1"), W("10")]
     for run in (lambda: estimate_density(q2, 5 * 10 ** 5, 512, 346),
-                lambda: verify_critical_typicality(q2, words, 10 ** 6, 346)):
+                lambda: verify_critical_typicality(q2, words, 10 ** 6, 346),
+                lambda: verify_lyapunov_equality(q2, 10 ** 6, 346)):
         with pytest.raises(DegenerateOrbit, match="fixed point -1.0") as exc:
             run()
         assert exc.value.period == 1
         assert exc.value.cycle == [-1.0]
-    # the lyap-equality record takes its degenerate branch: ln|Df(-1)| = ln 4
-    rec = verify_lyapunov_equality(q2, 10 ** 6, 346)
-    assert rec.density_degenerate and rec.singular_bins == ()
-    assert rec.side_integral == math.log(4.0)
+    # the Birkhoff average of the orbit averages the trapped tail in, and
+    # names the fixed point; an orbit that stays off it names none
     typ = lyapunov_birkhoff(q2, seeded_start(q2, 346), 10 ** 6, burn_in=DEFAULT_BURN_IN)
-    assert rec.side_typical == typ.value
+    assert typ.fixed_point == -1.0 and typ.value > 1.0
+    assert lyapunov_birkhoff(q2, seeded_start(q2, 7), 10 ** 6,
+                             burn_in=DEFAULT_BURN_IN).fixed_point is None
 
 
 def test_density_arcsine_small(q2):
@@ -295,7 +296,7 @@ def _reference_visit_fraction(m, x0, n, intervals, burn_in):
     return [k / n for k in counts]
 
 
-@pytest.mark.parametrize("family,p", FAMILY_PARAMS)
+@pytest.mark.parametrize("family,p", FAMILY_PARAMS + [("quadratic", 1.75)])
 def test_lyap_equality_walks_the_seeded_orbit_once(family, p, monkeypatch):
     m = make_map(family, p)
     n, seed = 10 ** 6, 31
@@ -307,7 +308,16 @@ def test_lyap_equality_walks_the_seeded_orbit_once(family, p, monkeypatch):
     assert rec.side_typical == typ.value
     assert rec.side_critical_value == crit.value
     assert rec.hit_critical == (typ.hit_critical or crit.hit_critical)
-    integral, singular, _ = _integral_log_deriv(m, estimate_density(m, n, 512, seed))
+    if p == 1.75:  # an attracting cycle of period 4, whose exponent is the integral
+        with pytest.raises(DegenerateOrbit) as exc:
+            estimate_density(m, n, 512, seed)
+        cycle = np.array(exc.value.cycle)
+        assert rec.density_degenerate and len(cycle) == 4
+        integral = float(np.mean(maps.log_abs_derivative_array(m, cycle)))
+        singular = ()
+    else:
+        assert not rec.density_degenerate
+        integral, singular = _integral_log_deriv(m, estimate_density(m, n, 512, seed))
     assert rec.side_integral == integral
     assert rec.singular_bins == singular
 
@@ -379,8 +389,8 @@ def test_gap_coverage_grows(q19):
     covers = []
     for g in (8, 12):
         gaps = gap_family(q19, 1, g)
-        with pytest.warns(UncoveredMass):
-            rep = regularized_density_report(gaps, d, [1.0])
+        rep = regularized_density_report(gaps, d, [1.0])
+        assert rep.uncovered_mass_warning and rep.coverage < 0.95
         covers.append(rep.coverage)
     assert covers[1] > covers[0]
 
@@ -437,8 +447,8 @@ def test_gap_landing_property(q19):
 def test_regularized_report_l1_bounded(q19):
     d = estimate_density(q19, 10 ** 6, 512, seed=6)
     gaps = gap_family(q19, 1, 12)
-    with pytest.warns(UncoveredMass):
-        rep = regularized_density_report(gaps, d, [1.0, 2.0])
+    rep = regularized_density_report(gaps, d, [1.0, 2.0])
+    assert rep.uncovered_mass_warning
     assert rep.lp_norms[1.0] <= 1.0 + 1e-9
     assert math.isfinite(rep.lp_norms[2.0])
     assert rep.gaps_below_bin_resolution >= 0
@@ -449,7 +459,6 @@ def test_regularized_slope_preasymptotic_when_renormalized():
     # the band cycle, so the exponent diagnostic converges slowly: the
     # slope rises with generation depth but stays below the asymptotic
     # band at generation 18 (regression pin for the acceptance exclusion)
-    import warnings
     from kneadlab import build_nest
     m = make_quadratic(1.799040640606637)
     nest_rep = build_nest(m, 1, 10 ** 6)
@@ -458,9 +467,7 @@ def test_regularized_slope_preasymptotic_when_renormalized():
     slopes = []
     for g in (10, 14, 18):
         gaps = gap_family(m, 1, g, nest_report=nest_rep)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UncoveredMass)
-            rep = regularized_density_report(gaps, d, [1.0])
+        rep = regularized_density_report(gaps, d, [1.0])
         slopes.append(rep.slope)
     assert slopes == sorted(slopes)
     assert 0.4 < slopes[-1] < 0.8

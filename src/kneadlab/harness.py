@@ -233,6 +233,11 @@ def _run_theorem_a(config: ExperimentConfig, m: UnimodalMap) -> VerificationRepo
         elif formula_val is None and orbit is None:
             annotations.append(f"word {text}: formula and orbit search agree "
                                f"that no orbit exists in the attractor")
+        elif formula_val is not None and orbit is None:
+            annotations.append(
+                f"word {text}: the formula reads exponent {formula_val:.3f} "
+                f"(fit {est.status}) but the orbit search finds no orbit "
+                f"({row['orbit_status']}), so the row does not enter the verdict")
         rows[text] = row
     predicted = {t: rows[t].get("orbit_exponent") for t in config.words}
     return _report(config, "theorem-a", all_pass, worst, TOLERANCE_RATIO,

@@ -516,11 +516,10 @@ def orbit_chunks(m: UnimodalMap, x0: float, n: int, burn_in: int = 0, *,
     takes its tallies over each chunk before the chunk is yielded.
 
     Every buffer but the last holds CHUNK points.  The chunk size matters
-    for streams only (SymbolStream, the measure passes): it bounds their
-    memory, and an open-ended stream computes a whole chunk before its first
-    symbol.  Finite requests get exactly n points; itinerary asks
-    orbit_array for exactly its length.  Burn-in runs through the same loop,
-    into the buffer that the first chunk then overwrites.
+    for the measure passes only: it bounds their memory.  Finite requests
+    get exactly n points; itinerary asks orbit_array for exactly its
+    length.  Burn-in runs through the same loop, into the buffer that the
+    first chunk then overwrites.
     """
     fill, arg = orbit_fill(m)
     x = float(x0)
@@ -577,15 +576,17 @@ def branch_inverse(m: UnimodalMap, side: int, y: float) -> float:
     return min(max(m._inv_right(y), m.critical_point), m.domain[1])
 
 
-def word_pullback(m: UnimodalMap, sides, interval) -> Optional[tuple[float, float]]:
-    """Preimage of a closed interval through the monotone branches of a word
-    of sides (LEFT or RIGHT, which are the symbols 0 and 1), the last
-    side's branch first; None once it is empty.
+def pullback(m: UnimodalMap) -> Callable:
+    """pull(sides, interval), the preimage of a closed interval through the
+    monotone branches of a word of sides (LEFT or RIGHT, which are the
+    symbols 0 and 1), the last side's branch first; None once it is empty.
 
-    Each step intersects the interval with the branch range, inverts both
-    ends and clamps them to the branch domain, so the result is always a
-    subinterval of the first side's branch domain.  The map's constants are
-    read once per call, so a step costs the two inverse evaluations; the
+    The map's branch table, f(c), both branch-range bottoms f(l) and f(r),
+    both inverses and both branch domains, is read once here, so a search
+    that pulls many words back binds it once and a step costs the two
+    inverse evaluations.  Each step intersects the interval with the branch
+    range, inverts both ends and clamps them to the branch domain, so the
+    result is always a subinterval of the first side's branch domain.  The
     comparisons return the floats that max(lo, f(end)), min(hi, f(c)) and
     the min/max clamp of branch_inverse return.  The ends already lie in
     the branch range when they are inverted, so branch_inverse's own clip
@@ -597,28 +598,37 @@ def word_pullback(m: UnimodalMap, sides, interval) -> Optional[tuple[float, floa
     top = f(c)
     # (bottom of the branch range, inverse, branch domain) for LEFT, RIGHT
     branches = ((f(l), m._inv_left, l, c), (f(r), m._inv_right, c, r))
-    lo, hi = interval
-    for side in reversed(sides):
-        bottom, inv, dlo, dhi = branches[side != LEFT]
-        if bottom > lo:
-            lo = bottom
-        if top < hi:
-            hi = top
-        if lo > hi:
-            return None
-        a = inv(lo)
-        if dlo > a:
-            a = dlo
-        if dhi < a:
-            a = dhi
-        b = inv(hi)
-        if dlo > b:
-            b = dlo
-        if dhi < b:
-            b = dhi
-        # the left branch increases, the right one decreases
-        lo, hi = (a, b) if side == LEFT else (b, a)
-    return lo, hi
+
+    def pull(sides, interval) -> Optional[tuple[float, float]]:
+        lo, hi = interval
+        for side in reversed(sides):
+            bottom, inv, dlo, dhi = branches[side != LEFT]
+            if bottom > lo:
+                lo = bottom
+            if top < hi:
+                hi = top
+            if lo > hi:
+                return None
+            a = inv(lo)
+            if dlo > a:
+                a = dlo
+            if dhi < a:
+                a = dhi
+            b = inv(hi)
+            if dlo > b:
+                b = dlo
+            if dhi < b:
+                b = dhi
+            # the left branch increases, the right one decreases
+            lo, hi = (a, b) if side == LEFT else (b, a)
+        return lo, hi
+
+    return pull
+
+
+def word_pullback(m: UnimodalMap, sides, interval) -> Optional[tuple[float, float]]:
+    """pullback(m)(sides, interval): one word pulled back in one call."""
+    return pullback(m)(sides, interval)
 
 
 def branch_preimage_arrays(m: UnimodalMap, side, los, his):

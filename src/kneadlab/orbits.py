@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import maps
 from .errors import (ContainsCriticalSymbol, DivergentInput, EmptyCylinder,
                      IrreducibleRequired, NoOrbitPredicted, NonContraction)
-from .maps import FAMILIES, UnimodalMap, orbit_array, orbit_fill, word_pullback
-from .symbolic import (GeometricFrequencyEstimate, SymbolStream, SymbolWord,
-                       _symbols, cylinder, geometric_frequency, itinerary)
+from .maps import FAMILIES, LEFT, UnimodalMap, orbit_fill, pullback
+from .symbolic import (SYM_C, GeometricFrequencyEstimate, SymbolStream,
+                       SymbolWord, geometric_frequency, itinerary)
 
 CYLINDER_WIDTH_TOL = 1e-13
 EMPTY_WIDTH_TOL = 1e-15
@@ -105,9 +106,10 @@ def _bracket_scan(g, lo, hi):
     return (float(xs[best]), float(xs[best + 1]), vals[best], vals[best + 1])
 
 
-def _polish_root(m: UnimodalMap, period: int, lo: float, hi: float):
+def _polish_root(m: UnimodalMap, walk, period: int, lo: float, hi: float):
     """Bisection-safeguarded secant on f^m(x) - x inside [lo, hi], where
-    f^m(x) is the map's orbit walk over one m-point buffer.
+    f^m(x) is the map's orbit walk, walk = orbit_fill(m), over one m-point
+    buffer.
 
     Df^m can be huge along expanding orbits, so every secant step is kept
     inside the current bracket and falls back to bisection.  For cylinders
@@ -117,7 +119,7 @@ def _polish_root(m: UnimodalMap, period: int, lo: float, hi: float):
 
     Returns (root, widened_flag).
     """
-    fill, arg = orbit_fill(m)
+    fill, arg = walk
     buf = np.empty(period)
 
     def g(x):
@@ -175,8 +177,9 @@ def _polish_root(m: UnimodalMap, period: int, lo: float, hi: float):
 def find_periodic(m: UnimodalMap, word: SymbolWord) -> PeriodicOrbit:
     """Locate the periodic orbit with itinerary word^inf.
 
-    Nested cylinders I_{word^k} are pulled back until their width drops
-    below CYLINDER_WIDTH_TOL (or the widths stall, which happens around
+    Nested cylinders I_{word^k} are pulled back, all through the one
+    branch table of pullback(m), until their width drops below
+    CYLINDER_WIDTH_TOL (or the widths stall, which happens around
     attracting orbits), then the root of f^m(x) - x is polished inside the
     final cylinder.  One forward walk of 2m points from the root then gives
     the orbit points, the residual |f^m(p) - p| and the itinerary check.
@@ -190,16 +193,20 @@ def find_periodic(m: UnimodalMap, word: SymbolWord) -> PeriodicOrbit:
     if not word.is_irreducible():
         raise IrreducibleRequired(f"{word} is a proper power")
     period = len(word)
-    cyl = cylinder(m, word)
-    if cyl.is_empty:
+    sides = word.symbols
+    l, r = m.domain
+    c = m.critical_point
+    pull = pullback(m)
+    # the cylinder I_word: the last symbol's branch domain pulled back
+    J = pull(sides[:-1], (l, c) if sides[-1] == LEFT else (c, r))
+    if J is None:
         raise EmptyCylinder(f"I_{word} is already empty")
-    J = cyl.interval
     prev_width = J[1] - J[0]
     stall = 0
     for _ in range(1, MAX_POWERS):
         if prev_width < CYLINDER_WIDTH_TOL:
             break
-        J_next = word_pullback(m, word.symbols, J)
+        J_next = pull(sides, J)
         if J_next is None:
             raise EmptyCylinder(f"I_{{{word}^k}} became empty during pullback")
         width = J_next[1] - J_next[0]
@@ -214,18 +221,24 @@ def find_periodic(m: UnimodalMap, word: SymbolWord) -> PeriodicOrbit:
     width = J[1] - J[0]
     if width < EMPTY_WIDTH_TOL:
         mid = 0.5 * (J[0] + J[1])
-        if itinerary(m, mid, period).symbols != word.symbols:
+        if itinerary(m, mid, period).symbols != sides:
             raise EmptyCylinder(
                 f"cylinder collapsed below {EMPTY_WIDTH_TOL} with itinerary mismatch")
-    p, widened = _polish_root(m, period, J[0], J[1])
-    walk = orbit_array(m, p, 2 * period)
-    pts = walk[:period].tolist()
-    residual = abs(float(walk[period]) - p)
+    walk = orbit_fill(m)
+    p, widened = _polish_root(m, walk, period, J[0], J[1])
+    fill, arg = walk
+    buf = np.empty(2 * period)
+    fill(buf, p, arg)
+    xs = buf.tolist()
+    pts = xs[:period]
+    residual = abs(xs[period] - p)
     scale = max(1.0, abs(p))
     if residual > 1e-9 * scale:
         raise NonContraction(f"root polish left residual {residual}")
-    symbols = tuple(_symbols(m, walk).tolist())
-    if symbols != word.symbols * 2:
+    # the symbols of symbolic._symbols, point by point
+    tol = maps.TIE_TOLERANCE
+    symbols = tuple(SYM_C if abs(x - c) <= tol else int(x > c) for x in xs)
+    if symbols != sides * 2:
         check = SymbolWord(symbols)
         if widened:
             raise NonContraction(
@@ -243,14 +256,14 @@ def find_periodic(m: UnimodalMap, word: SymbolWord) -> PeriodicOrbit:
     return PeriodicOrbit(tuple(pts), word, sign, log_abs, residual)
 
 
-def _find_each(m: UnimodalMap, texts):
-    """(text, orbit, None) or (text, None, error) for each word, in order."""
+def _find_each(m: UnimodalMap, words):
+    """(word, orbit, None) or (word, None, error) for each word, in order."""
     out = []
-    for text in texts:
+    for word in words:
         try:
-            out.append((text, find_periodic(m, SymbolWord.from_string(text)), None))
+            out.append((word, find_periodic(m, word), None))
         except (EmptyCylinder, NonContraction) as e:
-            out.append((text, None, f"{type(e).__name__}: {e}"))
+            out.append((word, None, f"{type(e).__name__}: {e}"))
     return out
 
 
@@ -265,20 +278,20 @@ def enumerate_periodic(m: UnimodalMap, max_period: int,
     """
     if not 1 <= max_period <= 20:
         raise ValueError("1 <= max_period <= 20 required")
-    words = [str(w) for w in lyndon_words(max_period)]
+    words = list(lyndon_words(max_period))
     workers = min(workers, len(words), os.cpu_count() or 1)
     if workers > 1 and m.family_tag in FAMILIES:
         from concurrent.futures import ProcessPoolExecutor
         shards = [words[i::workers] for i in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            by_word = {text: (orbit, err)
+            by_word = {word: (orbit, err)
                        for shard in pool.map(_find_each, [m] * workers, shards)
-                       for text, orbit, err in shard}
-        results = [(t,) + by_word[t] for t in words]
+                       for word, orbit, err in shard}
+        results = [(w,) + by_word[w] for w in words]
     else:
         results = _find_each(m, words)
     orbits = [orb for _, orb, _ in results if orb is not None]
-    failures = {t: err for t, _, err in results if err is not None}
+    failures = {str(w): err for w, _, err in results if err is not None}
     return EnumerationResult(orbits, failures)
 
 

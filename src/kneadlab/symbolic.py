@@ -12,7 +12,6 @@ prefix; the infinite-word limit is unaffected (difference O(|alpha|/n)).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -21,8 +20,8 @@ import numpy as np
 
 from . import maps
 from .errors import ContainsCriticalSymbol, InsufficientOccurrences, PrefixTooShort
-from .maps import (DEFAULT_BURN_IN, LEFT, RIGHT, UnimodalMap, check_start,
-                   orbit_array, orbit_chunks, seeded_start, word_pullback)
+from .maps import (CHUNK, DEFAULT_BURN_IN, LEFT, RIGHT, UnimodalMap, check_start,
+                   orbit_array, orbit_fill, seeded_start, word_pullback)
 
 # a 0/1 symbol is the side of its branch, so a word is word_pullback's sides
 SYM_0 = LEFT
@@ -92,39 +91,42 @@ class SymbolStream:
     """Single-consumer stateful symbol generator.
 
     Symbols already produced are immutable; recreating a stream with the
-    same map, start point and precision reproduces them.
+    same map, start point and precision reproduces them.  A stream of an
+    orbit walks exactly the points its takes ask for, in chunks of at most
+    maps.CHUNK points, and each take resumes from the iterate that the
+    last one returned.
     """
 
-    def __init__(self, generator):
-        self._gen = generator
+    def __init__(self, source):
+        self._source = source  # source(n): the next n symbols, fewer at the end
 
     def take(self, n: int) -> np.ndarray:
         """The next n symbols as an int8 array."""
-        out = np.empty(n, dtype=np.int8)
-        pos = 0
-        for block in self._gen:
-            k = min(len(block), n - pos)
-            out[pos:pos + k] = block[:k]
-            pos += k
-            if pos == n:
-                leftover = block[k:].copy()  # chunk buffers may be reused
-                if len(leftover):
-                    self._gen = itertools.chain([leftover], self._gen)
-                break
-        if pos < n:
-            raise PrefixTooShort(f"stream exhausted after {pos} of {n} symbols")
+        out = self._source(n)
+        if len(out) < n:
+            raise PrefixTooShort(f"stream exhausted after {len(out)} of {n} symbols")
         return out
 
     # constructors -----------------------------------------------------
 
     @classmethod
     def from_point(cls, m: UnimodalMap, x0: float, burn_in: int = 0) -> "SymbolStream":
-        x0 = check_start(m, x0)
+        x = check_start(m, x0)
+        fill, arg = orbit_fill(m)
 
-        def gen():
-            for buf in orbit_chunks(m, x0, 1 << 62, burn_in=burn_in):
-                yield _symbols(m, buf)
-        return cls(gen())
+        def walk(n, out=None):
+            """Walks n points from x, writing their symbols into out."""
+            nonlocal x
+            buf = np.empty(min(CHUNK, n))
+            for pos in range(0, n, CHUNK):
+                k = min(CHUNK, n - pos)
+                x = fill(buf[:k], x, arg)
+                if out is not None:
+                    out[pos:pos + k] = _symbols(m, buf[:k])
+            return out
+
+        walk(burn_in)
+        return cls(lambda n: walk(n, np.empty(n, dtype=np.int8)))
 
     @classmethod
     def kneading(cls, m: UnimodalMap) -> "SymbolStream":
@@ -142,7 +144,14 @@ class SymbolStream:
     @classmethod
     def from_array(cls, symbols: np.ndarray) -> "SymbolStream":
         arr = np.asarray(symbols, dtype=np.int8)
-        return cls(iter([arr]))
+        pos = 0
+
+        def source(n):
+            nonlocal pos
+            out = arr[pos:pos + n].copy()
+            pos += len(out)
+            return out
+        return cls(source)
 
 
 @dataclass(frozen=True)

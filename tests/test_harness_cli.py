@@ -569,7 +569,8 @@ def test_cli_theorem_b_names_the_fixed_point_the_critical_orbit_falls_onto(
 
 def test_theorem_a_rows_of_words_with_no_orbit():
     # at q_1.9 no orbit of itinerary 100 or 110 exists: for 100 the formula
-    # predicts none either, for 110 the fit still reads a finite exponent
+    # predicts none either, for 110 the fit still reads a finite exponent,
+    # which an annotation names; neither row enters the verdict
     rep = run_verify(ExperimentConfig(map_parameter=1.9), "theorem-a")
     assert rep.verdict == "pass"
     rows = rep.measured["rows"]
@@ -579,9 +580,21 @@ def test_theorem_a_rows_of_words_with_no_orbit():
         assert "ratio" not in rows[word]
     assert rows["100"]["formula_status"] == "NoOrbitPredicted"
     assert rows["110"]["formula_exponent"] == pytest.approx(4.868, abs=1e-3)
+    assert rows["110"]["fit_status"] == "single_point"
     assert [f["word"] for f in rep.failures] == ["0", "100"]
-    assert rep.annotations[-1] == ("word 100: formula and orbit search agree "
-                                   "that no orbit exists in the attractor")
+    assert rep.annotations[-2:] == [
+        "word 100: formula and orbit search agree that no orbit exists in "
+        "the attractor",
+        "word 110: the formula reads exponent 4.868 (fit single_point) but the "
+        "orbit search finds no orbit (EmptyCylinder), so the row does not "
+        "enter the verdict"]
+
+
+@pytest.mark.parametrize("family,p", [("logistic", 3.9), ("sine", 3.9),
+                                      ("quadratic", 2.0)])
+def test_theorem_a_formula_without_orbit_is_annotated_only_where_it_happens(family, p):
+    rep = run_verify(ExperimentConfig(map_family=family, map_parameter=p), "theorem-a")
+    assert not any("finds no orbit" in a for a in rep.annotations)
 
 
 def test_theorem_c_annotates_gaps_that_leave_mass_uncovered():

@@ -11,8 +11,10 @@ from kneadlab import (ContainsCriticalSymbol, DivergentInput, EmptyCylinder,
                       SymbolWord, ZetaTruncation, enumerate_periodic, evaluate,
                       find_periodic, formula_exponent_estimate, make_custom,
                       make_logistic, make_map, make_quadratic)
-from kneadlab import maps, orbits
+from kneadlab import KneadlabError, maps, orbits
+from kneadlab.maps import orbit_array, orbit_fill, word_pullback
 from kneadlab.orbits import lyndon_words
+from kneadlab.symbolic import _symbols, cylinder, itinerary
 
 
 def W(s):
@@ -355,3 +357,101 @@ def test_find_periodic_fill_walk_matches_the_evaluate_chain(family, p, monkeypat
         assert all(type(x) is float for x in got.points + (got.residual,))
         found += 1
     assert found >= 10
+
+
+def _reference_find_periodic(m, word):
+    """find_periodic as it searched while every power called word_pullback,
+    which read the map's branch table again: the cylinder from
+    symbolic.cylinder, one word_pullback per power, and the 2m-point check
+    walk through orbit_array and _symbols.  The polish is the module's."""
+    period = len(word)
+    cyl = cylinder(m, word)
+    if cyl.is_empty:
+        raise EmptyCylinder(f"I_{word} is already empty")
+    J = cyl.interval
+    prev_width = J[1] - J[0]
+    stall = 0
+    for _ in range(1, orbits.MAX_POWERS):
+        if prev_width < orbits.CYLINDER_WIDTH_TOL:
+            break
+        J_next = word_pullback(m, word.symbols, J)
+        if J_next is None:
+            raise EmptyCylinder(f"I_{{{word}^k}} became empty during pullback")
+        width = J_next[1] - J_next[0]
+        if width > 0.95 * prev_width:
+            stall += 1
+            if stall >= 3:
+                J = J_next
+                break
+        else:
+            stall = 0
+        J, prev_width = J_next, width
+    width = J[1] - J[0]
+    if width < orbits.EMPTY_WIDTH_TOL:
+        mid = 0.5 * (J[0] + J[1])
+        if itinerary(m, mid, period).symbols != word.symbols:
+            raise EmptyCylinder(
+                f"cylinder collapsed below {orbits.EMPTY_WIDTH_TOL} with itinerary mismatch")
+    p, widened = orbits._polish_root(m, orbit_fill(m), period, J[0], J[1])
+    walk = orbit_array(m, p, 2 * period)
+    pts = walk[:period].tolist()
+    residual = abs(float(walk[period]) - p)
+    if residual > 1e-9 * max(1.0, abs(p)):
+        raise NonContraction(f"root polish left residual {residual}")
+    symbols = tuple(_symbols(m, walk).tolist())
+    if symbols != word.symbols * 2:
+        check = SymbolWord(symbols)
+        if widened:
+            raise NonContraction(
+                f"widened polish landed on a neighboring orbit ({check})")
+        raise EmptyCylinder(
+            f"polished point has itinerary {check}, not {word}^2: orbit absent")
+    sign = 1
+    log_abs = 0.0
+    for x in pts:
+        d = m._df(x)
+        if abs(d) == 0.0:
+            raise NonContraction("orbit passes through the critical point")
+        sign *= 1 if d > 0 else -1
+        log_abs += math.log(abs(d))
+    return orbits.PeriodicOrbit(tuple(pts), word, sign, log_abs, residual)
+
+
+def _search_outcome(search, m, word):
+    """The orbit's bits (float.hex), or the type and message of the error."""
+    try:
+        orb = search(m, word)
+    except KneadlabError as e:
+        return type(e), str(e)
+    return (orb.word, tuple(float.hex(x) for x in orb.points),
+            float.hex(orb.residual), orb.exponent_sign, float.hex(orb.exponent_log_abs))
+
+
+_CUSTOM_QUADRATIC = make_custom(lambda x: 0.9 - 1.9 * x * x, lambda x: -3.8 * x,
+                                (-1.0, 1.0), 0.0)
+
+
+@pytest.mark.parametrize("m,kernel", [
+    (make_quadratic(1.9), True), (make_quadratic(1.9), False),
+    (make_quadratic(2.0), True), (make_quadratic(2.0), False),
+    (make_logistic(3.83), True), (make_logistic(3.83), False),
+    (make_logistic(3.9), True), (make_logistic(3.9), False),
+    (make_map("sine", 3.9), True), (make_map("sine", 3.9), False),
+    (_CUSTOM_QUADRATIC, True)],
+    ids=["q1.9", "q1.9-python", "q2", "q2-python", "f3.83", "f3.83-python",
+         "f3.9", "f3.9-python", "g3.9", "g3.9-python", "custom"])
+def test_find_periodic_is_the_search_with_one_pullback_per_power(m, kernel, monkeypatch):
+    # one branch table per search, one check walk and the SymbolWords of
+    # lyndon_words give the bits and the errors of the reference search,
+    # with the compiled walk and without it (a custom map has none)
+    if not kernel:
+        monkeypatch.setattr(maps, "_compiled", {})
+    found = 0
+    for w in lyndon_words(12):
+        got = _search_outcome(find_periodic, m, w)
+        assert got == _search_outcome(_reference_find_periodic, m, w), str(w)
+        found += got[0] == w
+    assert found >= 60
+    enum = enumerate_periodic(m, 12)
+    assert [o.word for o in enum.orbits] == [w for w in lyndon_words(12)
+                                              if str(w) not in enum.failures]

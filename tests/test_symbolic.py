@@ -10,8 +10,8 @@ from kneadlab import (ContainsCriticalSymbol, InsufficientOccurrences,
                       cylinder, frequency, geometric_frequency, itinerary,
                       kneading_sequence, make_custom, make_logistic,
                       make_quadratic, make_sine)
-from kneadlab.maps import (DEFAULT_BURN_IN, TIE_TOLERANCE, orbit_array,
-                           seeded_start)
+from kneadlab.maps import (CHUNK, DEFAULT_BURN_IN, TIE_TOLERANCE, orbit_array,
+                           orbit_fill, seeded_start)
 from kneadlab import symbolic
 from kneadlab.symbolic import count_occurrences
 
@@ -363,6 +363,31 @@ def test_typical_stream_is_the_seeded_orbit_after_burn_in(m):
         expected = np.where(np.abs(pts - c) <= TIE_TOLERANCE, 2, pts > c)
         got = SymbolStream.typical(m, seed).take(n)
         assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("m", [make_quadratic(1.9), make_logistic(3.9),
+                               make_sine(3.9)])
+@pytest.mark.parametrize("takes", [(1, CHUNK - 1, CHUNK + 1, 10), (200_000,),
+                                   (3, 2 * CHUNK)])
+def test_stream_walks_only_the_symbols_it_returns(m, takes, monkeypatch):
+    # each take walks exactly its symbols and resumes from the iterate the
+    # last one returned, so takes that cross chunk borders read the symbols
+    # of one chunked walk of the orbit
+    fill, arg = orbit_fill(m)
+    walked = [0]
+
+    def counted(buf, x, arg, tally=None):
+        walked[0] += len(buf)
+        return fill(buf, x, arg, tally)
+
+    monkeypatch.setattr(symbolic, "orbit_fill", lambda m: (counted, arg))
+    x0 = seeded_start(m, 8)
+    stream = SymbolStream.from_point(m, x0, burn_in=DEFAULT_BURN_IN)
+    got = np.concatenate([stream.take(n) for n in takes])
+    assert walked[0] == DEFAULT_BURN_IN + sum(takes)
+    pts = orbit_array(m, x0, sum(takes), burn_in=DEFAULT_BURN_IN)
+    c = m.critical_point
+    assert np.array_equal(got, np.where(np.abs(pts - c) <= TIE_TOLERANCE, 2, pts > c))
 
 
 def test_stream_exhaustion_raises():

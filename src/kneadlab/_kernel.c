@@ -10,15 +10,19 @@
  * maps.Tally tally asks for, with the counts and bits of Tally.numpy_add,
  * in the loop iteration that writes each point: the step is a chain of
  * dependent operations whose latency leaves the core's other units idle,
- * and the tallies, which no later step reads, run in that shadow.  Every
- * array, buf and the tally's edges, counts and df, is a 1-d C-contiguous
- * float64 buffer, writable but for edges, as maps.py allocates them; the
- * counts are whole floats, exact below 2^53.
+ * and the tallies, which no later step reads, run in that shadow.  The
+ * Birkhoff sum of ln|Df| over the walk is one such tally: a running product
+ * of |Df|, kept in range by frexp, whose one log is taken at the end (see
+ * walk_loop), the fold of maps.log_fold.  Every array, buf and the tally's
+ * edges, counts and df, is a 1-d C-contiguous float64 buffer, writable but
+ * for edges, as maps.py allocates them; the counts are whole floats, exact
+ * below 2^53.
  * maps.py builds this file on first use; see _load_kernel there.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
+#include <stdint.h>
 #include <string.h>
 
 /* Inlined at every call, so that its constant arguments fold away */
@@ -59,11 +63,13 @@ get_double(PyObject *obj, const char *name, double *out)
 }
 
 /* The tallies of one walk: views of the tally's edges, counts and df (obj
- * NULL for each it does not ask for), the c and tol of its hit test, and
- * whether a point lay within tol of c. */
+ * NULL for each it does not ask for), whether it asks for the Birkhoff sum
+ * (fold) and that sum, the c and tol of its hit test, and whether a point
+ * lay within tol of c. */
 typedef struct {
     Py_buffer edges, counts, df;
-    double c, tol;
+    int fold;
+    double log_sum, c, tol;
     int hit;
 } Tallies;
 
@@ -77,8 +83,9 @@ release_tallies(Tallies *t)
 }
 
 /* Reads what tally asks for into t: counts (with edges one longer) unless
- * it is None, and df (at least n long, with the floats c and tol) unless it
- * is None.  Returns 0, or -1 with an exception set and nothing exported. */
+ * it is None, df (at least n long) unless it is None, and the Birkhoff sum
+ * unless log_sum is None; with df or the sum, also the floats c and tol.
+ * Returns 0, or -1 with an exception set and nothing exported. */
 static int
 get_tallies(PyObject *tally, Py_ssize_t n, Tallies *t)
 {
@@ -100,14 +107,18 @@ get_tallies(PyObject *tally, Py_ssize_t n, Tallies *t)
                         "a histogram needs len(edges) == len(counts) + 1 >= 2");
         goto fail;
     }
-    if (t->df.obj != NULL) {
-        if (t->df.shape[0] < n) {
-            PyErr_SetString(PyExc_TypeError, "the tally's df is shorter than the walk");
-            goto fail;
-        }
-        if (get_double(tally, "c", &t->c) < 0 || get_double(tally, "tol", &t->tol) < 0)
-            goto fail;
+    if (t->df.obj != NULL && t->df.shape[0] < n) {
+        PyErr_SetString(PyExc_TypeError, "the tally's df is shorter than the walk");
+        goto fail;
     }
+    PyObject *v = PyObject_GetAttrString(tally, "log_sum");
+    if (v == NULL)
+        goto fail;
+    t->fold = v != Py_None;
+    Py_DECREF(v);
+    if ((t->df.obj != NULL || t->fold)
+            && (get_double(tally, "c", &t->c) < 0 || get_double(tally, "tol", &t->tol) < 0))
+        goto fail;
     return 0;
 fail:
     release_tallies(t);
@@ -146,16 +157,43 @@ step(enum family family, const double *k, double x, double *d)
     }
 }
 
+/* The fold keeps each factor and the running product within [FOLD_LO,
+ * FOLD_HI] = [2^-500, 2^500], so that every product of two of them is a
+ * normal float, rounded once; LN2 is math.log(2.0). */
+#define FOLD_LO 0x1p-500
+#define FOLD_HI 0x1p500
+#define LN2 0.6931471805599453
+
+/* frexp(v), with its power of two added to *e: the mantissa of a nonzero
+ * finite v lies in [0.5, 1).  0, inf and nan come back as they are and add
+ * nothing (math.frexp's exponent for them; C leaves inf's and nan's
+ * unspecified). */
+static double
+renormalize(double v, int64_t *e)
+{
+    int k = 0;
+    const double mantissa = frexp(v, &k);
+    if (isfinite(v))
+        *e += k;
+    return mantissa;
+}
+
 /* Walks buf from x and takes the tallies of t (none when t is NULL).  The
  * histogram adds to counts[i] the points x with edges[i] <= x < edges[i +
  * 1], the last bin closed, as np.histogram(buf, bins=edges) counts them for
  * non-decreasing edges: points outside the edges count nowhere.  The bin is
  * guessed from (x - edges[0]) * scale, then corrected against the edges
- * themselves, so the guess decides only how long that takes.  Each call has a constant
- * family and t, or NULL, so the switch of step and the tallies not asked
- * for cost nothing.  Every field that the loop reads is copied to a local
- * first: a store into a buffer could alias it, and the compiler would
- * reload it on every point. */
+ * themselves, so the guess decides only how long that takes.  The Birkhoff
+ * sum multiplies the |Df| of the points in their order into mant * 2^e: a
+ * factor outside [FOLD_LO, FOLD_HI] is renormalized first, and the product
+ * whenever it leaves that range, so no product under- or overflows.  The
+ * sum is then e ln2 + log(mant), one log per walk; -inf when a factor was 0
+ * or the product is not finite (an inf or nan factor), as the sum of logs
+ * with a -inf, inf or nan among them was.  Each call has a constant family
+ * and t, or NULL, so the switch of step and the tallies not asked for cost
+ * nothing.  Every field that the loop reads is copied to a local first: a
+ * store into a buffer could alias it, and the compiler would reload it on
+ * every point. */
 INLINE double
 walk_loop(enum family family, const double *k, Py_buffer *buf, double x, Tallies *t)
 {
@@ -165,13 +203,26 @@ walk_loop(enum family family, const double *k, Py_buffer *buf, double x, Tallies
     double *counts = nb ? t->counts.buf : NULL;
     const double lo = nb ? edges[0] : 0.0, hi = nb ? edges[nb] : 0.0;
     const double scale = nb ? (double)nb / (hi - lo) : 0.0;
-    const double c = df ? t->c : 0.0, tol = df ? t->tol : 0.0;
+    const int fold = t && t->fold, derivative = df || fold;
+    const double c = derivative ? t->c : 0.0, tol = derivative ? t->tol : 0.0;
+    double mant = 1.0;
+    int64_t e = 0;
     int hit = 0;
     for (Py_ssize_t j = 0; j < n; j++) {
         out[j] = x;
-        const double y = step(family, k, x, df ? df + j : NULL);
-        if (df)
+        double d;
+        const double y = step(family, k, x, derivative ? &d : NULL);
+        if (derivative)
             hit |= fabs(x - c) <= tol;
+        if (df)
+            df[j] = d;
+        if (fold) {
+            if (!(d >= FOLD_LO && d <= FOLD_HI))
+                d = renormalize(d, &e);
+            mant *= d;
+            if (!(mant >= FOLD_LO && mant <= FOLD_HI))
+                mant = renormalize(mant, &e);
+        }
         if (nb && x >= lo && x <= hi) {
             const double r = (x - lo) * scale;
             Py_ssize_t i = r < (double)nb ? (Py_ssize_t)r : nb - 1;
@@ -183,8 +234,10 @@ walk_loop(enum family family, const double *k, Py_buffer *buf, double x, Tallies
         }
         x = y;
     }
-    if (t)
+    if (t) {
         t->hit = hit;
+        t->log_sum = mant > 0.0 && mant < HUGE_VAL ? (double)e * LN2 + log(mant) : -HUGE_VAL;
+    }
     return x;
 }
 
@@ -222,6 +275,13 @@ walk(PyObject *const *args, Py_ssize_t nargs, enum family family)
         release_tallies(tp);
         if (t.hit && PyObject_SetAttrString(tally, "hit", Py_True) < 0)
             return NULL;
+        if (t.fold) {
+            PyObject *sum = PyFloat_FromDouble(t.log_sum);
+            int failed = sum == NULL || PyObject_SetAttrString(tally, "log_sum", sum) < 0;
+            Py_XDECREF(sum);
+            if (failed)
+                return NULL;
+        }
     }
     return PyFloat_FromDouble(x);
 }

@@ -20,7 +20,8 @@ from .harness import (VERIFY_TAGS, ExperimentConfig, run_verify, strict_json,
 from .maps import FAMILIES, make_map
 from .measure import estimate_density, gap_family, regularized_density_report
 from .nest import build_nest
-from .orbits import ZetaTruncation, enumerate_periodic, find_periodic
+from .orbits import (ZetaTruncation, check_zeta_z, enumerate_periodic,
+                     find_periodic)
 from .symbolic import (SymbolStream, SymbolWord, geometric_frequency,
                        itinerary, kneading_sequence)
 
@@ -84,7 +85,7 @@ def _floats(text: str) -> tuple[float, ...]:
 
 def _add_map_args(p):
     p.add_argument("--map", required=True, choices=tuple(FAMILIES))
-    p.add_argument("--param", required=True, type=float)
+    p.add_argument("--param", required=True, type=_float)
 
 
 def _add_seed(p):
@@ -113,7 +114,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("itinerary", help="itinerary of a point")
     _add_map_args(p)
-    p.add_argument("--x0", type=float, required=True)
+    p.add_argument("--x0", type=_float, required=True)
     p.add_argument("--length", type=_count, required=True)
 
     p = sub.add_parser("freq", help="pattern frequencies in a symbol stream")
@@ -134,7 +135,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("zeta", help="truncated dynamical zeta value")
     _add_map_args(p)
     p.add_argument("--max-period", type=_count, default=12)
-    p.add_argument("--z", type=float, required=True)
+    p.add_argument("--z", type=_float, required=True)
 
     p = sub.add_parser("nest", help="principal nest report")
     _add_map_args(p)
@@ -303,6 +304,7 @@ def _run(args) -> int:
         return 0
 
     if cmd == "zeta":
+        check_zeta_z(args.z)  # before the search, which the z cannot rescue
         enum = enumerate_periodic(m, args.max_period)
         ev = ZetaTruncation(enum.orbits, args.max_period).evaluate(args.z)
         _emit_json({"z": args.z, "max_period": args.max_period,

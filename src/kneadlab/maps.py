@@ -158,11 +158,14 @@ class MapFamily:
 # 510 ns against 604 ns with an attribute lookup per call), and takes the
 # constants of f and the inverses from ns.num once (a 120-bit logistic f:
 # 4.6 us against 9.9 us: mpmath converts a float operand every time).  Per
-# point of a 65,536-point buffer, best of 401 calls: the compiled walks 4.6,
-# 3.5 and 56 ns (quadratic, logistic, sine: libm's sin and asin), 4.7, 3.8
-# and 59 ns with the 512-bin histogram and |Df| taken in the same loop;
-# python_fill 100, 91 and 427 ns (a memoryview saves 20 ns against numpy
-# item assignment), and its numpy tallies 15-70 ns more.
+# point of a 65,536-point buffer, best of 401 calls: the compiled walks 4.3,
+# 3.2 and 48 ns (quadratic, logistic, sine: libm's sin and asin), 4.5, 4.0
+# and 53 ns with the 512-bin histogram and |Df| taken in the same loop, 4.2,
+# 3.3 and 52 ns with the Birkhoff fold, and 5.1, 4.8 and 53 ns with the
+# histogram and the fold (a numpy log and sum of the |Df| buffer added
+# about 1.5 ns); python_fill 100, 91 and 427 ns (a memoryview saves 20 ns
+# against numpy item assignment), its numpy tallies 15-70 ns more, and its
+# Python fold (log_fold) 75-95 ns more.
 
 def _quadratic(ns, tau):
     """q_tau(x) = tau - 1 - tau*x^2 on [-1, 1], critical point 0."""
@@ -307,29 +310,63 @@ class Tally:
     """What a walk of orbit_chunks adds up over each chunk as it steps:
     counts, the histogram of the points over edges (when edges is given),
     in float64, exact below 2^53 points; with abs_df, df[:k], |Df| at each
-    point of the last k-point chunk, and hit, whether some point lay within
-    tol of c.  Burn-in is not tallied.  The compiled walks of _kernel.c read
-    and set these attributes by name, and take edges, counts and df only as
-    1-d C-contiguous float64 arrays."""
+    point of the last k-point chunk; with log_sum, the float log_sum, the
+    Birkhoff sum of ln|Df| over the last chunk, folded as log_fold folds the
+    same |Df| (0.0 before the first chunk); with either, hit, whether some
+    point lay within tol of c.  Burn-in is not tallied.  The compiled walks of
+    _kernel.c read and set these attributes by name, and take edges, counts
+    and df only as 1-d C-contiguous float64 arrays."""
 
-    def __init__(self, m: UnimodalMap, edges=None, abs_df: bool = False):
+    def __init__(self, m: UnimodalMap, edges=None, abs_df: bool = False,
+                 log_sum: bool = False):
         self.edges = edges
         self.counts = None if edges is None else np.zeros(len(edges) - 1)
         self.df = np.empty(CHUNK) if abs_df else None
+        self.log_sum = 0.0 if log_sum else None
         self.c, self.tol = m.critical_point, TIE_TOLERANCE
         self.hit = False
         self._m, self._numpy_df = m, None  # bound on first use: a compiled walk needs none
 
     def numpy_add(self, buf: np.ndarray) -> None:
-        """Takes the tallies over buf with np.histogram and the NUMPY df:
-        the reference of the compiled walk's tallies."""
+        """Takes the tallies over buf with np.histogram, the NUMPY df and
+        log_fold: the reference of the compiled walk's tallies."""
         if self.counts is not None:
             self.counts += np.histogram(buf, bins=self.edges)[0]
-        if self.df is not None:
+        if self.df is not None or self.log_sum is not None:
             if self._numpy_df is None:
                 self._numpy_df = self._m.family.bind(NUMPY, self._m.parameter)[1]
-            np.abs(self._numpy_df(buf), out=self.df[:len(buf)])
+            d = np.abs(self._numpy_df(buf))
+            if self.df is not None:
+                self.df[:len(buf)] = d
+            if self.log_sum is not None:
+                self.log_sum = log_fold(d.tolist())
             self.hit = self.hit or bool(np.any(np.abs(buf - self.c) <= self.tol))
+
+
+# The fold keeps every factor and its running product within [FOLD_LO,
+# FOLD_HI], so that each product of two is a normal float, rounded once.
+FOLD_LO, FOLD_HI = 2.0 ** -500, 2.0 ** 500
+LN2 = 0.6931471805599453  # math.log(2.0), the LN2 of _kernel.c
+
+
+def log_fold(ds) -> float:
+    """The sum of ln d over the floats ds, as the compiled walk takes it:
+    their product, in order, as a mantissa times 2^e, where math.frexp
+    renormalizes a factor outside [FOLD_LO, FOLD_HI] and the product
+    whenever it leaves that range; then e * LN2 + math.log(mantissa), one
+    log in all.  -inf when a factor is 0 or the product is not finite (an
+    inf or nan factor), as for a sum of logs with a -inf, inf or nan."""
+    lo, hi, frexp = FOLD_LO, FOLD_HI, math.frexp
+    mant, e = 1.0, 0
+    for d in ds:
+        if not lo <= d <= hi:
+            d, k = frexp(d)
+            e += k
+        mant *= d
+        if not lo <= mant <= hi:
+            mant, k = frexp(mant)
+            e += k
+    return e * LN2 + math.log(mant) if 0.0 < mant < math.inf else -math.inf
 
 
 def python_fill(buf, x, f, tally: Optional[Tally] = None):

@@ -83,15 +83,15 @@ def _detect_periodic_attractor(m: UnimodalMap, w: np.ndarray):
     return None
 
 
-def _walk(chunks, n: int, df=None, intervals=()):
-    """The one loop over the chunks of an n-point orbit walk: it sums
-    ln|Df| from df, the |Df| buffer of the walk's Tally (if given), counts
-    the visits to each interval (None entries count nothing) and notes the
-    first chunk that ends on an exact fixed point of the float map (its
-    last two points are equal).
+def _walk(chunks, n: int, tally=None, intervals=()):
+    """The one loop over the chunks of an n-point orbit walk: it adds up
+    the Birkhoff sums of ln|Df| that the walk's Tally (if given) took over
+    each chunk, counts the visits to each interval (None entries count
+    nothing) and notes the first chunk that ends on an exact fixed point of
+    the float map (its last two points are equal).
 
-    Returns (the mean of ln|Df|, or None without |Df|; the visit fractions;
-    that fixed point, or None).
+    Returns (the mean of ln|Df|, math.fsum of the chunk sums over n, or None
+    without a tally; the visit fractions; that fixed point, or None).
     """
     sums = []
     counts = [0] * len(intervals)
@@ -99,12 +99,12 @@ def _walk(chunks, n: int, df=None, intervals=()):
     for buf in chunks:
         if fixed is None and len(buf) > 1 and buf[-1] == buf[-2]:
             fixed = float(buf[-1])
-        if df is not None:
-            sums.append(_birkhoff_sum(df[:len(buf)]))
+        if tally is not None:
+            sums.append(tally.log_sum)
         for i, iv in enumerate(intervals):
             if iv is not None:
                 counts[i] += int(np.count_nonzero((buf >= iv[0]) & (buf <= iv[1])))
-    mean = None if df is None else math.fsum(sums) / n
+    mean = None if tally is None else math.fsum(sums) / n
     return mean, [k / n for k in counts], fixed
 
 
@@ -112,8 +112,9 @@ def _seeded_pass(m: UnimodalMap, n: int, bin_count: int, seed, *,
                  birkhoff: bool = False, intervals=()):
     """One walk of the seeded orbit through orbit_chunks: burn-in, then n
     points, the first RECURRENCE_PROBE of which go to the periodic-attractor
-    probe.  The walk takes the histogram and, with birkhoff, |Df| into its
-    Tally as it steps, one kernel call per chunk, and _walk reads each chunk.
+    probe.  The walk takes the histogram and, with birkhoff, the Birkhoff
+    sum of each chunk into its Tally as it steps, one kernel call per chunk,
+    and _walk reads each chunk.
 
     Returns (density, LyapunovEstimate or None, visit fractions, the
     probe's (period, cycle) or None).  Raises DegenerateOrbit (with the
@@ -128,7 +129,7 @@ def _seeded_pass(m: UnimodalMap, n: int, bin_count: int, seed, *,
     if bin_count > MAX_BINS:
         raise ValueError(f"bin_count <= {MAX_BINS} required")
     edges = np.linspace(m.domain[0], m.domain[1], bin_count + 1)
-    tally = maps.Tally(m, edges, abs_df=birkhoff)
+    tally = maps.Tally(m, edges, log_sum=birkhoff)
     chunks = orbit_chunks(m, seeded_start(m, seed), n, burn_in=DEFAULT_BURN_IN,
                           tally=tally)
     first = next(chunks)  # n >= 1e5, so it holds the whole probe
@@ -138,7 +139,8 @@ def _seeded_pass(m: UnimodalMap, n: int, bin_count: int, seed, *,
         raise DegenerateOrbit(
             f"orbit converges to a periodic attractor of period {period}",
             period=period, cycle=cycle)
-    value, visits, fixed = _walk(itertools.chain([first], chunks), n, tally.df, intervals)
+    value, visits, fixed = _walk(itertools.chain([first], chunks), n,
+                                 tally if birkhoff else None, intervals)
     if fixed is not None and attractor is None:
         raise DegenerateOrbit(f"orbit falls onto the fixed point {fixed!r}",
                               period=1, cycle=[fixed])
@@ -172,25 +174,12 @@ def measure_of_intervals(density: DensityEstimate, los, his) -> np.ndarray:
     return np.maximum(np.interp(hi, e, c) - np.interp(lo, e, c), 0.0)
 
 
-def _birkhoff_sum(d: np.ndarray) -> float:
-    """The sum of ln|Df| over one chunk, from the |Df| values d that the
-    walk of orbit_chunks left in its Tally (overwritten by their logs);
-    -inf if a log is not finite.  A chunk holds at most maps.CHUNK logs, each
-    within +-745, so a sum of finite logs is finite, and a -inf, inf or nan
-    log makes the sum non-finite: one test of the sum tests every log.  The
-    log and the sum stay in numpy: numpy's float64 log is its own SIMD
-    loop, not libm's, and differs from it in the last bit."""
-    with np.errstate(divide="ignore", invalid="ignore"):  # -inf + inf is nan
-        np.log(d, out=d)
-        s = float(np.sum(d))
-    return s if math.isfinite(s) else -math.inf
-
-
 def lyapunov_birkhoff(m: UnimodalMap, x0: float, n: int,
                       burn_in: int = 0) -> LyapunovEstimate:
-    """(1/n) sum of ln|Df| along the orbit: math.fsum of the per-chunk sums,
-    -inf if a chunk has a non-finite log.  An orbit that falls onto an exact
-    fixed point averages its trapped tail in, and fixed_point names it.
+    """(1/n) sum of ln|Df| along the orbit: math.fsum of the per-chunk sums
+    that the walk folds as it steps (maps.log_fold), -inf if a chunk has a
+    zero or non-finite |Df|.  An orbit that falls onto an exact fixed point
+    averages its trapped tail in, and fixed_point names it.
 
     When the orbit comes within tie tolerance of the critical point the
     estimate is still reported, flagged with hit_critical.  A start point
@@ -199,8 +188,8 @@ def lyapunov_birkhoff(m: UnimodalMap, x0: float, n: int,
     if n < 1:
         raise ValueError("n >= 1 required")
     x0 = check_start(m, x0)
-    tally = maps.Tally(m, abs_df=True)
-    value, _, fixed = _walk(orbit_chunks(m, x0, n, burn_in=burn_in, tally=tally), n, tally.df)
+    tally = maps.Tally(m, log_sum=True)
+    value, _, fixed = _walk(orbit_chunks(m, x0, n, burn_in=burn_in, tally=tally), n, tally)
     return LyapunovEstimate(value, tally.hit, n, fixed)
 
 

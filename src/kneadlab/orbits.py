@@ -328,6 +328,15 @@ def formula_exponent_estimate(pattern: SymbolWord, stream: SymbolStream,
 INNER_SUM_CAP_FACTOR = 4  # inner geometric sum truncated at n*m <= 4*max_period
 
 
+def check_zeta_z(z) -> None:
+    """Raises DivergentInput for a z at which the zeta series diverges at
+    every map: one that is not finite, or has |z| >= 1."""
+    if not cmath.isfinite(z):
+        raise DivergentInput(f"z = {z} is not finite")
+    if abs(z) >= 1.0:
+        raise DivergentInput(f"|z| = {abs(z)} >= 1")
+
+
 @dataclass
 class ZetaEvaluation:
     value: float
@@ -375,11 +384,8 @@ class ZetaTruncation:
         return total
 
     def evaluate(self, z) -> ZetaEvaluation:
-        if not cmath.isfinite(z):
-            raise DivergentInput(f"z = {z} is not finite")
+        check_zeta_z(z)
         az = abs(z)
-        if az >= 1.0:
-            raise DivergentInput(f"|z| = {az} >= 1")
         lam_min = self.min_expansion_rate()
         if az >= lam_min:
             raise DivergentInput(

@@ -307,6 +307,33 @@ def test_cli_zeta_rejects_non_finite_z(capsys):
     assert json.loads(captured.err)["error"] == "DivergentInput"
 
 
+@pytest.mark.parametrize("z,message", [
+    ("1.5", "|z| = 1.5 >= 1"), ("-1", "|z| = 1.0 >= 1"), ("inf", "z = inf is not finite"),
+    ("nan", "z = nan is not finite")])
+def test_cli_zeta_checks_z_before_the_census(capsys, monkeypatch, z, message):
+    # the series diverges at such a z at every map, so no orbit is searched
+    def refuse(*args):
+        raise AssertionError("searched the periodic orbits")
+
+    monkeypatch.setattr(cli, "enumerate_periodic", refuse)
+    assert main(["zeta", "--map", "quadratic", "--param", "2.0", "--max-period", "16",
+                 "--z", z]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "DivergentInput", "message": message}
+
+
+@pytest.mark.parametrize("command, option", [
+    (["zeta", "--map", "quadratic", "--param", "2.0"], "--z"),
+    (["zeta", "--map", "quadratic", "--z", "0.25"], "--param"),
+    (["itinerary", "--map", "quadratic", "--param", "1.9", "--length", "8"], "--x0")])
+def test_cli_number_that_is_not_one_names_no_type_function(capsys, command, option):
+    assert main(command + [option, "abc"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: argument {option}: expected a number, got 'abc'\n"
+
+
 def test_cli_rejects_the_sine_tent_parameter(capsys):
     # g_4 is the tent map: no smooth critical point
     assert main(["kneading", "--map", "sine", "--param", "4.0", "--length", "8"]) == 1

@@ -15,7 +15,8 @@ from kneadlab import (CriticalNonReturn, DegenerateOrbit, OutOfDomain,
                       regularized_density_report, verify_critical_typicality,
                       verify_lyapunov_equality)
 from kneadlab import harness, maps, measure, nest, orbits, symbolic
-from kneadlab.maps import DEFAULT_BURN_IN, orbit_array, orbit_chunks
+from kneadlab.maps import (DEFAULT_BURN_IN, orbit_array, orbit_chunks, orbit_fill,
+                           python_fill)
 from kneadlab.measure import (_detect_periodic_attractor, _integral_log_deriv,
                               measure_of_intervals, seeded_start)
 from kneadlab.symbolic import cylinder, frequency
@@ -178,20 +179,32 @@ def test_lyapunov_hit_critical_flag(q2):
     assert est.value == -math.inf
 
 
-def _two_pass_birkhoff_sum(d):
-    with np.errstate(divide="ignore"):
-        logs = np.log(d)
-    return float(np.sum(logs)) if np.all(np.isfinite(logs)) else -math.inf
+def _reference_fold(d):
+    """The Birkhoff sum of one chunk as the walk folds it, read off its
+    statement: the product of the |Df| values d in order, as a mantissa m
+    times 2^e, frexp applied to a factor outside [2^-500, 2^500] and to the
+    product whenever it leaves that range; then e ln2 + ln m, or -inf when
+    m is 0 or not finite."""
+    lo, hi = 2.0 ** -500, 2.0 ** 500
+    m, e = 1.0, 0
+    for x in d.tolist():
+        if x < lo or x > hi or x != x:
+            x, k = math.frexp(x)
+            e += k
+        m = m * x
+        if m < lo or m > hi or m != m:
+            m, k = math.frexp(m)
+            e += k
+    if m == 0.0 or not math.isfinite(m):
+        return -math.inf
+    return float(e) * math.log(2.0) + math.log(m)
 
 
-@pytest.mark.filterwarnings("error")  # a sum of -inf and inf logs must not warn
-@pytest.mark.parametrize("special", [None, 0.0, math.inf, math.nan],
-                         ids=["finite", "zero", "inf", "nan"])
-def test_birkhoff_chunk_sum_tests_the_logs_by_their_sum(special):
-    # one test of the sum against a finiteness test of every log: a full
-    # chunk of the extreme finite |Df| (logs near +-745 and 709), then the
-    # special value at the first, a middle and the last point, alone and
-    # with the other two
+def _special_chunks(special):
+    """|Df| chunks at the float extremes: a full chunk of the least and of
+    the greatest float (logs near -745 and 709), one of random logs between,
+    one point and none; with a special value, that one at the first, a
+    middle and the last point, alone and with the other two."""
     rng = np.random.default_rng(24)
     tiny, huge = np.nextafter(0.0, 1.0), np.finfo(float).max
     chunks = [np.full(maps.CHUNK, tiny), np.full(maps.CHUNK, huge),
@@ -205,11 +218,133 @@ def test_birkhoff_chunk_sum_tests_the_logs_by_their_sum(special):
         mixed = base.copy()
         mixed[:3] = (0.0, math.inf, math.nan)
         chunks += [np.array([special]), mixed]
+    return chunks
+
+
+@pytest.mark.filterwarnings("error")  # a zero, inf or nan |Df| must not warn
+@pytest.mark.parametrize("special", [None, 0.0, math.inf, math.nan],
+                         ids=["finite", "zero", "inf", "nan"])
+def test_birkhoff_chunk_sum_tests_the_logs_by_their_sum(special):
+    # the fold tests the chunk's product once, at the end: a product of
+    # factors renormalized into [2^-500, 2^500] is finite and nonzero, and a
+    # factor of 0, inf or nan makes it 0, inf or nan for good, so the one
+    # test gives -inf exactly when some log is not finite.  maps.log_fold
+    # and Tally.numpy_add, the fold of a walk without the kernel, have the
+    # bits of the fold read off its statement
+    m = make_quadratic(1.9)
+    for d in _special_chunks(special):
+        want = _reference_fold(d)
+        assert maps.log_fold(d.tolist()).hex() == want.hex()
+        tally = maps.Tally(m, log_sum=True)
+        tally._numpy_df = lambda xs, d=d: d  # numpy_add takes |Df| from here
+        tally.numpy_add(np.zeros(len(d)))
+        assert type(tally.log_sum) is float and tally.log_sum.hex() == want.hex()
+        assert math.isfinite(want) == bool(np.all(np.isfinite(d) & (d > 0.0)))
+
+
+# The exact float preimage x of c, f(x) == c: a walk from it has Df = 0 at
+# its second point
+_PREIMAGE_OF_C = {("quadratic", 1.9): -0.6882472016116853,
+                  ("logistic", 3.9): 0.15100877977394359}
+
+
+@pytest.mark.parametrize("family,p", [
+    ("quadratic", 2.0), ("quadratic", 1.9), ("logistic", 4.0), ("logistic", 3.9),
+    ("sine", 3.9), ("sine", math.nextafter(4.0, 0.0))])
+def test_compiled_fold_has_the_bits_of_the_python_fold(family, p):
+    # the Birkhoff sum that the compiled walk folds as it steps, against
+    # the reference fold of the NUMPY |Df| of the points it wrote and
+    # against python_fill with Tally.numpy_add: chunk splits of the seeded
+    # orbit (its product leaves [2^-500, 2^500] about every thousand
+    # points) and walks of 1, 2, 3 and 1000 points from c, from beside c at
+    # quadratic (|Df| below 2^-500; logistic and sine have no such float),
+    # from a preimage of c (Df = 0 at the second point), from 1e200 (|Df|
+    # above 2^500, then inf for the escaping quadratic and logistic
+    # orbits), and but for sine from -inf, inf and nan (math.sin refuses an
+    # infinity, and the Python sine clamps nan to -1 where the compiled one
+    # keeps it)
+    m = make_map(family, p)
+    walk = orbit_fill(m)[0]
+    if walk is python_fill:
+        pytest.skip("the compiled kernel cannot be built with this Python")
+    df = m.family.bind(maps.NUMPY, p)[1]
+    c = m.critical_point
+    starts = [(seeded_start(m, 3), (maps.CHUNK, 0, 1, 1234, 2))]
+    specials = (-math.inf, math.inf, math.nan) if family != "sine" else ()
+    beside = 1e-300 if family == "quadratic" else None
+    preimage = _PREIMAGE_OF_C.get((family, p))
+    assert preimage is None or m._f(preimage) == c
+    for x0 in (c, beside, preimage, 1e200, *specials):
+        if x0 is not None:
+            starts += [(x0, (n,)) for n in (1, 2, 3, 1000)]
+    special = 0
+    with np.errstate(all="ignore"):
+        for x0, sizes in starts:
+            tallies = [maps.Tally(m, log_sum=True) for _ in range(2)]
+            xs = [x0, x0]
+            for k in sizes:
+                bufs = [np.empty(k), np.empty(k)]
+                xs[0] = walk(bufs[0], xs[0], p, tallies[0])
+                xs[1] = python_fill(bufs[1], xs[1], m._f, tallies[1])
+                got, want = (t.log_sum for t in tallies)
+                assert bufs[0].tobytes() == bufs[1].tobytes()
+                assert type(got) is float
+                assert got.hex() == want.hex() == _reference_fold(np.abs(df(bufs[0]))).hex()
+                assert tallies[0].hit is tallies[1].hit
+                special += not math.isfinite(got)
+    # but for sine, every walk from c, from a preimage of c or 1e200 but
+    # the one-point ones, and from -inf, inf and nan sums to -inf
+    assert special == (0 if family == "sine" else 4 + 3 * (preimage is not None) + 3 + 12)
+
+
+def _fold_error_bound(d):
+    # With u = 2^-53, k = len(d) and S = sum |ln d_i|: each of the k
+    # products rounds once and stays normal, so the computed m 2^e is the
+    # exact product times a factor within (1 +- u)^k, a log error of at most
+    # k u to first order; frexp is exact.  m holds the factors since the
+    # product's last renormalization and e ln2 the ones before, so |e ln2| +
+    # |ln m| <= S + 2 ln2 + 2 ln2 for each factor above 2^500, which is below
+    # 1.01 S + 2 ln2.  The rounding of LN2 and of e * LN2 (2u |e ln2|), the
+    # log of m (1 ulp, 2u |ln m|) and the final add (u (|e ln2| + |ln m|))
+    # then cost at most 3u (1.01 S + 2 ln2).  The reference, math.fsum of
+    # the math.log values, errs by 1 ulp per log (2u S) and by its one
+    # rounding (u S).  In all k u + 6.03u S + 4.2u, which is at most
+    # 8u (k + S) = 2^-50 (k + S) for k >= 1; for k = 0 both sums are 0.
+    return 2.0 ** -50 * (len(d) + math.fsum(abs(math.log(x)) for x in d.tolist()))
+
+
+def test_birkhoff_fold_lies_within_its_error_bound_of_the_sum_of_logs():
+    # the finite extreme chunks, and the |Df| of the seeded orbit of each
+    # family in four chunks, against the exactly summed math.log values
+    chunks = _special_chunks(None)
+    for m in (make_quadratic(1.9), make_logistic(3.9), make_map("sine", 3.9)):
+        df = m.family.bind(maps.NUMPY, m.parameter)[1]
+        pts = orbit_array(m, seeded_start(m, 31), 4 * maps.CHUNK, burn_in=DEFAULT_BURN_IN)
+        chunks += [np.abs(df(c)) for c in np.split(pts, 4)]
     for d in chunks:
-        want = _two_pass_birkhoff_sum(d)
-        got = measure._birkhoff_sum(d.copy())
-        assert repr(got) == repr(want)
-        assert math.isfinite(got) == bool(np.all(np.isfinite(d) & (d > 0.0)))
+        exact = math.fsum(math.log(x) for x in d.tolist())
+        assert abs(maps.log_fold(d.tolist()) - exact) <= _fold_error_bound(d)
+
+
+def test_measure_walks_take_no_abs_df_buffer(monkeypatch):
+    # the Birkhoff walks keep only the running product: every Tally of the
+    # measure passes asks for no |Df| buffer, and the Birkhoff ones for the
+    # fold
+    made = []
+
+    class Recorded(maps.Tally):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(maps, "Tally", Recorded)
+    m = make_logistic(3.9)
+    lyapunov_birkhoff(m, seeded_start(m, 3), 10 ** 5)
+    estimate_density(m, 10 ** 5, 64, seed=3)
+    verify_lyapunov_equality(m, 10 ** 6, 3, bin_count=64)
+    verify_critical_typicality(m, [W("1")], 10 ** 6, seed=3, bin_count=64)
+    assert [t.log_sum is not None for t in made] == [True, False, True, True, False]
+    assert all(t.df is None for t in made)
 
 
 # --- critical typicality ------------------------------------------------------
